@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
 
@@ -184,6 +183,27 @@ def bp_apply(graph, params, x):
     return _apply(x, edges, params.c, params.zeta, params.delta)
 
 
+def _iterate(apply, x, tol, max_iter, what):
+    """Plain iteration ``x <- apply(x)`` from ``x``.
+
+    Returns the first iterate whose log-sup step ``max |log apply(x) - log x|``
+    is below ``tol``; ``what`` names the caller in the error raised when
+    ``max_iter`` applications do not get there.
+    """
+    residual = math.inf
+    for _ in range(max_iter):
+        y = apply(x)
+        residual = float(np.max(np.abs(np.log(y) - np.log(x))))
+        if residual < tol:
+            return x
+        x = y
+    raise ConvergenceError(
+        f"{what}: no fixed point after {max_iter} iterations",
+        residual=residual,
+        iterations=max_iter,
+    )
+
+
 def bp_fixed_point(graph, params, tol=1e-12, max_iter=100_000):
     """Unique fixed point, iterated from the constant vector c.
 
@@ -201,17 +221,12 @@ def bp_fixed_point(graph, params, tol=1e-12, max_iter=100_000):
     x = np.full(graph.num_vertices, params.c)
     if len(edges) == 0:
         return x
-    residual = math.inf
-    for _ in range(max_iter):
-        y = _apply(x, edges, params.c, params.zeta, params.delta)
-        residual = float(np.max(np.abs(np.log(y) - np.log(x))))
-        if residual < tol:
-            return x
-        x = y
-    raise ConvergenceError(
-        f"no fixed point after {max_iter} iterations (residual {residual:.3e})",
-        residual=residual,
-        iterations=max_iter,
+    return _iterate(
+        lambda v: _apply(v, edges, params.c, params.zeta, params.delta),
+        x,
+        tol,
+        max_iter,
+        "bp_fixed_point",
     )
 
 
@@ -249,6 +264,8 @@ def solve_zeta_regular(k, c, eta, tol=1e-15):
     elif eta == 1.0:
         zeta = 0.0
     else:
+        from scipy.optimize import brentq  # slow to import; only this path uses it
+
         zeta = brentq(g, 0.0, 1.0, xtol=tol, rtol=4 * np.finfo(float).eps)
     ok = contraction_margin(k, c, zeta) > 0
     return float(zeta), ok
@@ -283,11 +300,9 @@ def solve_zeta(
     if delta is None:
         delta = max(max(graph.degrees(), default=1), 1)
 
-    def params(z):
-        return BPParams(k, c, z, delta)
-
     if eta == 0.0:
-        return 1.0, bp_fixed_point(graph, params(1.0), tol=fp_tol, max_iter=max_iter)
+        params = BPParams(k, c, 1.0, delta)
+        return 1.0, bp_fixed_point(graph, params, tol=fp_tol, max_iter=max_iter)
 
     edges = _edge_array(graph, k)
     if len(edges) == 0:
@@ -309,16 +324,9 @@ def solve_zeta(
     hi = min(1.0 - eta, zeta_cap)
 
     def solve_at(z, warm):
-        p = params(z)
-        xx = np.array(warm, dtype=float)
-        res = math.inf
-        for _ in range(max_iter):
-            y = _apply(xx, edges, p.c, p.zeta, p.delta)
-            res = float(np.max(np.abs(np.log(y) - np.log(xx))))
-            if res < fp_tol:
-                return xx
-            xx = y
-        raise ConvergenceError("fixed point stalled inside solve_zeta", residual=res)
+        return _iterate(
+            lambda v: _apply(v, edges, c, z, delta), warm, fp_tol, max_iter, "solve_zeta"
+        )
 
     x_hi = solve_at(hi, x)
     r_hi = residual(hi, x_hi)
@@ -393,17 +401,15 @@ def bp_log_partition(
     x = np.full(graph.num_vertices, ts[0])
     total = graph.num_vertices * eps
     for t, w in zip(ts, ws):
-        p = BPParams(k, float(t), params.zeta, params.delta)
-        res = math.inf
-        for _ in range(max_iter):
-            y = _apply(x, edges, p.c, p.zeta, p.delta)
-            res = float(np.max(np.abs(np.log(y) - np.log(x))))
-            if res < fp_tol:
-                break
-            x = y
-        else:
-            raise ConvergenceError("quadrature fixed point stalled", residual=res)
-        total += w * float(x.sum()) / float(t)
+        t = float(t)
+        x = _iterate(
+            lambda v: _apply(v, edges, t, params.zeta, params.delta),
+            x,
+            fp_tol,
+            max_iter,
+            "bp_log_partition integral",
+        )
+        total += w * float(x.sum()) / t
     return scale * total
 
 

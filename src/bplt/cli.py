@@ -14,15 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-
-def _setup_threads():
-    cap = os.environ.get("BPLT_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _fmt(x):
@@ -491,7 +483,6 @@ def _build_parser():
 
 
 def main(argv=None):
-    _setup_threads()
     parser = _build_parser()
     args = parser.parse_args(argv)
     args._argv = list(argv) if argv is not None else sys.argv[1:]

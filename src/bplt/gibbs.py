@@ -95,25 +95,6 @@ def _edge_masks(graph):
     return masks, mults
 
 
-if hasattr(np, "bitwise_count"):
-
-    def _popcount(ids):
-        return np.bitwise_count(ids).astype(np.int64)
-
-else:  # pragma: no cover - numpy < 2.0
-
-    def _popcount(ids):
-        x = ids.astype(np.uint64).copy()
-        m1 = np.uint64(0x5555555555555555)
-        m2 = np.uint64(0x3333333333333333)
-        m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-        h1 = np.uint64(0x0101010101010101)
-        x = x - ((x >> np.uint64(1)) & m1)
-        x = (x & m2) + ((x >> np.uint64(2)) & m2)
-        x = (x + (x >> np.uint64(4))) & m4
-        return ((x * h1) >> np.uint64(56)).astype(np.int64)
-
-
 def _iter_blocks(num_vertices):
     total = 1 << num_vertices
     block = 1 << min(_BLOCK_BITS, num_vertices)
@@ -126,12 +107,13 @@ def _iter_blocks(num_vertices):
 
 def _block_weights(ids, num_vertices, p, zeta, masks, mults):
     """Scaled weights p^|S| (1-p)^(N-|S|) (1-zeta)^count and the edge counts."""
-    sizes = _popcount(ids)
+    sizes = np.bitwise_count(ids).astype(np.int64)
     counts = np.zeros(len(ids), dtype=np.int64)
     for mask, mult in zip(masks, mults):
         counts += mult * ((ids & mask) == mask)
     w = np.power(p, sizes) * np.power(1.0 - p, num_vertices - sizes)
-    w *= np.power(1.0 - zeta, counts)  # 0**0 == 1 covers zeta == 1
+    if zeta:  # the factor is exactly 1 at zeta == 0
+        w *= np.power(1.0 - zeta, counts)  # 0**0 == 1 covers zeta == 1
     return w, sizes, counts
 
 
@@ -223,11 +205,7 @@ def lower_tail_exact(graph, p, threshold, unsafe_size=False):
     masks, mults = _edge_masks(graph)
     prob = 0.0
     for ids in _iter_blocks(n):
-        sizes = _popcount(ids)
-        counts = np.zeros(len(ids), dtype=np.int64)
-        for mask, mult in zip(masks, mults):
-            counts += mult * ((ids & mask) == mask)
-        w = np.power(p, sizes) * np.power(1.0 - p, n - sizes)
+        w, _, counts = _block_weights(ids, n, p, 0.0, masks, mults)
         prob += float(w[counts <= threshold].sum())
     return prob
 

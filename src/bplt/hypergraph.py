@@ -26,6 +26,15 @@ __all__ = [
 ]
 
 
+def _incidence(num_vertices, edges):
+    """Per vertex, the ascending positions in ``edges`` of the edges containing it."""
+    inc = [[] for _ in range(num_vertices)]
+    for i, e in enumerate(edges):
+        for u in e:
+            inc[u].append(i)
+    return inc
+
+
 class Multihypergraph:
     """A vertex count plus a multiset of hyperedges.
 
@@ -87,11 +96,7 @@ class Multihypergraph:
 
     def incident_edge_ids(self):
         """For each vertex, the sorted list of ids of edges containing it."""
-        inc = [[] for _ in range(self.num_vertices)]
-        for i, e in enumerate(self.edges):
-            for u in e:
-                inc[u].append(i)
-        return inc
+        return _incidence(self.num_vertices, self.edges)
 
     def uniformity(self):
         """The common edge size k, or None if edges have mixed sizes.

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bp import BPParams, bp_fixed_point
-from .errors import ConvergenceError, DomainError
+from .bp import BPParams, _gauss_legendre, _iterate, bp_fixed_point
+from .errors import DomainError
 from .gibbs import ModelParams, glauber_marginals, summarize
 from .hypergraph import Multihypergraph
 
@@ -203,15 +203,8 @@ def _grid_fixed_point(c, coeff, k, grid_size, tol, max_iter):
             f"outside the contraction region (square-iterate factor {factor:.6g})"
         )
     f = np.full(grid_size + 1, float(c))
-    residual = math.inf
-    for _ in range(max_iter):
-        g = _grid_apply(f, c, coeff, k)
-        residual = float(np.max(np.abs(np.log(g) - np.log(f))))
-        if residual < tol:
-            return f
-        f = g
-    raise ConvergenceError(
-        f"grid fixed point stalled (residual {residual:.3e})", residual=residual
+    return _iterate(
+        lambda g: _grid_apply(g, c, coeff, k), f, tol, max_iter, "grid fixed point"
     )
 
 
@@ -256,12 +249,6 @@ def _trapz(values, h):
     return h * (values.sum() - 0.5 * (values[0] + values[-1]))
 
 
-def _gauss_legendre(a, b, nodes):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
 def kap_rate(k, c, quad_nodes=64, grid_size=800, tol=1e-11, max_iter=10_000):
     """Non-existence rate via the family of profile fixed points:
     integral over t in (0, c] of (1/t) * integral of the fixed point at
@@ -282,15 +269,7 @@ def kap_rate(k, c, quad_nodes=64, grid_size=800, tol=1e-11, max_iter=10_000):
     f = np.full(grid_size + 1, float(ts[0]))
     for t, w in zip(ts, ws):
         t = float(t)
-        residual = math.inf
-        for _ in range(max_iter):
-            g = _grid_apply(f, t, 1.0, k)
-            residual = float(np.max(np.abs(np.log(g) - np.log(f))))
-            if residual < tol:
-                break
-            f = g
-        else:
-            raise ConvergenceError("quadrature solve stalled", residual=residual)
+        f = _iterate(lambda g: _grid_apply(g, t, 1.0, k), f, tol, max_iter, "kap_rate")
         total += w * _trapz(f, h) / t
     return total - c
 

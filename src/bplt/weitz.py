@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import SizeGuardError
 from .gibbs import summarize
-from .hypergraph import Multihypergraph
+from .hypergraph import Multihypergraph, _incidence
 
 __all__ = [
     "LabeledHypertree",
@@ -115,11 +115,7 @@ class _TreeBuild:
         self.children = [[]]
 
 
-def _build_tsaw(edges_src, start, depth_limit, max_nodes):
-    incidence = {}
-    for i, e in enumerate(edges_src):
-        for u in e:
-            incidence.setdefault(u, []).append(i)
+def _build_tsaw(edges_src, incidence, start, depth_limit, max_nodes):
     tb = _TreeBuild(start)
     queue = deque([(0, frozenset((start,)), frozenset())])
     while queue:
@@ -128,7 +124,7 @@ def _build_tsaw(edges_src, start, depth_limit, max_nodes):
         if depth_limit is not None and d >= depth_limit:
             continue
         x = tb.labels[w]
-        for eid in incidence.get(x, ()):
+        for eid in incidence[x]:
             if eid in used:
                 continue
             members = [w]
@@ -164,7 +160,7 @@ def _subtree_nodes(tb, w):
     return out
 
 
-def _apply_ops(tb, edges_src, incidence_src, vrank, erank, op_depth_limit):
+def _apply_ops(tb, edges_src, incidence, vrank, erank, op_depth_limit):
     n = len(tb.labels)
     occupied = [False] * n
     deleted = [False] * len(tb.edge_nodes)
@@ -185,9 +181,7 @@ def _apply_ops(tb, edges_src, incidence_src, vrank, erank, op_depth_limit):
                     occupied[x] = True
         parent_vertex = tb.labels[tb.parents[w]]
         pe_rank = erank[pe_label]
-        doomed = {
-            f for f in incidence_src.get(parent_vertex, ()) if erank[f] < pe_rank
-        }
+        doomed = {f for f in incidence[parent_vertex] if erank[f] < pe_rank}
         if doomed:
             for x in _subtree_nodes(tb, w):
                 for te in child_edges[x]:
@@ -265,7 +259,9 @@ def build_saw_tree(graph, vertex, depth_limit=None, max_nodes=DEFAULT_NODE_CAP):
     """
     if not 0 <= vertex < graph.num_vertices:
         raise ValueError("vertex out of range")
-    tb = _build_tsaw(graph.edges, vertex, depth_limit, max_nodes)
+    tb = _build_tsaw(
+        graph.edges, graph.incident_edge_ids(), vertex, depth_limit, max_nodes
+    )
     return _assemble(tb, [False] * len(tb.labels), [False] * len(tb.edge_nodes))
 
 
@@ -291,11 +287,8 @@ def build_weitz_tree(
     erank = _check_ranks(edge_order, graph.num_edges, "edge")
     build_depth = None if depth_limit is None else depth_limit + 2
     op_depth = None if depth_limit is None else depth_limit + 1
-    tb = _build_tsaw(graph.edges, vertex, build_depth, max_nodes)
-    incidence = {}
-    for i, e in enumerate(graph.edges):
-        for u in e:
-            incidence.setdefault(u, []).append(i)
+    incidence = graph.incident_edge_ids()
+    tb = _build_tsaw(graph.edges, incidence, vertex, build_depth, max_nodes)
     occupied, deleted = _apply_ops(tb, graph.edges, incidence, vrank, erank, op_depth)
     return _assemble(tb, occupied, deleted, depth_limit)
 
@@ -370,18 +363,13 @@ def structure_report(
     edges_src = [tuple(x for x in e if x not in u_set) for e in graph.edges]
     vrank = _check_ranks(vertex_order, graph.num_vertices, "vertex")
     erank = _check_ranks(edge_order, graph.num_edges, "edge")
-    tb = _build_tsaw(edges_src, vertex, depth + 2, max_nodes)
-    incidence = {}
-    for i, e in enumerate(edges_src):
-        for u in e:
-            incidence.setdefault(u, []).append(i)
+    # edge ids stay positional; tree labels are never contracted, so their
+    # incident ids here are those of the source graph
+    incidence = _incidence(graph.num_vertices, edges_src)
+    tb = _build_tsaw(edges_src, incidence, vertex, depth + 2, max_nodes)
     occupied, deleted = _apply_ops(tb, edges_src, incidence, vrank, erank, depth + 1)
     tree = _assemble(tb, occupied, deleted)
 
-    source_inc = [set() for _ in range(graph.num_vertices)]
-    for i, e in enumerate(graph.edges):
-        for u in e:
-            source_inc[u].add(i)
     node_edges = tree.node_edge_ids()
     unit_nodes = {
         members[0] for members in tree.edge_nodes if len(members) == 1
@@ -395,7 +383,7 @@ def structure_report(
         unit_edges = 0
         for w in nodes:
             labels_here = {tree.edge_labels[te] for te in node_edges[w]}
-            src = source_inc[tree.node_labels[w]]
+            src = incidence[tree.node_labels[w]]
             gaps.append(len(labels_here.symmetric_difference(src)))
             deficits.append(len(src) - len(node_edges[w]))
             neigh = set()

@@ -24,6 +24,7 @@ from bplt.errors import ConvergenceError, DomainError
 from bplt.generators import random_k_uniform
 from bplt.gibbs import ModelParams, partition_function
 from bplt.hypergraph import Multihypergraph
+from bplt.progressions import KapParams, kap_fixed_point, kap_rate, phi_fixed_point
 from bplt.rates import named_graph, subgraph_hypergraph
 
 E = math.e
@@ -173,10 +174,22 @@ class TestFixedPoint:
             assert np.all(x >= c * math.exp(-zeta * c**2) - 1e-10)
 
     def test_max_iter_reported(self):
+        # every solver built on the shared iteration reports the same failure
         g = subgraph_hypergraph(named_graph("K3"), 6)
-        with pytest.raises(ConvergenceError) as err:
-            bp_fixed_point(g, BPParams(3, 0.9, 1.0, max(g.degrees())), max_iter=2)
-        assert err.value.residual is not None
+        params = BPParams(3, 0.9, 1.0, max(g.degrees()))
+        solvers = [
+            lambda: bp_fixed_point(g, params, max_iter=2),
+            lambda: solve_zeta(g, 3, 0.9, 0.3, max_iter=2),
+            lambda: bp_log_partition(g, params, method="integral", max_iter=2),
+            lambda: phi_fixed_point(3, 0.9, grid_size=60, max_iter=2),
+            lambda: kap_fixed_point(KapParams(3, 0.9, 1.0, grid_size=60), max_iter=2),
+            lambda: kap_rate(3, 0.9, quad_nodes=4, grid_size=60, max_iter=2),
+        ]
+        for solve in solvers:
+            with pytest.raises(ConvergenceError) as err:
+                solve()
+            assert err.value.residual is not None
+            assert err.value.iterations == 2
 
 
 class TestContraction:
