@@ -33,8 +33,8 @@ def main():
     ap.add_argument("--k", type=int, default=3)
     ap.add_argument("--c", type=float, default=1.0)
     ap.add_argument("--profile-sizes", type=int, nargs="+", default=[500, 1000, 2000])
-    ap.add_argument("--marginal-sizes", type=int, nargs="+", default=[12, 18, 24])
-    ap.add_argument("--triangle-sizes", type=int, nargs="+", default=[5, 6, 7])
+    ap.add_argument("--marginal-sizes", type=int, nargs="+", default=[12, 18, 24, 30])
+    ap.add_argument("--triangle-sizes", type=int, nargs="+", default=[5, 6, 7, 8])
     args = ap.parse_args()
 
     print("== grid vs hypergraph fixed point (sup-norm gap) ==")

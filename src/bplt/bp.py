@@ -188,14 +188,21 @@ def _iterate(apply, x, tol, max_iter, what):
 
     Returns the first iterate whose log-sup step ``max |log apply(x) - log x|``
     is below ``tol``; ``what`` names the caller in the error raised when
-    ``max_iter`` applications do not get there.
+    ``max_iter`` applications do not get there, or at once when the step is
+    not finite (an entry underflowed to 0, or became NaN).
     """
     residual = math.inf
-    for _ in range(max_iter):
+    for step in range(1, max_iter + 1):
         y = apply(x)
         residual = float(np.max(np.abs(np.log(y) - np.log(x))))
         if residual < tol:
             return x
+        if not math.isfinite(residual):
+            raise ConvergenceError(
+                f"{what}: non-finite residual after {step} iterations (underflow)",
+                residual=residual,
+                iterations=step,
+            )
         x = y
     raise ConvergenceError(
         f"{what}: no fixed point after {max_iter} iterations",

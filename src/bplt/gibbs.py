@@ -1,14 +1,22 @@
-"""Exact brute-force oracle for the edge-penalty model, plus Monte Carlo.
+"""Exact oracle for the edge-penalty model, plus Monte Carlo.
 
 The model on a multihypergraph G weights a vertex subset S by
 ``lam^|S| * (1-zeta)^{|E(S)|}`` where ``E(S)`` counts edges fully inside S
 with multiplicity; ``zeta = 1`` forbids occupied edges (hard-core model).
-All exact routines enumerate subsets as bitmasks in fixed index order,
-split into contiguous high-bit blocks whose partial sums are merged in
-block order, so results are reproducible bit for bit.  Per-subset weights
-are accumulated in the probability normalisation ``p^|S| (1-p)^(N-|S|)``
-with ``p = lam/(1+lam)`` (every term lies in [0,1]), and logs are taken at
-the end.
+Per-subset weights are accumulated in the probability normalisation
+``p^|S| (1-p)^(N-|S|)`` with ``p = lam/(1+lam)`` (every term lies in [0,1]),
+and logs are taken at the end.  Two exact paths give reproducible results
+bit for bit:
+
+* the general path enumerates all 2^N subsets as bitmasks in fixed index
+  order, split into contiguous high-bit blocks whose partial sums are
+  merged in block order; it is guarded at ``EXACT_GUARD`` vertices;
+* when only subsets without a full edge carry weight (``zeta = 1`` in
+  :func:`partition_function` and :func:`summarize`, a threshold in
+  ``[0, 1)`` in :func:`lower_tail_exact`), the support path lists exactly
+  those subsets and sums exact per-size counts.  Its guard counts the
+  subsets it lists: past ``_SUPPORT_CAP`` of them, or past 64 vertices, the
+  call falls back to the general path and its guard.
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ __all__ = [
 
 EXACT_GUARD = 26
 _BLOCK_BITS = 20
+_SUPPORT_CAP = 1 << 24  # listed subsets: 128 MiB of uint64 masks
+_CHUNK = 1 << 16  # support masks per vectorised step, sized to stay in cache
 
 
 @dataclass(frozen=True)
@@ -117,6 +127,87 @@ def _block_weights(ids, num_vertices, p, zeta, masks, mults):
     return w, sizes, counts
 
 
+def _hardcore_support(graph):
+    """Every subset with no full edge, as uint64 bitmasks in a fixed order.
+
+    Grows the list one vertex at a time: v joins a listed subset unless that
+    completes an edge whose largest vertex is v.  Returns None when the graph
+    has more vertices than a mask has bits or the list would pass
+    ``_SUPPORT_CAP`` subsets.
+    """
+    n = graph.num_vertices
+    if n > 64:
+        return None
+    masks, _ = _edge_masks(graph)
+    rests = [[] for _ in range(n)]  # rests[v]: edge minus v, for edges whose largest vertex is v
+    for mask in masks.tolist():
+        if mask == 0:  # the empty edge lies inside every subset
+            return np.empty(0, dtype=np.uint64)
+        top = mask.bit_length() - 1
+        rests[top].append(mask ^ (1 << top))
+    # np.empty commits no memory; only the written prefix becomes resident
+    states = np.empty(min(_SUPPORT_CAP, 1 << n), dtype=np.uint64)
+    states[0] = 0
+    size = 1
+    for v in range(n):
+        rest = np.array(rests[v], dtype=np.uint64)
+        bit = np.uint64(1 << v)
+        end = size
+        for lo in range(0, size, _CHUNK):
+            block = states[lo : min(lo + _CHUNK, size)]
+            ok = np.ones(len(block), dtype=bool)
+            for r in rest:
+                ok &= (block & r) != r
+            added = int(np.count_nonzero(ok))
+            if end + added > len(states):
+                return None
+            grown = states[end : end + added]
+            np.compress(ok, block, out=grown)
+            grown |= bit
+            end += added
+        size = end
+    return states[:size]
+
+
+def _size_weights(n, p):
+    """Scaled weight p^k (1-p)^(n-k) of one k-subset, for k = 0..n."""
+    k = np.arange(n + 1)
+    return np.power(p, k) * np.power(1.0 - p, n - k)
+
+
+def _support_total(states, n, p):
+    """Sum of scaled weights over the listed subsets."""
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, len(states), _CHUNK):  # bincount copies its input to intp
+        counts += np.bincount(np.bitwise_count(states[lo : lo + _CHUNK]), minlength=n + 1)
+    return float(counts @ _size_weights(n, p))
+
+
+def _support_summary(states, n, params):
+    """:func:`summarize` over the listed subsets, none of which holds an edge."""
+    w = _size_weights(n, params.p)
+    size_counts = np.zeros(n + 1, dtype=np.int64)
+    vertex_counts = np.zeros((n, n + 1), dtype=np.int64)  # subsets holding v, by size
+    bits = [np.uint64(1 << v) for v in range(n)]
+    for lo in range(0, len(states), _CHUNK):
+        block = states[lo : lo + _CHUNK]
+        sizes = np.bitwise_count(block)
+        size_counts += np.bincount(sizes, minlength=n + 1)
+        for v, bit in enumerate(bits):
+            vertex_counts[v] += np.bincount(sizes[(block & bit) != 0], minlength=n + 1)
+    k = np.arange(n + 1)
+    return _summary(
+        float(size_counts @ w),
+        vertex_counts @ w,
+        float((size_counts * k) @ w),
+        float((size_counts * k * k) @ w),
+        0.0,
+        0.0,
+        n,
+        params.lam,
+    )
+
+
 def _scaled_total(graph, lam, zeta, require_mask=0, forbid_mask=0):
     """Sum of scaled weights over subsets S with require ⊆ S, S ∩ forbid = ∅."""
     p = lam / (1.0 + lam)
@@ -141,6 +232,10 @@ def _log_z_from_total(total, num_vertices, lam):
 
 def partition_function(graph, params, unsafe_size=False):
     """log of sum_S lam^|S| (1-zeta)^{|E(S)|}, edges counted with multiplicity."""
+    states = _hardcore_support(graph) if params.zeta == 1 else None
+    if states is not None:
+        total = _support_total(states, graph.num_vertices, params.p)
+        return _log_z_from_total(total, graph.num_vertices, params.lam)
     _check_guard(graph, unsafe_size)
     total = _scaled_total(graph, params.lam, params.zeta)
     return _log_z_from_total(total, graph.num_vertices, params.lam)
@@ -158,8 +253,16 @@ def _restricted_log_z(graph, lam, zeta, require=(), forbid=()):
 
 
 def summarize(graph, params, unsafe_size=False):
-    """Exact marginals, set-size and induced-edge moments by full enumeration."""
+    """Exact marginals, set-size and induced-edge moments."""
+    states = _hardcore_support(graph) if params.zeta == 1 else None
+    if states is not None:
+        return _support_summary(states, graph.num_vertices, params)
     _check_guard(graph, unsafe_size)
+    return _enumerated_summary(graph, params)
+
+
+def _enumerated_summary(graph, params):
+    """:func:`summarize` by enumeration of all 2^N subsets."""
     n = graph.num_vertices
     p = params.p
     masks, mults = _edge_masks(graph)
@@ -176,13 +279,18 @@ def summarize(graph, params, unsafe_size=False):
         s2 += float((w * sizes * sizes).sum())
         e1 += float((w * counts).sum())
         e2 += float((w * counts * counts).sum())
+    return _summary(tot, per_vertex, s1, s2, e1, e2, n, params.lam)
+
+
+def _summary(tot, per_vertex, s1, s2, e1, e2, n, lam):
+    """GibbsSummary from weighted sums of 1, each vertex, |S|, |S|^2, X, X^2."""
     if tot <= 0.0:
         raise ValueError("partition function vanishes (zeta=1 with a forced edge?)")
     marginals = per_vertex / tot
     mean_size = s1 / tot
     mean_edges = e1 / tot
     return GibbsSummary(
-        log_z=_log_z_from_total(tot, n, params.lam),
+        log_z=_log_z_from_total(tot, n, lam),
         marginals=marginals,
         mean_size=mean_size,
         var_size=max(s2 / tot - mean_size**2, 0.0),
@@ -194,13 +302,23 @@ def summarize(graph, params, unsafe_size=False):
 def lower_tail_exact(graph, p, threshold, unsafe_size=False):
     """Exact P(X <= threshold) for a p-random vertex subset.
 
-    X is the number of induced edges counted with multiplicity.
+    X is the number of induced edges counted with multiplicity.  A
+    threshold in [0, 1) asks for P(X = 0), summed over the subsets with no
+    full edge only.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     if threshold >= graph.num_edges:
         return 1.0
+    states = _hardcore_support(graph) if 0 <= threshold < 1 else None
+    if states is not None:
+        return _support_total(states, graph.num_vertices, p)
     _check_guard(graph, unsafe_size)
+    return _enumerated_lower_tail(graph, p, threshold)
+
+
+def _enumerated_lower_tail(graph, p, threshold):
+    """:func:`lower_tail_exact` by enumeration of all 2^N subsets."""
     n = graph.num_vertices
     masks, mults = _edge_masks(graph)
     prob = 0.0

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bp import BPParams, _gauss_legendre, _iterate, bp_fixed_point
-from .errors import DomainError
+from .errors import DomainError, SizeGuardError
 from .gibbs import ModelParams, glauber_marginals, summarize
 from .hypergraph import Multihypergraph
 
@@ -39,9 +39,6 @@ __all__ = [
     "kap_marginal_check",
     "discrete_profile_gap",
 ]
-
-EXACT_MARGINAL_GUARD = 24
-
 
 def degree_coefficient(k):
     """Exact rational alpha with max degree of the AP hypergraph ~ alpha * n.
@@ -324,23 +321,29 @@ def kap_marginal_check(
     """Conditional occupation marginals of the AP-free measure at density
     c * n^(-1/(k-1)), against the profile prediction.
 
-    Exact enumeration below the guard (conditioning a p-random set on
-    having no progression is the hard-core measure at lam = p/(1-p));
-    heat-bath sampling otherwise.  Reported as a table, not asserted.
+    Conditioning a p-random set on having no progression is the hard-core
+    measure at lam = p/(1-p).  ``mode="auto"`` computes it exactly whenever
+    :func:`summarize` can, and falls back to heat-bath sampling when
+    :func:`summarize` raises :class:`SizeGuardError`.  Reported as a table,
+    not asserted.
     """
+    if mode not in ("auto", "exact", "mc"):
+        raise ValueError("mode must be 'auto', 'exact', or 'mc'")
     graph = ap_hypergraph(k, n)
     p = c * n ** (-1.0 / (k - 1))
     if not p < 1:
         raise DomainError("c n^(-1/(k-1)) must be < 1")
     params = ModelParams(lam=p / (1.0 - p), zeta=1.0)
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_MARGINAL_GUARD else "mc"
-    if mode == "exact":
-        marginals = summarize(graph, params).marginals
-    elif mode == "mc":
+    if mode != "mc":
+        try:
+            marginals = summarize(graph, params).marginals
+            mode = "exact"
+        except SizeGuardError:
+            if mode == "exact":
+                raise
+            mode = "mc"
+    if mode == "mc":
         marginals = glauber_marginals(graph, params, chains, sweeps, seed)
-    else:
-        raise ValueError("mode must be 'auto', 'exact', or 'mc'")
     profile = phi_fixed_point(k, c, grid_size=grid_size)
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     positions = np.arange(1, n + 1)

@@ -191,6 +191,15 @@ class TestFixedPoint:
             assert err.value.residual is not None
             assert err.value.iterations == 2
 
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_underflow_fails_fast(self):
+        # vertex 0 lies in 1500 edges and delta=1, so its message underflows to 0
+        g = Multihypergraph(3001, [(0, 2 * i + 1, 2 * i + 2) for i in range(1500)])
+        with pytest.raises(ConvergenceError, match="underflow") as err:
+            bp_fixed_point(g, BPParams(3, 1.0, 1.0, 1), max_iter=5000)
+        assert not math.isfinite(err.value.residual)
+        assert err.value.iterations < 10
+
 
 class TestContraction:
     def test_square_iterate_contracts(self, rng):

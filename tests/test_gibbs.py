@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from bplt import gibbs
 from bplt.errors import SizeGuardError
-from bplt.generators import random_multihypergraph
+from bplt.generators import random_k_uniform, random_multihypergraph
 from bplt.gibbs import (
     ModelParams,
     glauber_marginals,
@@ -16,6 +17,7 @@ from bplt.gibbs import (
     verify_identities,
 )
 from bplt.hypergraph import Multihypergraph
+from bplt.progressions import ap_hypergraph
 
 from conftest import naive_log_z, naive_marginal
 
@@ -63,6 +65,14 @@ class TestPartitionFunction:
         g = Multihypergraph(27, [])
         with pytest.raises(SizeGuardError):
             partition_function(g, ModelParams(1.0, 1.0))
+
+    def test_size_guard_beyond_mask_width(self):
+        # zeta = 1 lists the support in uint64 masks, so 65 vertices is refused
+        g = Multihypergraph(65, [])
+        with pytest.raises(SizeGuardError):
+            partition_function(g, ModelParams(1.0, 1.0))
+        with pytest.raises(SizeGuardError):
+            summarize(g, ModelParams(1.0, 1.0))
 
     def test_multiplicative_over_disjoint_union(self, rng):
         for _ in range(15):
@@ -238,3 +248,86 @@ class TestSamplers:
         g = Multihypergraph(6, [[0, 1, 2], [3, 4, 5]])
         est, _ = mc_lower_tail(g, 0.01, 0.0, samples=2000, seed=1)
         assert est > 0.99
+
+
+def _hardcore_instances(rng):
+    yield Multihypergraph(0, [])
+    yield Multihypergraph(9, [])
+    yield Multihypergraph(4, [[0, 1], [0, 1], [1, 2, 3], [1, 2, 3]])
+    yield Multihypergraph(5, [[2], [0, 3], [2], [1, 3, 4]])
+    yield Multihypergraph(4, [[], [0, 1]])
+    for _ in range(60):
+        yield random_multihypergraph(rng, max_vertices=12, max_edges=12, allow_empty=True)
+    yield ap_hypergraph(3, 20)
+    yield random_k_uniform(rng, 20, 3, 40, allow_multi=True)
+
+
+class TestSupportPath:
+    """The zeta = 1 support path against the 2^N enumeration it bypasses."""
+
+    def test_matches_enumeration(self, rng):
+        for g in _hardcore_instances(rng):
+            n = g.num_vertices
+            params = ModelParams(float(rng.uniform(0.05, 3.0)), 1.0)
+            p = float(rng.uniform(0.05, 0.95))
+            states = gibbs._hardcore_support(g)
+            support_log_z = gibbs._log_z_from_total(
+                gibbs._support_total(states, n, params.p), n, params.lam
+            )
+            enum_log_z = gibbs._log_z_from_total(
+                gibbs._scaled_total(g, params.lam, 1.0), n, params.lam
+            )
+            assert partition_function(g, params) == support_log_z
+            if math.isinf(enum_log_z):
+                assert support_log_z == enum_log_z
+                with pytest.raises(ValueError):
+                    summarize(g, params)
+                with pytest.raises(ValueError):
+                    gibbs._enumerated_summary(g, params)
+            else:
+                assert support_log_z == pytest.approx(enum_log_z, rel=1e-12, abs=1e-12)
+                fast = summarize(g, params)
+                slow = gibbs._enumerated_summary(g, params)
+                assert fast.log_z == support_log_z
+                assert slow.log_z == pytest.approx(fast.log_z, rel=1e-12, abs=1e-12)
+                assert np.allclose(fast.marginals, slow.marginals, rtol=0, atol=1e-12)
+                assert fast.mean_size == pytest.approx(slow.mean_size, rel=1e-12, abs=1e-12)
+                assert fast.var_size == pytest.approx(slow.var_size, rel=1e-12, abs=1e-12)
+                assert fast.mean_edges == slow.mean_edges == 0.0
+                assert fast.var_edges == slow.var_edges == 0.0
+            if g.num_edges:
+                fast_tail = lower_tail_exact(g, p, 0)
+                assert fast_tail == gibbs._support_total(states, n, p)
+                assert fast_tail == pytest.approx(
+                    gibbs._enumerated_lower_tail(g, p, 0), rel=1e-12, abs=1e-300
+                )
+
+    def test_support_is_edge_free_and_complete(self, rng):
+        for _ in range(20):
+            g = random_multihypergraph(rng, max_vertices=10, max_edges=8)
+            masks = [sum(1 << u for u in e) for e in g.edges]
+            want = [s for s in range(1 << g.num_vertices) if all(s & m != m for m in masks)]
+            got = gibbs._hardcore_support(g).tolist()
+            assert len(got) == len(set(got))
+            assert sorted(got) == want
+
+    def test_cap_falls_back_to_enumeration(self, monkeypatch):
+        g = ap_hypergraph(3, 14)
+        params = ModelParams(0.4, 1.0)
+        want = partition_function(g, params)
+        monkeypatch.setattr(gibbs, "_SUPPORT_CAP", 1 << 6)
+        assert gibbs._hardcore_support(g) is None
+        assert partition_function(g, params) == pytest.approx(want, rel=1e-12)
+
+    def test_runs_above_vertex_guard(self):
+        # 3-AP on [30]: N = 30 > EXACT_GUARD, but only 880,288 subsets carry weight
+        n = 30
+        g = ap_hypergraph(3, n)
+        p = n**-0.5
+        params = ModelParams(p / (1 - p), 1.0)
+        log_z = partition_function(g, params)
+        bridge = math.exp(n * math.log1p(-p) + log_z)
+        assert lower_tail_exact(g, p, 0) == pytest.approx(bridge, rel=1e-12)
+        s = summarize(g, params)
+        assert s.log_z == log_z
+        assert float(s.marginals.sum()) == pytest.approx(s.mean_size, rel=1e-12)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bplt import gibbs
 from bplt.errors import DomainError
 from bplt.progressions import (
     KapParams,
@@ -232,6 +233,16 @@ class TestMarginalCheck:
             for n in (12, 18, 24)
         ]
         assert gaps[-1] < gaps[0]
+
+    def test_auto_exact_above_vertex_guard(self):
+        table = kap_marginal_check(3, 1.0, 30, grid_size=200)
+        assert table.mode == "exact"
+
+    def test_auto_falls_back_to_mc(self, monkeypatch):
+        # support cut off and 27 > EXACT_GUARD: summarize raises SizeGuardError
+        monkeypatch.setattr(gibbs, "_SUPPORT_CAP", 1 << 10)
+        table = kap_marginal_check(3, 1.0, 27, grid_size=200, chains=50, sweeps=2)
+        assert table.mode == "mc"
 
     def test_mc_mode_close_to_exact(self):
         exact = kap_marginal_check(3, 1.0, 14, mode="exact", grid_size=300)
