@@ -153,6 +153,25 @@ class BPParams:
         return contraction_margin(self.k, self.c, self.zeta)
 
 
+def _check_uniqueness(params):
+    if params.margin <= 0:
+        raise DomainError(
+            "outside the uniqueness region: need zeta*(k-1)*c^(k-1) < e "
+            f"(margin {params.margin:.6g})"
+        )
+
+
+def _check_admissible(c, bound, context=""):
+    """Refuse a prior density c outside (0, bound); ``context`` ends the message."""
+    if not 0 < c < bound:
+        raise DomainError(f"c={c} outside the admissible range (0, {bound:.12g}){context}")
+
+
+def _default_delta(graph):
+    """The maximum degree, at least 1: the default degree scale Delta."""
+    return max(max(graph.degrees(), default=1), 1)
+
+
 def _edge_array(graph, k):
     if graph.num_edges == 0:
         return np.zeros((0, k), dtype=np.int64)
@@ -219,11 +238,7 @@ def bp_fixed_point(graph, params, tol=1e-12, max_iter=100_000):
     one-step log residual decays geometrically with the square-iterate
     contraction factor ``1 - margin``.
     """
-    if params.margin <= 0:
-        raise DomainError(
-            "outside the uniqueness region: need zeta*(k-1)*c^(k-1) < e "
-            f"(margin {params.margin:.6g})"
-        )
+    _check_uniqueness(params)
     edges = _edge_array(graph, params.k)
     x = np.full(graph.num_vertices, params.c)
     if len(edges) == 0:
@@ -300,12 +315,8 @@ def solve_zeta(
     """
     thr = thresholds(k, eta)
     bound = thr.c_max_regular if near_regular else thr.c_max_general
-    if not 0 < c < bound:
-        raise DomainError(
-            f"c={c} outside the admissible range (0, {bound:.12g}) for eta={eta}"
-        )
-    if delta is None:
-        delta = max(max(graph.degrees(), default=1), 1)
+    _check_admissible(c, bound, f" for eta={eta}")
+    delta = _default_delta(graph) if delta is None else delta
 
     if eta == 0.0:
         params = BPParams(k, c, 1.0, delta)
@@ -368,10 +379,26 @@ def solve_zeta(
     )
 
 
-def _gauss_legendre(a, b, nodes):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
+def _coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, max_iter, what):
+    """Integral over t in (0, c] of mass(x*(t))/t, x*(t) the fixed point of
+    ``apply_at(t, .)`` on vectors of ``size`` entries.
+
+    Gauss-Legendre nodes on [eps, c] with eps = c*1e-6, each solve
+    warm-started from the previous node's fixed point; the [0, eps) head
+    contributes ``head * eps``, since x*(t) ~ t as t -> 0 and ``head`` is the
+    mass of the all-ones vector.
+    """
+    eps = c * 1e-6
+    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
+    mid, half = 0.5 * (eps + c), 0.5 * (c - eps)
+    ts, ws = mid + half * nodes, half * weights
+    x = np.full(size, ts[0])
+    total = head * eps
+    for t, w in zip(ts, ws):
+        t = float(t)
+        x = _iterate(lambda v: apply_at(t, v), x, tol, max_iter, what)
+        total += w * mass(x) / t
+    return total
 
 
 def bp_log_partition(
@@ -392,31 +419,18 @@ def bp_log_partition(
     """
     k, c = params.k, params.c
     scale = params.delta ** (-1.0 / (k - 1))
-    if params.margin <= 0:
-        raise DomainError(
-            "outside the uniqueness region: need zeta*(k-1)*c^(k-1) < e "
-            f"(margin {params.margin:.6g})"
-        )
+    _check_uniqueness(params)
     if method == "bethe":
         x = bp_fixed_point(graph, params, tol=fp_tol, max_iter=max_iter)
         return scale * bethe_free_energy(graph, params, x)
     if method != "integral":
         raise ValueError("method must be 'bethe' or 'integral'")
-    eps = c * 1e-6
-    ts, ws = _gauss_legendre(eps, c, quad_nodes)
     edges = _edge_array(graph, k)
-    x = np.full(graph.num_vertices, ts[0])
-    total = graph.num_vertices * eps
-    for t, w in zip(ts, ws):
-        t = float(t)
-        x = _iterate(
-            lambda v: _apply(v, edges, t, params.zeta, params.delta),
-            x,
-            fp_tol,
-            max_iter,
-            "bp_log_partition integral",
-        )
-        total += w * float(x.sum()) / t
+    n = graph.num_vertices
+    total = _coupling_integral(
+        lambda t, v: _apply(v, edges, t, params.zeta, params.delta), lambda x: float(x.sum()),
+        n, n, c, quad_nodes, fp_tol, max_iter, "bp_log_partition integral",
+    )
     return scale * total
 
 
@@ -427,15 +441,10 @@ def bp_lower_tail_rate(graph, k, c, eta, delta=None, near_regular=False, fp_tol=
     the achieving penalty; for eta = 0 the middle term is absent and
     zeta = 1.
     """
-    if delta is None:
-        delta = max(max(graph.degrees(), default=1), 1)
+    delta = _default_delta(graph) if delta is None else delta
     n = graph.num_vertices
     if eta == 0.0:
-        thr = thresholds(k, 0.0)
-        if not 0 < c < thr.c_max_general:
-            raise DomainError(
-                f"c={c} outside the admissible range (0, {thr.c_max_general:.12g})"
-            )
+        _check_admissible(c, thresholds(k, 0.0).c_max_general)
         params = BPParams(k, c, 1.0, delta)
         x = bp_fixed_point(graph, params, tol=fp_tol)
         return bethe_free_energy(graph, params, x) / n - c

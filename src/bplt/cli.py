@@ -263,6 +263,7 @@ def _cmd_kap_profile(args):
 def _cmd_bp_solve(args):
     from .bp import (
         BPParams,
+        _default_delta,
         bethe_free_energy,
         bp_fixed_point,
         bp_log_partition,
@@ -273,7 +274,7 @@ def _cmd_bp_solve(args):
     k = args.k or graph.uniformity()
     if k is None:
         raise ValueError("graph is not uniform; pass --k explicitly")
-    delta = args.delta or max(max(graph.degrees(), default=1), 1)
+    delta = args.delta or _default_delta(graph)
     if args.zeta is None and args.eta is None:
         raise ValueError("pass either --zeta or --eta")
     if args.zeta is not None:

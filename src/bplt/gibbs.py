@@ -3,20 +3,17 @@
 The model on a multihypergraph G weights a vertex subset S by
 ``lam^|S| * (1-zeta)^{|E(S)|}`` where ``E(S)`` counts edges fully inside S
 with multiplicity; ``zeta = 1`` forbids occupied edges (hard-core model).
-Per-subset weights are accumulated in the probability normalisation
-``p^|S| (1-p)^(N-|S|)`` with ``p = lam/(1+lam)`` (every term lies in [0,1]),
-and logs are taken at the end.  Two exact paths give reproducible results
-bit for bit:
-
-* the general path enumerates all 2^N subsets as bitmasks in fixed index
-  order, split into contiguous high-bit blocks whose partial sums are
-  merged in block order; it is guarded at ``EXACT_GUARD`` vertices;
-* when only subsets without a full edge carry weight (``zeta = 1`` in
-  :func:`partition_function` and :func:`summarize`, a threshold in
-  ``[0, 1)`` in :func:`lower_tail_exact`), the support path lists exactly
-  those subsets and sums exact per-size counts.  Its guard counts the
-  subsets it lists: past ``_SUPPORT_CAP`` of them, or past 64 vertices, the
-  call falls back to the general path and its guard.
+Exact quantities depend on S only through s = |S| and x = |E(S)|, so one
+kernel counts listed subsets (uint64 bitmasks) into exact integer tables
+over (s, x), and one step weights each cell by ``p^s (1-p)^(N-s)
+(1-zeta)^x`` with ``p = lam/(1+lam)`` (every factor in [0, 1]); logs come
+last.  Two listings feed the kernel.  When only subsets without a full edge
+carry weight (``zeta = 1``, or P(X = 0)) the hard-core support is listed,
+with no edge to count; past ``_SUPPORT_CAP`` subsets or 64 vertices, and in
+every other case, all 2^N subsets are listed, guarded at ``EXACT_GUARD``
+vertices.  Weighted cells are summed along x first, so the zero-weight
+cells that only the 2^N listing has cannot change a float result: both
+listings give the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -43,9 +40,8 @@ __all__ = [
 ]
 
 EXACT_GUARD = 26
-_BLOCK_BITS = 20
 _SUPPORT_CAP = 1 << 24  # listed subsets: 128 MiB of uint64 masks
-_CHUNK = 1 << 16  # support masks per vectorised step, sized to stay in cache
+_CHUNK = 1 << 16  # subsets per vectorised step, sized to stay in cache
 
 
 @dataclass(frozen=True)
@@ -92,39 +88,22 @@ def _check_guard(graph, unsafe):
         )
 
 
+def _mask(vertices):
+    mask = 0
+    for u in vertices:
+        mask |= 1 << u
+    return mask
+
+
 def _edge_masks(graph):
     """Distinct edge bitmasks with multiplicities (empty edge has mask 0)."""
     counts = {}
     for e in graph.edges:
-        mask = 0
-        for u in e:
-            mask |= 1 << u
+        mask = _mask(e)
         counts[mask] = counts.get(mask, 0) + 1
     masks = np.array(sorted(counts), dtype=np.uint64)
     mults = np.array([counts[int(m)] for m in masks], dtype=np.int64)
     return masks, mults
-
-
-def _iter_blocks(num_vertices):
-    total = 1 << num_vertices
-    block = 1 << min(_BLOCK_BITS, num_vertices)
-    off = 0
-    while off < total:
-        cnt = min(block, total - off)
-        yield np.arange(off, off + cnt, dtype=np.uint64)
-        off += cnt
-
-
-def _block_weights(ids, num_vertices, p, zeta, masks, mults):
-    """Scaled weights p^|S| (1-p)^(N-|S|) (1-zeta)^count and the edge counts."""
-    sizes = np.bitwise_count(ids).astype(np.int64)
-    counts = np.zeros(len(ids), dtype=np.int64)
-    for mask, mult in zip(masks, mults):
-        counts += mult * ((ids & mask) == mask)
-    w = np.power(p, sizes) * np.power(1.0 - p, num_vertices - sizes)
-    if zeta:  # the factor is exactly 1 at zeta == 0
-        w *= np.power(1.0 - zeta, counts)  # 0**0 == 1 covers zeta == 1
-    return w, sizes, counts
 
 
 def _hardcore_support(graph):
@@ -169,59 +148,65 @@ def _hardcore_support(graph):
     return states[:size]
 
 
-def _size_weights(n, p):
-    """Scaled weight p^k (1-p)^(n-k) of one k-subset, for k = 0..n."""
-    k = np.arange(n + 1)
-    return np.power(p, k) * np.power(1.0 - p, n - k)
+def _listing(graph, edge_free, unsafe_size, require=(), forbid=()):
+    """Blocks of subset bitmasks, and the edge masks and multiplicities to
+    count in them.
+
+    With ``edge_free`` only subsets without a full edge carry weight: the
+    hard-core support is listed when it fits, and it has no edge to count.
+    Otherwise all 2^N subsets are listed, behind the size guard.  Only the
+    subsets S with require ⊆ S and S ∩ forbid = ∅ are kept.
+    """
+    states = _hardcore_support(graph) if edge_free else None
+    if states is not None:
+        masks, mults = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+        blocks = (states[lo : lo + _CHUNK] for lo in range(0, len(states), _CHUNK))
+    else:
+        _check_guard(graph, unsafe_size)
+        masks, mults = _edge_masks(graph)
+        total = 1 << graph.num_vertices
+        blocks = (np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
+                  for lo in range(0, total, _CHUNK))
+    if require or forbid:
+        req, forb = np.uint64(_mask(require)), np.uint64(_mask(forbid))
+        blocks = (b[((b & req) == req) & ((b & forb) == 0)] for b in blocks)
+    return blocks, masks, mults
 
 
-def _support_total(states, n, p):
-    """Sum of scaled weights over the listed subsets."""
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, len(states), _CHUNK):  # bincount copies its input to intp
-        counts += np.bincount(np.bitwise_count(states[lo : lo + _CHUNK]), minlength=n + 1)
-    return float(counts @ _size_weights(n, p))
+def _tables(n, blocks, masks, mults, by_vertex=False):
+    """Exact counts of the listed subsets by size s and edge count x.
+
+    Returns ``table[s, x]`` and, with ``by_vertex``, ``per_vertex[v, s, x]``
+    over the listed subsets that hold v (else None).
+    """
+    width = int(mults.sum()) + 1
+    cells = (n + 1) * width
+    table = np.zeros(cells, dtype=np.int64)
+    per_vertex = np.zeros((n, cells), dtype=np.int64) if by_vertex else None
+    for block in blocks:
+        cell = np.bitwise_count(block).astype(np.intp) * width
+        for mask, mult in zip(masks, mults):
+            cell += mult * ((block & mask) == mask)
+        table += np.bincount(cell, minlength=cells)
+        if by_vertex:
+            for v in range(n):
+                held = (block & np.uint64(1 << v)) != 0
+                per_vertex[v] += np.bincount(cell[held], minlength=cells)
+    return table.reshape(n + 1, width), per_vertex.reshape(n, n + 1, width) if by_vertex else None
 
 
-def _support_summary(states, n, params):
-    """:func:`summarize` over the listed subsets, none of which holds an edge."""
-    w = _size_weights(n, params.p)
-    size_counts = np.zeros(n + 1, dtype=np.int64)
-    vertex_counts = np.zeros((n, n + 1), dtype=np.int64)  # subsets holding v, by size
-    bits = [np.uint64(1 << v) for v in range(n)]
-    for lo in range(0, len(states), _CHUNK):
-        block = states[lo : lo + _CHUNK]
-        sizes = np.bitwise_count(block)
-        size_counts += np.bincount(sizes, minlength=n + 1)
-        for v, bit in enumerate(bits):
-            vertex_counts[v] += np.bincount(sizes[(block & bit) != 0], minlength=n + 1)
-    k = np.arange(n + 1)
-    return _summary(
-        float(size_counts @ w),
-        vertex_counts @ w,
-        float((size_counts * k) @ w),
-        float((size_counts * k * k) @ w),
-        0.0,
-        0.0,
-        n,
-        params.lam,
-    )
+def _weigh(counts, p, zeta):
+    """Scaled weights ``count * p^s (1-p)^(N-s) (1-zeta)^x`` of a count table
+    whose last two axes are (s, x)."""
+    n = counts.shape[-2] - 1
+    s = np.arange(n + 1)[:, None]
+    x = np.arange(counts.shape[-1])
+    return counts * (np.power(p, s) * np.power(1.0 - p, n - s)) * np.power(1.0 - zeta, x)
 
 
-def _scaled_total(graph, lam, zeta, require_mask=0, forbid_mask=0):
-    """Sum of scaled weights over subsets S with require ⊆ S, S ∩ forbid = ∅."""
-    p = lam / (1.0 + lam)
-    masks, mults = _edge_masks(graph)
-    req = np.uint64(require_mask)
-    forb = np.uint64(forbid_mask)
-    total = 0.0
-    for ids in _iter_blocks(graph.num_vertices):
-        w, _, _ = _block_weights(ids, graph.num_vertices, p, zeta, masks, mults)
-        if require_mask or forbid_mask:
-            ok = ((ids & req) == req) & ((ids & forb) == 0)
-            w = w * ok
-        total += float(w.sum())
-    return total
+def _total(counts, p, zeta):
+    """Scaled weight summed over the last two axes (s, x), along x first."""
+    return _weigh(counts, p, zeta).sum(axis=-1).sum(axis=-1)
 
 
 def _log_z_from_total(total, num_vertices, lam):
@@ -232,70 +217,37 @@ def _log_z_from_total(total, num_vertices, lam):
 
 def partition_function(graph, params, unsafe_size=False):
     """log of sum_S lam^|S| (1-zeta)^{|E(S)|}, edges counted with multiplicity."""
-    states = _hardcore_support(graph) if params.zeta == 1 else None
-    if states is not None:
-        total = _support_total(states, graph.num_vertices, params.p)
-        return _log_z_from_total(total, graph.num_vertices, params.lam)
-    _check_guard(graph, unsafe_size)
-    total = _scaled_total(graph, params.lam, params.zeta)
-    return _log_z_from_total(total, graph.num_vertices, params.lam)
+    return _log_z(graph, params, unsafe_size)
 
 
-def _restricted_log_z(graph, lam, zeta, require=(), forbid=()):
-    require_mask = 0
-    for v in require:
-        require_mask |= 1 << v
-    forbid_mask = 0
-    for v in forbid:
-        forbid_mask |= 1 << v
-    total = _scaled_total(graph, lam, zeta, require_mask, forbid_mask)
-    return _log_z_from_total(total, graph.num_vertices, lam)
+def _log_z(graph, params, unsafe_size, require=(), forbid=()):
+    """log Z over the subsets S with require ⊆ S and S ∩ forbid = ∅."""
+    listing = _listing(graph, params.zeta == 1, unsafe_size, require, forbid)
+    table, _ = _tables(graph.num_vertices, *listing)
+    return _log_z_from_total(_total(table, params.p, params.zeta), graph.num_vertices, params.lam)
+
+
+def _moments(weights, tot):
+    """Mean and central variance of the index of a weight vector with sum tot."""
+    values = np.arange(len(weights))
+    mean = float(values @ weights) / tot
+    return mean, float((values - mean) ** 2 @ weights) / tot
 
 
 def summarize(graph, params, unsafe_size=False):
     """Exact marginals, set-size and induced-edge moments."""
-    states = _hardcore_support(graph) if params.zeta == 1 else None
-    if states is not None:
-        return _support_summary(states, graph.num_vertices, params)
-    _check_guard(graph, unsafe_size)
-    return _enumerated_summary(graph, params)
-
-
-def _enumerated_summary(graph, params):
-    """:func:`summarize` by enumeration of all 2^N subsets."""
     n = graph.num_vertices
-    p = params.p
-    masks, mults = _edge_masks(graph)
-    tot = 0.0
-    per_vertex = np.zeros(n)
-    s1 = s2 = e1 = e2 = 0.0
-    for ids in _iter_blocks(n):
-        w, sizes, counts = _block_weights(ids, n, p, params.zeta, masks, mults)
-        tot += float(w.sum())
-        for v in range(n):
-            bit = np.uint64(1 << v)
-            per_vertex[v] += float(w[(ids & bit) != 0].sum())
-        s1 += float((w * sizes).sum())
-        s2 += float((w * sizes * sizes).sum())
-        e1 += float((w * counts).sum())
-        e2 += float((w * counts * counts).sum())
-    return _summary(tot, per_vertex, s1, s2, e1, e2, n, params.lam)
-
-
-def _summary(tot, per_vertex, s1, s2, e1, e2, n, lam):
-    """GibbsSummary from weighted sums of 1, each vertex, |S|, |S|^2, X, X^2."""
+    table, per_vertex = _tables(n, *_listing(graph, params.zeta == 1, unsafe_size), by_vertex=True)
+    cells = _weigh(table, params.p, params.zeta)
+    by_size = cells.sum(axis=1)
+    tot = float(by_size.sum())
     if tot <= 0.0:
         raise ValueError("partition function vanishes (zeta=1 with a forced edge?)")
-    marginals = per_vertex / tot
-    mean_size = s1 / tot
-    mean_edges = e1 / tot
     return GibbsSummary(
-        log_z=_log_z_from_total(tot, n, lam),
-        marginals=marginals,
-        mean_size=mean_size,
-        var_size=max(s2 / tot - mean_size**2, 0.0),
-        mean_edges=mean_edges,
-        var_edges=max(e2 / tot - mean_edges**2, 0.0),
+        _log_z_from_total(tot, n, params.lam),
+        _total(per_vertex, params.p, params.zeta) / tot,
+        *_moments(by_size, tot),  # mean_size, var_size
+        *_moments(cells.sum(axis=0), tot),  # mean_edges, var_edges
     )
 
 
@@ -303,29 +255,16 @@ def lower_tail_exact(graph, p, threshold, unsafe_size=False):
     """Exact P(X <= threshold) for a p-random vertex subset.
 
     X is the number of induced edges counted with multiplicity.  A
-    threshold in [0, 1) asks for P(X = 0), summed over the subsets with no
+    threshold in [0, 1) asks for P(X = 0), counted over the subsets with no
     full edge only.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     if threshold >= graph.num_edges:
         return 1.0
-    states = _hardcore_support(graph) if 0 <= threshold < 1 else None
-    if states is not None:
-        return _support_total(states, graph.num_vertices, p)
-    _check_guard(graph, unsafe_size)
-    return _enumerated_lower_tail(graph, p, threshold)
-
-
-def _enumerated_lower_tail(graph, p, threshold):
-    """:func:`lower_tail_exact` by enumeration of all 2^N subsets."""
-    n = graph.num_vertices
-    masks, mults = _edge_masks(graph)
-    prob = 0.0
-    for ids in _iter_blocks(n):
-        w, _, counts = _block_weights(ids, n, p, 0.0, masks, mults)
-        prob += float(w[counts <= threshold].sum())
-    return prob
+    table, _ = _tables(graph.num_vertices, *_listing(graph, 0 <= threshold < 1, unsafe_size))
+    kept = np.arange(table.shape[1]) <= threshold  # the edge counts x <= floor(threshold)
+    return float(_total(table[:, kept], p, 0.0))
 
 
 @dataclass(frozen=True)
@@ -367,7 +306,12 @@ def _rel_from_logs(log_a, log_b):
 
 def verify_identities(graph, params, v, edge_id, unsafe_size=False):
     """Check the occupied/unoccupied splits, edge deletion, and conditional
-    contraction on one instance, each side from an independent enumeration."""
+    contraction on one instance, each side from an independent enumeration.
+
+    When v cannot be occupied there is no conditional measure given v, and
+    the conditional residual is 0.0; the occupied split then checks that
+    the contracted side vanishes too.
+    """
     _check_guard(graph, unsafe_size)
     lam, zeta = params.lam, params.zeta
     if not 0 <= v < graph.num_vertices:
@@ -375,12 +319,15 @@ def verify_identities(graph, params, v, edge_id, unsafe_size=False):
     if not 0 <= edge_id < graph.num_edges:
         raise ValueError("edge id out of range")
 
-    log_in_v = _restricted_log_z(graph, lam, zeta, require=(v,))
+    n = graph.num_vertices
+    _, in_v = _tables(n, *_listing(graph, zeta == 1, True, require=(v,)), by_vertex=True)
+    held = _total(in_v, params.p, zeta)  # held[u]: weight of the subsets holding u and v
+    log_in_v = _log_z_from_total(held[v], n, lam)
     contracted, cmap = graph.contract_vertices((v,))
     log_z_contracted = partition_function(contracted, params, unsafe_size=True)
     r_occ = _rel_from_logs(log_in_v, math.log(lam) + log_z_contracted if lam > 0 else -math.inf)
 
-    log_out_v = _restricted_log_z(graph, lam, zeta, forbid=(v,))
+    log_out_v = _log_z(graph, params, True, forbid=(v,))
     deleted, _ = graph.remove_vertices((v,))
     r_unocc = _rel_from_logs(log_out_v, partition_function(deleted, params, unsafe_size=True))
 
@@ -388,21 +335,16 @@ def verify_identities(graph, params, v, edge_id, unsafe_size=False):
     minus_e = graph.remove_edges([e])
     log_z = partition_function(graph, params, unsafe_size=True)
     log_z_minus = partition_function(minus_e, params, unsafe_size=True)
-    log_in_e = _restricted_log_z(minus_e, lam, zeta, require=e)
-    r_edge = abs(
-        math.exp(log_z_minus - log_z) - zeta * math.exp(log_in_e - log_z) - 1.0
-    )
+    log_in_e = _log_z(minus_e, params, True, require=e)
+    r_edge = abs(math.exp(log_z_minus - log_z) - zeta * math.exp(log_in_e - log_z) - 1.0)
 
     r_cond = 0.0
-    log_in_v_total = log_in_v
-    for u in range(graph.num_vertices):
-        if u == v:
-            continue
-        log_in_uv = _restricted_log_z(graph, lam, zeta, require=(u, v))
-        lhs = math.exp(log_in_uv - log_in_v_total)
-        log_in_u_c = _restricted_log_z(contracted, lam, zeta, require=(cmap[u],))
-        rhs = math.exp(log_in_u_c - log_z_contracted)
-        r_cond = max(r_cond, abs(lhs - rhs))
+    if held[v] > 0:
+        marginals = summarize(contracted, params, unsafe_size=True).marginals
+        r_cond = max(
+            (float(abs(held[u] / held[v] - marginals[c])) for u, c in cmap.items()),
+            default=0.0,
+        )
 
     return IdentityResiduals(r_occ, r_unocc, r_edge, r_cond)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bp import BPParams, _gauss_legendre, _iterate, bp_fixed_point
+from .bp import BPParams, _check_admissible, _coupling_integral, _iterate, bp_fixed_point
 from .errors import DomainError, SizeGuardError
 from .gibbs import ModelParams, glauber_marginals, summarize
 from .hypergraph import Multihypergraph
@@ -228,10 +228,7 @@ def phi_fixed_point(k, c, tol=1e-12, grid_size=2000, method="scaled", max_iter=1
     are conjugate under that scaling); ``method='direct'`` iterates the
     profile operator itself.  Both routes agree to solver tolerance.
     """
-    if not 0 < c < phi_threshold(k):
-        raise DomainError(
-            f"c={c} outside the admissible range (0, {phi_threshold(k):.12g})"
-        )
+    _check_admissible(c, phi_threshold(k))
     if method == "direct":
         return _grid_fixed_point(c, 1.0, k, grid_size, tol, max_iter)
     if method != "scaled":
@@ -255,19 +252,12 @@ def kap_rate(k, c, quad_nodes=64, grid_size=800, tol=1e-11, max_iter=10_000):
     the [0, eps) head contributes eps since the fixed point at parameter t
     approaches t uniformly.
     """
-    if not 0 < c < phi_threshold(k):
-        raise DomainError(
-            f"c={c} outside the admissible range (0, {phi_threshold(k):.12g})"
-        )
-    eps = c * 1e-6
-    ts, ws = _gauss_legendre(eps, c, quad_nodes)
+    _check_admissible(c, phi_threshold(k))
     h = 1.0 / grid_size
-    total = eps
-    f = np.full(grid_size + 1, float(ts[0]))
-    for t, w in zip(ts, ws):
-        t = float(t)
-        f = _iterate(lambda g: _grid_apply(g, t, 1.0, k), f, tol, max_iter, "kap_rate")
-        total += w * _trapz(f, h) / t
+    total = _coupling_integral(
+        lambda t, g: _grid_apply(g, t, 1.0, k), lambda f: _trapz(f, h),
+        grid_size + 1, 1, c, quad_nodes, tol, max_iter, "kap_rate",
+    )
     return total - c
 
 

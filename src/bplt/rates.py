@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bp import regular_fixed_point, solve_zeta_regular, thresholds
+from .bp import _check_admissible, regular_fixed_point, solve_zeta_regular, thresholds
 from .errors import DomainError
 from .hypergraph import Multihypergraph
 
@@ -109,11 +109,7 @@ def rate_gnp(k, c, eta):
     absent.
     """
     thr = thresholds(k, eta)
-    if not 0 < c < thr.c_max_regular:
-        raise DomainError(
-            f"c={c} outside the admissible range (0, {thr.c_max_regular:.12g}) "
-            f"for k={k}, eta={eta}"
-        )
+    _check_admissible(c, thr.c_max_regular, f" for k={k}, eta={eta}")
     if eta == 0.0:
         x = regular_fixed_point(k, c, 1.0)
         return x + (1.0 - 1.0 / k) * x**k - c

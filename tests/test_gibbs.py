@@ -19,7 +19,7 @@ from bplt.gibbs import (
 from bplt.hypergraph import Multihypergraph
 from bplt.progressions import ap_hypergraph
 
-from conftest import naive_log_z, naive_marginal
+from conftest import naive_log_z, naive_lower_tail, naive_marginal
 
 TRIPLE = Multihypergraph(3, [[0, 1, 2]])
 
@@ -171,6 +171,24 @@ class TestLowerTailExact:
             rhs = math.exp(g.num_vertices * math.log1p(-p) + log_z)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: float(rng.uniform(0.0, 4.0)),  # fractional
+            lambda rng: int(rng.integers(1, 5)),  # integer, at least 1
+            lambda rng: -float(rng.uniform(0.0, 3.0)),  # negative
+        ],
+        ids=["fractional", "integer", "negative"],
+    )
+    def test_against_naive(self, rng, draw):
+        for _ in range(25):
+            g = random_multihypergraph(rng, max_vertices=8, max_edges=8, allow_empty=True)
+            p = float(rng.uniform(0.05, 0.95))
+            t = draw(rng)
+            assert lower_tail_exact(g, p, t) == pytest.approx(
+                naive_lower_tail(g, p, t), rel=1e-12, abs=1e-15
+            )
+
 
 class TestIdentities:
     def test_small_instances(self, rng):
@@ -189,6 +207,15 @@ class TestIdentities:
         g = Multihypergraph(3, [[0, 1], [1, 2]])
         res = verify_identities(g, ModelParams(1.3, 0.0), 0, 0)
         assert res.edge_deletion < 1e-15
+
+    def test_vertex_that_cannot_be_occupied(self):
+        # the singleton edge {0} forbids v = 0 at zeta = 1: no conditional measure
+        g = Multihypergraph(3, [[0], [0, 1], [1, 2]])
+        res = verify_identities(g, ModelParams(0.8, 1.0), 0, 1)
+        assert res.conditional == 0.0
+        assert res.occupied_split == 0.0
+        assert not any(math.isnan(r) for r in vars(res).values())
+        assert res.max() < 1e-12
 
     def test_isolated_vertex_occupied_split(self):
         g = Multihypergraph(3, [[1, 2]])
@@ -263,44 +290,29 @@ def _hardcore_instances(rng):
 
 
 class TestSupportPath:
-    """The zeta = 1 support path against the 2^N enumeration it bypasses."""
+    """The zeta = 1 support listing against the 2^N listing it bypasses."""
 
-    def test_matches_enumeration(self, rng):
+    def test_matches_enumeration(self, rng, monkeypatch):
         for g in _hardcore_instances(rng):
-            n = g.num_vertices
             params = ModelParams(float(rng.uniform(0.05, 3.0)), 1.0)
             p = float(rng.uniform(0.05, 0.95))
-            states = gibbs._hardcore_support(g)
-            support_log_z = gibbs._log_z_from_total(
-                gibbs._support_total(states, n, params.p), n, params.lam
-            )
-            enum_log_z = gibbs._log_z_from_total(
-                gibbs._scaled_total(g, params.lam, 1.0), n, params.lam
-            )
-            assert partition_function(g, params) == support_log_z
-            if math.isinf(enum_log_z):
-                assert support_log_z == enum_log_z
-                with pytest.raises(ValueError):
-                    summarize(g, params)
-                with pytest.raises(ValueError):
-                    gibbs._enumerated_summary(g, params)
+            support, _ = gibbs._tables(g.num_vertices, *gibbs._listing(g, True, False))
+            full, _ = gibbs._tables(g.num_vertices, *gibbs._listing(g, False, False))
+            assert support.shape == (g.num_vertices + 1, 1)
+            assert np.array_equal(support[:, 0], full[:, 0])
+
+            fast = _oracle_outputs(g, params, p)
+            with monkeypatch.context() as m:
+                m.setattr(gibbs, "_hardcore_support", lambda graph: None)
+                slow = _oracle_outputs(g, params, p)
+            assert fast.keys() == slow.keys()
+            for key in fast:
+                assert np.array_equal(fast[key], slow[key]), key
+            if "summary" not in fast:
+                assert fast["log_z"] == -math.inf
             else:
-                assert support_log_z == pytest.approx(enum_log_z, rel=1e-12, abs=1e-12)
-                fast = summarize(g, params)
-                slow = gibbs._enumerated_summary(g, params)
-                assert fast.log_z == support_log_z
-                assert slow.log_z == pytest.approx(fast.log_z, rel=1e-12, abs=1e-12)
-                assert np.allclose(fast.marginals, slow.marginals, rtol=0, atol=1e-12)
-                assert fast.mean_size == pytest.approx(slow.mean_size, rel=1e-12, abs=1e-12)
-                assert fast.var_size == pytest.approx(slow.var_size, rel=1e-12, abs=1e-12)
-                assert fast.mean_edges == slow.mean_edges == 0.0
-                assert fast.var_edges == slow.var_edges == 0.0
-            if g.num_edges:
-                fast_tail = lower_tail_exact(g, p, 0)
-                assert fast_tail == gibbs._support_total(states, n, p)
-                assert fast_tail == pytest.approx(
-                    gibbs._enumerated_lower_tail(g, p, 0), rel=1e-12, abs=1e-300
-                )
+                assert fast["log_z"] == fast["summary"][0]
+                assert fast["summary"][3:] == (0.0, 0.0)  # no edge is ever occupied
 
     def test_support_is_edge_free_and_complete(self, rng):
         for _ in range(20):
@@ -317,7 +329,7 @@ class TestSupportPath:
         want = partition_function(g, params)
         monkeypatch.setattr(gibbs, "_SUPPORT_CAP", 1 << 6)
         assert gibbs._hardcore_support(g) is None
-        assert partition_function(g, params) == pytest.approx(want, rel=1e-12)
+        assert partition_function(g, params) == want
 
     def test_runs_above_vertex_guard(self):
         # 3-AP on [30]: N = 30 > EXACT_GUARD, but only 880,288 subsets carry weight
@@ -331,3 +343,18 @@ class TestSupportPath:
         s = summarize(g, params)
         assert s.log_z == log_z
         assert float(s.marginals.sum()) == pytest.approx(s.mean_size, rel=1e-12)
+
+
+def _oracle_outputs(g, params, p):
+    """Every public oracle output at zeta = 1 and P(X = 0), keyed by name."""
+    out = {"log_z": partition_function(g, params)}
+    if out["log_z"] > -math.inf:
+        s = summarize(g, params)
+        out["summary"] = (s.log_z, s.mean_size, s.var_size, s.mean_edges, s.var_edges)
+        out["marginals"] = s.marginals
+    else:
+        with pytest.raises(ValueError):
+            summarize(g, params)
+    if g.num_edges:
+        out["p_zero"] = lower_tail_exact(g, p, 0)
+    return out
