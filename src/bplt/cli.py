@@ -1,10 +1,12 @@
 """Command-line front end: config merging, dispatch, CSV emission.
 
-Scalar results print as ``key,value`` lines (or one JSON object with
-``--json``); tables go to ``--out`` when given, stdout otherwise, always
-with a comment line naming the formula and echoing the full parameter set
-so runs are auditable.  Floats use 17 significant digits and all seeds
-default to 0, so repeated runs with the same config are byte-identical.
+Each subcommand accepts only the flags it reads.  Scalar results print as
+``key,value`` lines (or one JSON object with ``--json``); tables (for the
+rate commands, ``--sweep`` tables) go to ``--out`` when given, stdout
+otherwise, always with a comment line naming the formula and echoing the
+full parameter set so runs are auditable.  Floats use 17 significant
+digits and all seeds default to 0, so repeated runs with the same config
+are byte-identical.
 
 Exit codes: 0 success, 2 validation/domain error, 3 numerical
 non-convergence (with the residual reported).
@@ -48,6 +50,8 @@ plt.savefig({csv!r} + ".png", dpi=150)
 
 
 def _emit_table(args, formula, params_echo, columns, rows):
+    if args.plot_script and not args.out:
+        raise ValueError("--plot-script needs --out so the script can find the CSV")
     echo = " ".join(f"{k}={_fmt(v)}" for k, v in params_echo.items())
     lines = [f"# formula={formula} {echo}", ",".join(columns)]
     for row in rows:
@@ -58,9 +62,7 @@ def _emit_table(args, formula, params_echo, columns, rows):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if getattr(args, "plot_script", None):
-        if not args.out:
-            raise ValueError("--plot-script needs --out so the script can find the CSV")
+    if args.plot_script:
         with open(args.plot_script, "w") as fh:
             fh.write(_PLOT_TEMPLATE.format(csv=args.out, x=columns[0], y=columns[1]))
 
@@ -78,21 +80,28 @@ def _parse_sweep(raw):
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def _load_config(args, parser):
-    """Overlay JSON config under explicit CLI flags; flags win."""
+def _parse(parser, commands, argv):
+    """Parse argv, overlaying a ``--config`` JSON file under explicit flags.
+
+    The config values become defaults of the subcommand's parser, since
+    those override any default set on the top-level parser; a key that is
+    not a flag of the subcommand is rejected.
+    """
+    args = parser.parse_args(argv)
     if not args.config:
         return args
     with open(args.config) as fh:
         cfg = json.load(fh)
+    flags = set(vars(args)) - {"command", "func", "config"}
     defaults = {}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in flags:
             raise ValueError(f"unknown config key {key!r}")
         defaults[dest] = value
     # re-parse so that explicitly passed flags override config values
-    parser.set_defaults(**defaults)
-    return parser.parse_args(args._argv)
+    commands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _read_graph(path):
@@ -113,53 +122,55 @@ def _pattern_graph(name):
     return named_graph(name)
 
 
-def _sweep_rows(values, evaluate, arity=1):
+def _run_rate(args, lead, formula, columns, echo, row, scalars):
+    """Shared body of the rate commands.
+
+    With ``--sweep`` the lead parameter runs over the sweep points, each
+    giving the table row ``(value, *row(value), status)`` under the header
+    ``lead, *columns, status``, with ``echo`` and the seed in the comment
+    line.  Otherwise the lead parameter's flag is required and
+    ``scalars(value)`` is printed as the scalar block.
+    """
     from .errors import DomainError
 
+    if not args.sweep:
+        if args.out or args.plot_script:
+            raise ValueError("--out and --plot-script write the --sweep table; pass --sweep")
+        value = getattr(args, lead)
+        if value is None:
+            raise ValueError(f"pass --{lead} (or --sweep to scan it)")
+        _emit_scalars(scalars(value), args.json)
+        return 0
     rows = []
-    any_ok = False
-    for v in values:
+    for v in _parse_sweep(args.sweep):
         try:
-            rows.append((v, *evaluate(v), "ok"))
-            any_ok = True
+            rows.append((v, *row(v), "ok"))
         except DomainError:
-            rows.append((v, *([None] * arity), "out-of-domain"))
-    if not any_ok:
+            rows.append((v, *[None] * len(columns), "out-of-domain"))
+    if all(r[-1] != "ok" for r in rows):
         raise DomainError("no sweep point lies inside the admissible range")
-    return rows
-
-
-def _require(args, name):
-    value = getattr(args, name)
-    if value is None:
-        raise ValueError(f"pass --{name} (or --sweep to scan it)")
-    return value
+    _emit_table(args, formula, {**echo, "seed": args.seed}, [lead, *columns, "status"], rows)
+    return 0
 
 
 def _cmd_rate_gnp(args):
     from .rates import rate_gnp
 
-    echo = {"k": args.k, "eta": args.eta, "seed": args.seed}
-    if args.sweep:
-        rows = _sweep_rows(_parse_sweep(args.sweep), lambda c: (rate_gnp(args.k, c, args.eta),))
-        _emit_table(args, "gnp-lower-tail-rate", echo, ["c", "rate", "status"], rows)
-        return 0
-    rate = rate_gnp(args.k, _require(args, "c"), args.eta)
-    _emit_scalars({"k": args.k, "c": args.c, "eta": args.eta, "rate": rate}, args.json)
-    return 0
+    return _run_rate(
+        args, "c", "gnp-lower-tail-rate", ["rate"], {"k": args.k, "eta": args.eta},
+        lambda c: (rate_gnp(args.k, c, args.eta),),
+        lambda c: {"k": args.k, "c": c, "eta": args.eta, "rate": rate_gnp(args.k, c, args.eta)},
+    )
 
 
 def _cmd_rate_gnm(args):
     from .rates import rate_gnm
 
-    echo = {"k": args.k, "eta": args.eta, "seed": args.seed}
-    if args.sweep:
-        rows = _sweep_rows(_parse_sweep(args.sweep), lambda b: (rate_gnm(args.k, b, args.eta),))
-        _emit_table(args, "gnm-lower-tail-rate", echo, ["b", "rate", "status"], rows)
-        return 0
-    rate = rate_gnm(args.k, _require(args, "b"), args.eta)
-    _emit_scalars({"k": args.k, "b": args.b, "eta": args.eta, "rate": rate}, args.json)
-    return 0
+    return _run_rate(
+        args, "b", "gnm-lower-tail-rate", ["rate"], {"k": args.k, "eta": args.eta},
+        lambda b: (rate_gnm(args.k, b, args.eta),),
+        lambda b: {"k": args.k, "b": b, "eta": args.eta, "rate": rate_gnm(args.k, b, args.eta)},
+    )
 
 
 def _cmd_rate_subgraph(args):
@@ -171,35 +182,13 @@ def _cmd_rate_subgraph(args):
 
     pattern = _pattern_graph(args.subgraph)
     bound = rpartite_bound_gnp if args.model == "gnp" else rpartite_bound_gnm
-    echo = {
-        "subgraph": args.subgraph,
-        "model": args.model,
-        "eta": args.eta,
-        "seed": args.seed,
-    }
-    if args.sweep:
-        rows = _sweep_rows(
-            _parse_sweep(args.sweep),
-            lambda c: (
-                subgraph_rate(pattern, c, args.eta, args.model).rate,
-                bound(pattern, c),
-            ),
-            arity=2,
-        )
-        _emit_table(
-            args,
-            f"subgraph-lower-tail-rate-{args.model}",
-            echo,
-            ["c", "rate", "rpartite_bound", "status"],
-            rows,
-        )
-        return 0
-    result = subgraph_rate(pattern, _require(args, "c"), args.eta, args.model)
-    _emit_scalars(
-        {
+
+    def scalars(c):
+        result = subgraph_rate(pattern, c, args.eta, args.model)
+        return {
             "subgraph": args.subgraph,
             "model": args.model,
-            "c": args.c,
+            "c": c,
             "eta": args.eta,
             "rate": result.rate,
             "k": result.k,
@@ -207,37 +196,36 @@ def _cmd_rate_subgraph(args):
             "aut": result.aut,
             "chromatic_number": result.chromatic_number,
             "delta_exponent": result.delta_exponent,
-            "rpartite_bound": bound(pattern, args.c),
+            "rpartite_bound": bound(pattern, c),
             "p_scaling": result.p_scaling,
             "m_scaling": result.m_scaling,
-        },
-        args.json,
+        }
+
+    return _run_rate(
+        args, "c", f"subgraph-lower-tail-rate-{args.model}", ["rate", "rpartite_bound"],
+        {"subgraph": args.subgraph, "model": args.model, "eta": args.eta},
+        lambda c: (subgraph_rate(pattern, c, args.eta, args.model).rate, bound(pattern, c)),
+        scalars,
     )
-    return 0
 
 
 def _cmd_rate_kap(args):
     from .progressions import kap_rate, kap_rate_bethe
 
-    echo = {
-        "k": args.k,
-        "quad_nodes": args.quad_nodes,
-        "grid_size": args.grid_size,
-        "seed": args.seed,
-    }
-    if args.sweep:
-        rows = _sweep_rows(
-            _parse_sweep(args.sweep),
-            lambda c: (kap_rate(args.k, c, args.quad_nodes, args.grid_size),),
-        )
-        _emit_table(args, "ap-avoidance-rate", echo, ["c", "rate", "status"], rows)
-        return 0
-    rate = kap_rate(args.k, _require(args, "c"), args.quad_nodes, args.grid_size)
-    scalars = {"k": args.k, "c": args.c, "rate": rate}
-    if args.check_bethe:
-        scalars["rate_bethe"] = kap_rate_bethe(args.k, args.c, args.grid_size)
-    _emit_scalars(scalars, args.json)
-    return 0
+    if args.check_quadrature and args.sweep:
+        raise ValueError("--check-quadrature checks a scalar rate; drop it or --sweep")
+
+    def scalars(c):
+        out = {"k": args.k, "c": c, "rate": kap_rate_bethe(args.k, c, args.grid_size)}
+        if args.check_quadrature:
+            out["rate_quadrature"] = kap_rate(args.k, c, args.quad_nodes, args.grid_size)
+        return out
+
+    return _run_rate(
+        args, "c", "ap-avoidance-rate", ["rate"], {"k": args.k, "grid_size": args.grid_size},
+        lambda c: (kap_rate_bethe(args.k, c, args.grid_size),),
+        scalars,
+    )
 
 
 def _cmd_kap_profile(args):
@@ -301,25 +289,40 @@ def _cmd_bp_solve(args):
     return 0
 
 
+def _worst(residuals):
+    """Largest residual, 0.0 for none; NaN if any residual is NaN."""
+    import numpy as np
+
+    return float(np.max([0.0, *residuals]))
+
+
 def _cmd_exact_check(args):
     from .gibbs import ModelParams, summarize, verify_identities
 
     graph = _read_graph(args.file)
     params = ModelParams(args.lam, args.zeta)
-    worst = {"occupied_split": 0.0, "unoccupied_split": 0.0, "edge_deletion": 0.0, "conditional": 0.0}
-    for v in range(graph.num_vertices):
-        for e in range(graph.num_edges):
-            res = verify_identities(graph, params, v, e, unsafe_size=args.unsafe_size)
-            worst["occupied_split"] = max(worst["occupied_split"], res.occupied_split)
-            worst["unoccupied_split"] = max(worst["unoccupied_split"], res.unoccupied_split)
-            worst["edge_deletion"] = max(worst["edge_deletion"], res.edge_deletion)
-            worst["conditional"] = max(worst["conditional"], res.conditional)
+    by_vertex, by_edge = [], []
+    if graph.num_vertices and graph.num_edges:
+        # the two splits and the conditional residual depend on v only,
+        # edge deletion on e only
+        def check(v, e):
+            return verify_identities(graph, params, v, e, unsafe_size=args.unsafe_size)
+
+        by_vertex = [check(v, 0) for v in range(graph.num_vertices)]
+        by_edge = [check(0, e) for e in range(graph.num_edges)]
+    worst = {
+        "occupied_split": _worst(r.occupied_split for r in by_vertex),
+        "unoccupied_split": _worst(r.unoccupied_split for r in by_vertex),
+        "edge_deletion": _worst(r.edge_deletion for r in by_edge),
+        "conditional": _worst(r.conditional for r in by_vertex),
+    }
     summary = summarize(graph, params, unsafe_size=args.unsafe_size)
-    if args.out:
+    if args.out or args.plot_script:
         rows = [(v, float(m)) for v, m in enumerate(summary.marginals)]
         echo = {"file": args.file, "lam": args.lam, "zeta": args.zeta}
         _emit_table(args, "exact-gibbs-summary", echo, ["vertex", "marginal"], rows)
-    ok = max(worst.values()) < args.tol
+    top = _worst(worst.values())
+    ok = top < args.tol
     _emit_scalars(
         {
             **worst,
@@ -336,10 +339,7 @@ def _cmd_exact_check(args):
     if not ok:
         from .errors import ConvergenceError
 
-        raise ConvergenceError(
-            f"identity residual {max(worst.values()):.3e} above {args.tol}",
-            residual=max(worst.values()),
-        )
+        raise ConvergenceError(f"identity residual {top:.3e} above {args.tol}", residual=top)
     return 0
 
 
@@ -393,57 +393,64 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, func, *, out=False, seed=False, sweep=False):
+        """Subparser with the shared flags that ``func`` reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument("--out", help="CSV output path (stdout if omitted)")
+        if out:
+            p.add_argument("--out", help="CSV output path (stdout if omitted)")
         p.add_argument("--json", action="store_true", help="scalar block as JSON")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--sweep", help="lo:hi:steps sweep over the lead parameter")
-        p.add_argument(
-            "--plot-script",
-            help="also write a small matplotlib script for the CSV (needs --out)",
-        )
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if sweep:
+            p.add_argument("--sweep", help="lo:hi:steps sweep over the lead parameter")
+        if out:
+            p.add_argument(
+                "--plot-script",
+                help="also write a small matplotlib script for the CSV (needs --out)",
+            )
+        return p
 
-    p = sub.add_parser("rate-gnp", help="binomial-model lower-tail rate")
-    common(p)
+    rate = {"out": True, "seed": True, "sweep": True}
+    p = command("rate-gnp", "binomial-model lower-tail rate", _cmd_rate_gnp, **rate)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--c", type=float)
     p.add_argument("--eta", type=float, default=0.0)
-    p.set_defaults(func=_cmd_rate_gnp)
 
-    p = sub.add_parser("rate-gnm", help="fixed-size-model lower-tail rate")
-    common(p)
+    p = command("rate-gnm", "fixed-size-model lower-tail rate", _cmd_rate_gnm, **rate)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--b", type=float)
     p.add_argument("--eta", type=float, default=0.0)
-    p.set_defaults(func=_cmd_rate_gnm)
 
-    p = sub.add_parser("rate-subgraph", help="pattern-avoidance rate for a subgraph")
-    common(p)
+    p = command(
+        "rate-subgraph", "pattern-avoidance rate for a subgraph", _cmd_rate_subgraph, **rate
+    )
     p.add_argument("--subgraph", required=True, help="K<r>/C<l>/P<l> or @file")
     p.add_argument("--c", type=float)
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--model", choices=("gnp", "gnm"), default="gnp")
-    p.set_defaults(func=_cmd_rate_subgraph)
 
-    p = sub.add_parser("rate-kap", help="k-term progression avoidance rate")
-    common(p)
+    p = command("rate-kap", "k-term progression avoidance rate", _cmd_rate_kap, **rate)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--c", type=float)
-    p.add_argument("--quad-nodes", type=int, default=64)
-    p.add_argument("--grid-size", type=int, default=800)
-    p.add_argument("--check-bethe", action="store_true", help="also print the one-fixed-point formula")
-    p.set_defaults(func=_cmd_rate_kap)
+    p.add_argument("--quad-nodes", type=int, default=64, help="used by --check-quadrature")
+    p.add_argument("--grid-size", type=int, default=2000)
+    p.add_argument(
+        "--check-quadrature",
+        action="store_true",
+        help="also print the coupling-constant quadrature rate (--quad-nodes solves)",
+    )
 
-    p = sub.add_parser("kap-profile", help="conditional density profile curve")
-    common(p)
+    p = command(
+        "kap-profile", "conditional density profile curve", _cmd_kap_profile,
+        out=True, seed=True,
+    )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--grid-size", type=int, default=2000)
-    p.set_defaults(func=_cmd_kap_profile)
 
-    p = sub.add_parser("bp-solve", help="BP fixed point on a hypergraph file")
-    common(p)
+    p = command("bp-solve", "BP fixed point on a hypergraph file", _cmd_bp_solve, out=True)
     p.add_argument("--file", required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--c", type=float, required=True)
@@ -451,46 +458,42 @@ def _build_parser():
     p.add_argument("--eta", type=float)
     p.add_argument("--delta", type=int)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.set_defaults(func=_cmd_bp_solve)
 
-    p = sub.add_parser("exact-check", help="partition-function identity suite")
-    common(p)
+    p = command(
+        "exact-check", "partition-function identity suite", _cmd_exact_check, out=True
+    )
     p.add_argument("--file", required=True)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
     p.add_argument("--zeta", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--unsafe-size", action="store_true")
-    p.set_defaults(func=_cmd_exact_check)
 
-    p = sub.add_parser("mc-estimate", help="Monte Carlo lower-tail estimate")
-    common(p)
+    p = command("mc-estimate", "Monte Carlo lower-tail estimate", _cmd_mc_estimate, seed=True)
     p.add_argument("--file", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=100_000)
-    p.set_defaults(func=_cmd_mc_estimate)
 
-    p = sub.add_parser("weitz-verify", help="marginal equality on a hypergraph file")
-    common(p)
+    p = command(
+        "weitz-verify", "marginal equality on a hypergraph file", _cmd_weitz_verify, seed=True
+    )
     p.add_argument("--file", required=True)
     p.add_argument("--vertex", type=int)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--zeta", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--unsafe-size", action="store_true")
-    p.set_defaults(func=_cmd_weitz_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args._argv = list(argv) if argv is not None else sys.argv[1:]
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     from .errors import ConvergenceError, DomainError, SizeGuardError
 
     try:
-        args = _load_config(args, parser)
+        args = _parse(parser, commands, argv)
         return args.func(args)
     except ConvergenceError as exc:
         detail = f" (residual {exc.residual:.3e})" if exc.residual is not None else ""

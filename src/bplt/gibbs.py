@@ -260,6 +260,8 @@ def lower_tail_exact(graph, p, threshold, unsafe_size=False):
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     if threshold >= graph.num_edges:
         return 1.0
     table, _ = _tables(graph.num_vertices, *_listing(graph, 0 <= threshold < 1, unsafe_size))
@@ -280,8 +282,8 @@ class IdentityResiduals:
     ``conditional``:      max over u of |mu(u in S | v in S) - marginal of u
                           after contracting v|.
 
-    The first three are relative (each side is positive); the last is an
-    absolute difference of probabilities.
+    The first three are relative (each side is positive, or both vanish);
+    the last is an absolute difference of probabilities.
     """
 
     occupied_split: float
@@ -290,12 +292,13 @@ class IdentityResiduals:
     conditional: float
 
     def max(self):
-        return max(
+        """Largest residual; NaN if any residual is NaN."""
+        return float(np.max([
             self.occupied_split,
             self.unoccupied_split,
             self.edge_deletion,
             self.conditional,
-        )
+        ]))
 
 
 def _rel_from_logs(log_a, log_b):
@@ -336,7 +339,10 @@ def verify_identities(graph, params, v, edge_id, unsafe_size=False):
     log_z = partition_function(graph, params, unsafe_size=True)
     log_z_minus = partition_function(minus_e, params, unsafe_size=True)
     log_in_e = _log_z(minus_e, params, True, require=e)
-    r_edge = abs(math.exp(log_z_minus - log_z) - zeta * math.exp(log_in_e - log_z) - 1.0)
+    if log_z == -math.inf and zeta == 1 and log_in_e == log_z_minus:
+        r_edge = 0.0  # both sides vanish: Z(G) = 0 = Z(G - e) - Z(G - e; e inside S)
+    else:
+        r_edge = abs(math.exp(log_z_minus - log_z) - zeta * math.exp(log_in_e - log_z) - 1.0)
 
     r_cond = 0.0
     if held[v] > 0:
@@ -350,7 +356,8 @@ def verify_identities(graph, params, v, edge_id, unsafe_size=False):
 
 
 def _vertex_edge_tables(graph):
-    """Per vertex: list of (other-endpoint index array, multiplicity)."""
+    """Per vertex v: one index array of the other vertices of each edge at v,
+    repeated edges listed once per copy."""
     table = [[] for _ in range(graph.num_vertices)]
     for e in graph.edges:
         for u in e:

@@ -84,11 +84,11 @@ class TestRateKap:
     def test_check_bethe_agreement(self, capsys):
         code, out, _ = run(
             capsys, "rate-kap", "--k", "3", "--c", "0.5", "--quad-nodes", "24",
-            "--grid-size", "200", "--check-bethe", "--json",
+            "--grid-size", "200", "--check-quadrature", "--json",
         )
         assert code == 0
         payload = json.loads(out)
-        assert abs(payload["rate"] - payload["rate_bethe"]) < 1e-4
+        assert abs(payload["rate"] - payload["rate_quadrature"]) < 1e-4
 
     def test_sweep(self, capsys):
         code, out, _ = run(
@@ -241,8 +241,124 @@ class TestConfig:
         scalars = dict(line.split(",") for line in out.strip().splitlines())
         assert float(scalars["rate"]) == pytest.approx(-(0.25**3) / 3, rel=1e-14)
 
+    def test_config_value_used(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"b": 0.5}))
+        code, out, _ = run(capsys, "rate-gnm", "--k", "3", "--config", str(cfg))
+        assert code == 0
+        scalars = dict(line.split(",") for line in out.strip().splitlines())
+        assert float(scalars["rate"]) == pytest.approx(-(0.5**3) / 3, rel=1e-14)
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         code, _, err = run(capsys, "rate-gnm", "--k", "3", "--config", str(cfg))
         assert code == 2 and "bogus" in err
+
+    @pytest.mark.parametrize("key", ["func", "command", "config"])
+    def test_non_flag_key_rejected(self, capsys, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code, _, err = run(capsys, "rate-gnm", "--k", "3", "--b", "0.5", "--config", str(cfg))
+        assert code == 2 and f"unknown config key {key!r}" in err
+
+
+class TestFlagSurface:
+    BASE = {
+        "kap-profile": ["--k", "3", "--c", "0.8"],
+        "bp-solve": ["--file", "g.hg", "--c", "0.9", "--zeta", "1"],
+        "exact-check": ["--file", "g.hg", "--lambda", "1", "--zeta", "1"],
+        "mc-estimate": ["--file", "g.hg", "--p", "0.5"],
+        "weitz-verify": ["--file", "g.hg"],
+    }
+    VALUES = {"--sweep": "0.1:0.9:5", "--seed": "1", "--out": "x.csv", "--plot-script": "x.py"}
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("kap-profile", "--sweep"),
+            ("bp-solve", "--sweep"),
+            ("exact-check", "--sweep"),
+            ("mc-estimate", "--sweep"),
+            ("weitz-verify", "--sweep"),
+            ("mc-estimate", "--out"),
+            ("weitz-verify", "--out"),
+            ("mc-estimate", "--plot-script"),
+            ("weitz-verify", "--plot-script"),
+            ("bp-solve", "--seed"),
+            ("exact-check", "--seed"),
+        ],
+    )
+    def test_unread_flag_rejected(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.BASE[command], flag, self.VALUES[flag]])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot-script"])
+    def test_scalar_rate_output_needs_sweep(self, capsys, tmp_path, flag):
+        path = tmp_path / "g.out"
+        code, out, err = run(capsys, "rate-gnp", "--k", "3", "--c", "0.5", flag, str(path))
+        assert code == 2 and "--sweep" in err
+        assert out == "" and not path.exists()
+
+    def test_config_sets_unread_flag(self, capsys, tmp_path, triangle_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": "0.1:0.9:5"}))
+        code, _, err = run(
+            capsys, "bp-solve", "--file", triangle_file, "--c", "0.9", "--zeta", "1",
+            "--config", str(cfg),
+        )
+        assert code == 2 and "unknown config key 'sweep'" in err
+
+    def test_check_quadrature_needs_scalar(self, capsys):
+        code, _, err = run(
+            capsys, "rate-kap", "--k", "3", "--sweep", "0.2:0.8:3", "--check-quadrature"
+        )
+        assert code == 2 and "--check-quadrature" in err
+
+
+class TestExactCheckFold:
+    def test_matches_all_pairs(self, capsys, tmp_path):
+        import numpy as np
+
+        from bplt.generators import random_multihypergraph
+        from bplt.gibbs import ModelParams, verify_identities
+
+        rng = np.random.default_rng(5)
+        names = ("occupied_split", "unoccupied_split", "edge_deletion", "conditional")
+        for i in range(8):
+            g = random_multihypergraph(rng, max_vertices=6, max_edges=5, allow_empty=i % 2 == 0)
+            path = tmp_path / f"g{i}.hg"
+            path.write_text(write_hypergraph(g))
+            for lam, zeta in ((1.0, 0.5), (0.7, 1.0)):
+                worst = dict.fromkeys(names, 0.0)
+                for v in range(g.num_vertices):
+                    for e in range(g.num_edges):
+                        res = verify_identities(g, ModelParams(lam, zeta), v, e)
+                        for name in names:
+                            worst[name] = max(worst[name], getattr(res, name))
+                code, out, err = run(
+                    capsys, "exact-check", "--file", str(path), "--lambda", str(lam),
+                    "--zeta", str(zeta),
+                )
+                if zeta == 1 and any(len(e) == 0 for e in g.edges):  # Z(G) = 0
+                    assert code == 2 and "vanishes" in err
+                    continue
+                assert code == 0
+                scalars = dict(line.split(",") for line in out.strip().splitlines())
+                assert {name: float(scalars[name]) for name in names} == worst
+
+    def test_nan_residual_fails(self, capsys, monkeypatch, triangle_file):
+        from bplt import gibbs
+
+        monkeypatch.setattr(
+            gibbs, "verify_identities",
+            lambda *a, **kw: gibbs.IdentityResiduals(0.0, 0.0, math.nan, 0.0),
+        )
+        code, out, _ = run(
+            capsys, "exact-check", "--file", triangle_file, "--lambda", "1", "--zeta", "1"
+        )
+        scalars = dict(line.split(",") for line in out.strip().splitlines())
+        assert code == 3
+        assert scalars["edge_deletion"] == "nan" and scalars["pass"] == "False"

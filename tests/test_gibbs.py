@@ -189,6 +189,10 @@ class TestLowerTailExact:
                 naive_lower_tail(g, p, t), rel=1e-12, abs=1e-15
             )
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold"):
+            lower_tail_exact(Multihypergraph(3, [[0, 1, 2]]), 0.5, math.nan)
+
 
 class TestIdentities:
     def test_small_instances(self, rng):
@@ -216,6 +220,17 @@ class TestIdentities:
         assert res.occupied_split == 0.0
         assert not any(math.isnan(r) for r in vars(res).values())
         assert res.max() < 1e-12
+
+    def test_vanishing_partition_function(self):
+        # two empty edges at zeta = 1: Z(G) = 0 and Z(G - e) = 0
+        g = Multihypergraph(2, [[], []])
+        res = verify_identities(g, ModelParams(0.7, 1.0), 0, 0)
+        assert res.edge_deletion == 0.0
+        assert res.max() == 0.0
+
+    def test_max_keeps_nan(self):
+        res = gibbs.IdentityResiduals(0.0, math.nan, 1e-3, 0.0)
+        assert math.isnan(res.max())
 
     def test_isolated_vertex_occupied_split(self):
         g = Multihypergraph(3, [[1, 2]])
