@@ -5,10 +5,13 @@ The operator sends a positive vertex vector x to
 ``c * exp(-(zeta/Delta) * sum_{e: v in e} prod_{u in e, u != v} x_u)``.
 When ``zeta * (k-1) * c^(k-1) < e`` its square contracts the log-sup metric
 with factor ``1 - margin`` where ``margin = 1 - zeta c^(k-1) (k-1)/e``, so
-there is a unique fixed point and plain iteration from the constant vector
-c converges geometrically.  On a Delta-regular graph the fixed point is the
-constant solution of ``x = c exp(-zeta x^(k-1))``, available in closed form
-through the Lambert W function.
+there is a unique fixed point.  Every solver reaches it through one shared
+Anderson-mixed iteration (``_iterate``) from the constant vector c, which
+returns a point only once its log-sup residual is below the tolerance; the
+certificate is what puts that point next to the unique fixed point.  On a
+Delta-regular graph the fixed point is the constant solution of
+``x = c exp(-zeta x^(k-1))``, available in closed form through the Lambert
+W function.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
 ]
 
 _BRANCH_POINT = -1.0 / math.e
+_ANDERSON_DEPTH = 5  # differences kept by the mixing in _iterate
 
 
 def lambert_w0(y):
@@ -203,26 +207,55 @@ def bp_apply(graph, params, x):
 
 
 def _iterate(apply, x, tol, max_iter, what):
-    """Plain iteration ``x <- apply(x)`` from ``x``.
+    """Anderson-mixed iteration towards a fixed point of ``apply`` from ``x``.
 
-    Returns the first iterate whose log-sup step ``max |log apply(x) - log x|``
-    is below ``tol``; ``what`` names the caller in the error raised when
-    ``max_iter`` applications do not get there, or at once when the step is
-    not finite (an entry underflowed to 0, or became NaN).
+    Type-II Anderson mixing (Walker and Ni, SIAM J. Numer. Anal. 49, 2011)
+    in log coordinates: with ``u = log x``, ``g = log apply(x)`` and the
+    residual ``f = g - u``, the next point is ``g - dG gamma``, where
+    ``gamma`` is the least-squares solution of ``dF gamma = f`` over the
+    last ``_ANDERSON_DEPTH`` differences ``dF``, ``dG`` of successive
+    residuals and images.  A mixed step whose residual is not below the one
+    it started from (a non-finite one included) is dropped: the history is
+    cleared and a plain step ``x <- apply(x)`` is taken from the point the
+    mixed step started from.
+
+    Returns the first point whose log-sup residual
+    ``max |log apply(x) - log x|`` is below ``tol``; ``what`` names the
+    caller in the error raised when ``max_iter`` applications do not get
+    there, or at once when a residual is not finite (an entry underflowed
+    to 0, or became NaN) at any point but a mixed one, which is dropped.
     """
+    u = np.log(x)
+    d_f, d_g = [], []  # differences of residuals and of images, oldest first
+    start = None  # (g, f, residual) at the point the last step started from
     residual = math.inf
     for step in range(1, max_iter + 1):
-        y = apply(x)
-        residual = float(np.max(np.abs(np.log(y) - np.log(x))))
+        g = np.log(apply(x))
+        f = g - u
+        residual = float(np.max(np.abs(f)))
         if residual < tol:
             return x
-        if not math.isfinite(residual):
-            raise ConvergenceError(
-                f"{what}: non-finite residual after {step} iterations (underflow)",
-                residual=residual,
-                iterations=step,
-            )
-        x = y
+        if d_f and not residual < start[2]:  # a mixed step that failed, NaN included
+            d_f.clear()
+            d_g.clear()
+            u = start[0]
+        else:
+            if not math.isfinite(residual):
+                raise ConvergenceError(
+                    f"{what}: non-finite residual after {step} iterations (underflow)",
+                    residual=residual,
+                    iterations=step,
+                )
+            if start is not None:
+                d_f.append(f - start[1])
+                d_g.append(g - start[0])
+                del d_f[:-_ANDERSON_DEPTH], d_g[:-_ANDERSON_DEPTH]
+            start = (g, f, residual)
+            u = g
+            if d_f:
+                gamma = np.linalg.lstsq(np.column_stack(d_f), f, rcond=None)[0]
+                u = g - np.column_stack(d_g) @ gamma
+        x = np.exp(u)
     raise ConvergenceError(
         f"{what}: no fixed point after {max_iter} iterations",
         residual=residual,
@@ -231,12 +264,17 @@ def _iterate(apply, x, tol, max_iter, what):
 
 
 def bp_fixed_point(graph, params, tol=1e-12, max_iter=100_000):
-    """Unique fixed point, iterated from the constant vector c.
+    """Unique fixed point, by Anderson-mixed iteration from the constant vector c.
 
-    Requires the contraction certificate ``zeta (k-1) c^(k-1) < e``; the
-    returned vector satisfies ``max |log F(x) - log x| < tol``.  The
-    one-step log residual decays geometrically with the square-iterate
-    contraction factor ``1 - margin``.
+    Requires the contraction certificate ``zeta (k-1) c^(k-1) < e``, which
+    makes the fixed point unique; the returned vector satisfies
+    ``max |log F(x) - log x| < tol``.
+
+    The certificate assumes every degree is at most ``delta``.  With
+    ``delta`` below the maximum degree, plain iteration can cycle forever,
+    while the mixed iteration often still returns a point.  That point
+    passes the same residual test, but nothing certifies that the fixed
+    point it approximates is the only one.
     """
     _check_uniqueness(params)
     edges = _edge_array(graph, params.k)

@@ -80,28 +80,39 @@ def _parse_sweep(raw):
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def _parse(parser, commands, argv):
+def _parse(parser, commands, required, argv):
     """Parse argv, overlaying a ``--config`` JSON file under explicit flags.
 
     The config values become defaults of the subcommand's parser, since
     those override any default set on the top-level parser; a key that is
-    not a flag of the subcommand is rejected.
+    not a flag of the subcommand is rejected.  ``required`` maps a
+    subcommand's parser to the flags it cannot run without; they are
+    checked after the merge, so that the config can supply them (argparse
+    checks ``required=True`` flags before any default applies).
     """
     args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    flags = set(vars(args)) - {"command", "func", "config"}
-    defaults = {}
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest not in flags:
-            raise ValueError(f"unknown config key {key!r}")
-        defaults[dest] = value
-    # re-parse so that explicitly passed flags override config values
-    commands[args.command].set_defaults(**defaults)
-    return parser.parse_args(argv)
+    command = commands[args.command]
+    if args.config:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+        flags = set(vars(args)) - {"command", "func", "config"}
+        defaults = {}
+        for key, value in cfg.items():
+            dest = key.replace("-", "_")
+            if dest not in flags:
+                raise ValueError(f"unknown config key {key!r}")
+            defaults[dest] = value
+        # re-parse so that explicitly passed flags override config values
+        command.set_defaults(**defaults)
+        args = parser.parse_args(argv)
+    missing = [
+        "/".join(action.option_strings)
+        for action in required.get(command, ())
+        if getattr(args, action.dest) is None
+    ]
+    if missing:
+        command.error(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def _read_graph(path):
@@ -392,6 +403,11 @@ def _build_parser():
         "of k-uniform hypergraphs via belief propagation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    required = {}
+
+    def need(p, *flags, **kwargs):
+        """Add a flag that ``p``'s command cannot run without (see ``_parse``)."""
+        required.setdefault(p, []).append(p.add_argument(*flags, **kwargs))
 
     def command(name, help, func, *, out=False, seed=False, sweep=False):
         """Subparser with the shared flags that ``func`` reads."""
@@ -414,25 +430,25 @@ def _build_parser():
 
     rate = {"out": True, "seed": True, "sweep": True}
     p = command("rate-gnp", "binomial-model lower-tail rate", _cmd_rate_gnp, **rate)
-    p.add_argument("--k", type=int, required=True)
+    need(p, "--k", type=int)
     p.add_argument("--c", type=float)
     p.add_argument("--eta", type=float, default=0.0)
 
     p = command("rate-gnm", "fixed-size-model lower-tail rate", _cmd_rate_gnm, **rate)
-    p.add_argument("--k", type=int, required=True)
+    need(p, "--k", type=int)
     p.add_argument("--b", type=float)
     p.add_argument("--eta", type=float, default=0.0)
 
     p = command(
         "rate-subgraph", "pattern-avoidance rate for a subgraph", _cmd_rate_subgraph, **rate
     )
-    p.add_argument("--subgraph", required=True, help="K<r>/C<l>/P<l> or @file")
+    need(p, "--subgraph", help="K<r>/C<l>/P<l> or @file")
     p.add_argument("--c", type=float)
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--model", choices=("gnp", "gnm"), default="gnp")
 
     p = command("rate-kap", "k-term progression avoidance rate", _cmd_rate_kap, **rate)
-    p.add_argument("--k", type=int, required=True)
+    need(p, "--k", type=int)
     p.add_argument("--c", type=float)
     p.add_argument("--quad-nodes", type=int, default=64, help="used by --check-quadrature")
     p.add_argument("--grid-size", type=int, default=2000)
@@ -446,14 +462,14 @@ def _build_parser():
         "kap-profile", "conditional density profile curve", _cmd_kap_profile,
         out=True, seed=True,
     )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c", type=float, required=True)
+    need(p, "--k", type=int)
+    need(p, "--c", type=float)
     p.add_argument("--grid-size", type=int, default=2000)
 
     p = command("bp-solve", "BP fixed point on a hypergraph file", _cmd_bp_solve, out=True)
-    p.add_argument("--file", required=True)
+    need(p, "--file")
     p.add_argument("--k", type=int)
-    p.add_argument("--c", type=float, required=True)
+    need(p, "--c", type=float)
     p.add_argument("--zeta", type=float)
     p.add_argument("--eta", type=float)
     p.add_argument("--delta", type=int)
@@ -462,38 +478,38 @@ def _build_parser():
     p = command(
         "exact-check", "partition-function identity suite", _cmd_exact_check, out=True
     )
-    p.add_argument("--file", required=True)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--zeta", type=float, required=True)
+    need(p, "--file")
+    need(p, "--lam", "--lambda", dest="lam", type=float)
+    need(p, "--zeta", type=float)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--unsafe-size", action="store_true")
 
     p = command("mc-estimate", "Monte Carlo lower-tail estimate", _cmd_mc_estimate, seed=True)
-    p.add_argument("--file", required=True)
-    p.add_argument("--p", type=float, required=True)
+    need(p, "--file")
+    need(p, "--p", type=float)
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=100_000)
 
     p = command(
         "weitz-verify", "marginal equality on a hypergraph file", _cmd_weitz_verify, seed=True
     )
-    p.add_argument("--file", required=True)
+    need(p, "--file")
     p.add_argument("--vertex", type=int)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--zeta", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--unsafe-size", action="store_true")
 
-    return parser, sub.choices
+    return parser, sub.choices, required
 
 
 def main(argv=None):
-    parser, commands = _build_parser()
+    parser, commands, required = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     from .errors import ConvergenceError, DomainError, SizeGuardError
 
     try:
-        args = _parse(parser, commands, argv)
+        args = _parse(parser, commands, required, argv)
         return args.func(args)
     except ConvergenceError as exc:
         detail = f" (residual {exc.residual:.3e})" if exc.residual is not None else ""

@@ -4,8 +4,9 @@ message operator on a grid, its fixed point, and the two rate formulas.
 Integers 1..n become vertices 0..n-1; the k-uniform hypergraph has one edge
 per k-term progression inside [n].  The position-dependent degree makes the
 message fixed point a function of position t in [0, 1]; it is represented
-on a uniform grid of size M and iterated with the same log-sup contraction
-certificate as the finite-dimensional operator.  Inner integrals use the
+on a uniform grid of size M and solved by the shared iteration of ``bp``,
+under the same log-sup contraction certificate as the finite-dimensional
+operator.  Inner integrals use the
 composite trapezoid rule on the grid (integer shifts stay on-grid), with
 linear interpolation only on the fractional tail segment.
 """

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bplt.bp import (
     BPParams,
+    _iterate,
     bethe_free_energy,
     bp_apply,
     bp_fixed_point,
@@ -26,6 +27,7 @@ from bplt.gibbs import ModelParams, partition_function
 from bplt.hypergraph import Multihypergraph
 from bplt.progressions import KapParams, kap_fixed_point, kap_rate, phi_fixed_point
 from bplt.rates import named_graph, subgraph_hypergraph
+from conftest import fixed_point_gap, log_gap
 
 E = math.e
 OMEGA = 0.567143290409783873  # W(1), frozen from a 40-digit Newton solve
@@ -199,6 +201,84 @@ class TestFixedPoint:
             bp_fixed_point(g, BPParams(3, 1.0, 1.0, 1), max_iter=5000)
         assert not math.isfinite(err.value.residual)
         assert err.value.iterations < 10
+
+
+class TestMixedIteration:
+    def test_solvers_match_plain_iteration(self, rng, plain_solvers):
+        # each answer of the mixed iteration against the plain loop it replaced
+        for _ in range(8):
+            g = random_k_uniform(rng, int(rng.integers(9, 13)), 3, int(rng.integers(4, 13)))
+            delta = max(g.degrees())
+            c, zeta = float(rng.uniform(0.3, 1.1)), float(rng.uniform(0.1, 1.0))
+            params = BPParams(3, c, zeta, delta)
+
+            def fixed_point():
+                return bp_fixed_point(g, params, tol=1e-12)
+
+            assert log_gap(fixed_point(), plain_solvers(fixed_point)) <= fixed_point_gap(
+                1e-12, params.margin
+            )
+
+            def penalty():
+                return solve_zeta(g, 3, c, 0.3)
+
+            (zeta_a, x_a), (zeta_p, x_p) = penalty(), plain_solvers(penalty)
+            # the fixed points differ far below the bisection's tolerance,
+            # so both bisections take the same branches
+            assert zeta_a == zeta_p
+            assert log_gap(x_a, x_p) <= fixed_point_gap(1e-13, contraction_margin(3, c, zeta_a))
+
+            def integral():
+                return bp_log_partition(g, params, method="integral")
+
+            # every node's mass moves by at most expm1(gap) relative to itself
+            a, b = integral(), plain_solvers(integral)
+            assert abs(a - b) <= math.expm1(fixed_point_gap(1e-13, params.margin)) * b
+
+    def test_drops_a_mixed_step_that_raises_the_residual(self):
+        # x -> exp(G(log x)) with G' in (-0.97, 0.99): plain iteration
+        # converges, but from u = 5 the fourth point, a mixed one, raises the
+        # residual and mixing on from it overflows
+        s, a = np.array([1.0, 4.0, 0.25]), 0.01
+        seen = []
+
+        def apply(x):
+            u = np.log(x)
+            g = (1 - a) * u - (2 - a) * 0.99 * np.arctan(s * u) / s
+            seen.append(float(np.max(np.abs(g - u))))
+            return np.exp(g)
+
+        x = _iterate(apply, np.full(3, math.exp(5.0)), 1e-12, 200, "synthetic")
+        assert log_gap(apply(x), x) < 1e-12
+        assert np.max(np.abs(np.log(x))) < 1e-10  # the fixed point is u = 0
+        assert any(r1 > r0 for r0, r1 in zip(seen, seen[1:]))
+
+    def test_uncertified_delta_repro(self):
+        # delta = 10 < Dmax: plain iteration cycles at residual ~5.5 forever
+        g = random_k_uniform(np.random.default_rng(0), 200, 3, 2000)
+        assert max(g.degrees()) > 10
+        params = BPParams(3, 1.1, 1.0, 10)
+        x = bp_fixed_point(g, params, max_iter=200)
+        assert log_gap(bp_apply(g, params, x), x) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 14),
+        st.integers(1, 30),
+        st.floats(min_value=0.05, max_value=2.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(1, 40),
+    )
+    def test_returns_only_fixed_points(self, seed, n, m, c, zeta, delta):
+        # any delta >= 1, including uncertified delta < Dmax
+        g = random_k_uniform(np.random.default_rng(seed), n, 3, m)
+        params = BPParams(3, c, zeta, delta)
+        try:
+            x = bp_fixed_point(g, params, tol=1e-12, max_iter=2000)
+        except (ConvergenceError, DomainError):
+            return
+        assert log_gap(bp_apply(g, params, x), x) < 1e-12
 
 
 class TestContraction:

@@ -263,6 +263,42 @@ class TestConfig:
         assert code == 2 and f"unknown config key {key!r}" in err
 
 
+class TestRequiredFromConfig:
+    # per command: the flags it needs (argparse names), then a full config
+    NEEDS = {
+        "rate-gnp": ("--k", {"k": 3, "c": 0.5}),
+        "rate-gnm": ("--k", {"k": 3, "b": 0.5}),
+        "rate-subgraph": ("--subgraph", {"subgraph": "K3", "c": 0.5}),
+        "rate-kap": ("--k", {"k": 3, "c": 0.5, "grid_size": 60}),
+        "kap-profile": ("--k, --c", {"k": 3, "c": 0.5, "grid_size": 60}),
+        "bp-solve": ("--file, --c", {"file": None, "c": 0.9, "zeta": 1.0}),
+        "exact-check": ("--file, --lam/--lambda, --zeta", {"file": None, "lam": 1.0, "zeta": 1.0}),
+        "mc-estimate": ("--file, --p", {"file": None, "p": 0.5, "samples": 100}),
+        "weitz-verify": ("--file", {"file": None}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(NEEDS))
+    def test_config_supplies_required_flags(self, capsys, tmp_path, triangle_file, command):
+        cfg = {k: triangle_file if v is None else v for k, v in self.NEEDS[command][1].items()}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        from_config = run(capsys, command, "--config", str(path))
+        flags = [a for key, v in cfg.items() for a in (f"--{key.replace('_', '-')}", str(v))]
+        assert from_config[0] == 0
+        assert from_config == run(capsys, command, *flags)
+
+    @pytest.mark.parametrize("command", sorted(NEEDS))
+    def test_missing_required_flags(self, capsys, tmp_path, command):
+        path = tmp_path / "cfg.json"
+        path.write_text("{}")
+        for argv in ([command], [command, "--config", str(path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"the following arguments are required: {self.NEEDS[command][0]}\n" in err
+
+
 class TestFlagSurface:
     BASE = {
         "kap-profile": ["--k", "3", "--c", "0.8"],

@@ -20,6 +20,7 @@ from bplt.progressions import (
     phi_fixed_point,
     phi_threshold,
 )
+from conftest import fixed_point_gap, log_gap
 
 
 class TestDegreeCoefficient:
@@ -189,6 +190,36 @@ class TestFixedPoints:
         f = phi_fixed_point(3, 1.0, grid_size=2000)
         assert f[0] == pytest.approx(0.78272217, abs=2e-6)
         assert f[1000] == pytest.approx(0.61983693, abs=2e-6)
+
+
+class TestMixedIteration:
+    @pytest.mark.parametrize("fraction", [0.5, 0.9, 0.99, 0.999])
+    def test_fixed_points_match_plain_iteration(self, plain_solvers, fraction):
+        c = fraction * phi_threshold(3)
+        margin = 1 - fraction**2  # 1 - the square-iterate factor (c / threshold)^(k-1)
+        solves = [
+            lambda: phi_fixed_point(3, c, grid_size=200),
+            lambda: kap_fixed_point(KapParams(3, c, 1.0, grid_size=200)),
+        ]
+        for solve in solves:
+            assert log_gap(solve(), plain_solvers(solve)) <= fixed_point_gap(1e-12, margin)
+
+    def test_kap_rate_matches_plain_iteration(self, plain_solvers):
+        def rate():
+            return kap_rate(3, 0.9, quad_nodes=4, grid_size=60)
+
+        # each node's profile mass moves by at most expm1(gap) relative to
+        # itself, and the node masses sum to the rate plus c
+        margin = 1 - (0.9 / phi_threshold(3)) ** 2
+        a, b = rate(), plain_solvers(rate)
+        assert abs(a - b) <= math.expm1(fixed_point_gap(1e-11, margin)) * (b + 0.9)
+
+    def test_application_counts(self, count_applications):
+        # the plain iteration took 91 and 458 applications here
+        _, n = count_applications(lambda: phi_fixed_point(3, 1.0, grid_size=200))
+        assert 0 < n <= 20
+        _, n = count_applications(lambda: kap_rate(3, 1.0, quad_nodes=16, grid_size=200))
+        assert 0 < n <= 458 / 3
 
 
 class TestRates:
