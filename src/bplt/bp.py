@@ -16,6 +16,7 @@ W function.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -171,27 +172,42 @@ def _check_admissible(c, bound, context=""):
         raise DomainError(f"c={c} outside the admissible range (0, {bound:.12g}){context}")
 
 
-def _default_delta(graph):
-    """The maximum degree, at least 1: the default degree scale Delta."""
-    return max(max(graph.degrees(), default=1), 1)
+def _default_delta(edges, n):
+    """The maximum degree of the ``n``-vertex graph with edge array ``edges``,
+    at least 1: the default degree scale Delta."""
+    return max(int(np.bincount(edges.ravel(), minlength=n).max(initial=0)), 1)
 
 
 def _edge_array(graph, k):
-    if graph.num_edges == 0:
-        return np.zeros((0, k), dtype=np.int64)
-    if any(len(e) != k for e in graph.edges):
+    """The edges as one C-contiguous (k, M) int64 array: row j holds slot j
+    of every edge, so the kernels below work on whole rows."""
+    if not set(map(len, graph.edges)) <= {k}:
         raise ValueError(f"graph is not {k}-uniform")
-    return np.array(graph.edges, dtype=np.int64)
+    flat = itertools.chain.from_iterable(graph.edges)
+    return np.fromiter(flat, np.int64, count=k * graph.num_edges).reshape(-1, k).T.copy()
+
+
+def _edge_sum(x, edges):
+    """Sum over the edges of the product of their members' entries."""
+    return float(np.prod(x[edges], axis=0).sum())
 
 
 def _apply(x, edges, c, zeta, delta):
-    n = len(x)
-    if len(edges):
-        vals = x[edges]
-        contrib = vals.prod(axis=1, keepdims=True) / vals
-        sums = np.bincount(edges.ravel(), weights=contrib.ravel(), minlength=n)
-    else:
-        sums = np.zeros(n)
+    # Each member of an edge receives the product of the other members,
+    # built from prefix and suffix products over the k rows of vals: no
+    # division, so it stays exact when the product of all k underflows.
+    k = len(edges)
+    vals = x[edges]
+    loo = np.empty_like(vals)
+    loo[1] = vals[0]
+    for j in range(2, k):
+        np.multiply(loo[j - 1], vals[j - 1], out=loo[j])
+    suffix = vals[k - 1]
+    for j in range(k - 2, 0, -1):
+        loo[j] *= suffix
+        suffix = suffix * vals[j]
+    loo[0] = suffix
+    sums = np.bincount(edges.ravel(), weights=loo.ravel(), minlength=len(x))
     return c * np.exp(-(zeta / delta) * sums)
 
 
@@ -211,13 +227,18 @@ def _iterate(apply, x, tol, max_iter, what):
 
     Type-II Anderson mixing (Walker and Ni, SIAM J. Numer. Anal. 49, 2011)
     in log coordinates: with ``u = log x``, ``g = log apply(x)`` and the
-    residual ``f = g - u``, the next point is ``g - dG gamma``, where
-    ``gamma`` is the least-squares solution of ``dF gamma = f`` over the
-    last ``_ANDERSON_DEPTH`` differences ``dF``, ``dG`` of successive
-    residuals and images.  A mixed step whose residual is not below the one
-    it started from (a non-finite one included) is dropped: the history is
-    cleared and a plain step ``x <- apply(x)`` is taken from the point the
-    mixed step started from.
+    residual ``f = g - u``, the next point is ``g - gamma dG``.  The rows of
+    ``dF`` and ``dG`` are the last m <= ``_ANDERSON_DEPTH`` differences of
+    successive residuals and images, and ``gamma`` is the least-squares
+    solution of ``dF^T gamma = f``, found from the m x m Gram system
+    ``(dF dF^T) gamma = dF f`` by ``numpy.linalg.lstsq``, whose cutoff drops
+    the directions the Gram matrix cannot resolve.  The Gram matrix gains
+    one row and column per step; its rows and the difference rows sit in a
+    ring of ``_ANDERSON_DEPTH`` slots, whose order does not change gamma.
+    A mixed step whose residual is not below the one it started from (a
+    non-finite one included) is dropped: the history is cleared and a plain
+    step ``x <- apply(x)`` is taken from the point the mixed step started
+    from.
 
     Returns the first point whose log-sup residual
     ``max |log apply(x) - log x|`` is below ``tol``; ``what`` names the
@@ -226,7 +247,10 @@ def _iterate(apply, x, tol, max_iter, what):
     to 0, or became NaN) at any point but a mixed one, which is dropped.
     """
     u = np.log(x)
-    d_f, d_g = [], []  # differences of residuals and of images, oldest first
+    d_f = np.empty((_ANDERSON_DEPTH, len(u)))  # ring of residual differences
+    d_g = np.empty_like(d_f)  # ring of image differences, same slots
+    gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
+    added = 0  # differences added since the history was last cleared
     start = None  # (g, f, residual) at the point the last step started from
     residual = math.inf
     for step in range(1, max_iter + 1):
@@ -235,9 +259,8 @@ def _iterate(apply, x, tol, max_iter, what):
         residual = float(np.max(np.abs(f)))
         if residual < tol:
             return x
-        if d_f and not residual < start[2]:  # a mixed step that failed, NaN included
-            d_f.clear()
-            d_g.clear()
+        if added and not residual < start[2]:  # a mixed step that failed, NaN included
+            added = 0
             u = start[0]
         else:
             if not math.isfinite(residual):
@@ -246,15 +269,17 @@ def _iterate(apply, x, tol, max_iter, what):
                     residual=residual,
                     iterations=step,
                 )
-            if start is not None:
-                d_f.append(f - start[1])
-                d_g.append(g - start[0])
-                del d_f[:-_ANDERSON_DEPTH], d_g[:-_ANDERSON_DEPTH]
-            start = (g, f, residual)
             u = g
-            if d_f:
-                gamma = np.linalg.lstsq(np.column_stack(d_f), f, rcond=None)[0]
-                u = g - np.column_stack(d_g) @ gamma
+            if start is not None:
+                slot = added % _ANDERSON_DEPTH
+                np.subtract(f, start[1], out=d_f[slot])
+                np.subtract(g, start[0], out=d_g[slot])
+                added += 1
+                m = min(added, _ANDERSON_DEPTH)
+                gram[slot, :m] = gram[:m, slot] = d_f[:m] @ d_f[slot]
+                gamma = np.linalg.lstsq(gram[:m, :m], d_f[:m] @ f, rcond=None)[0]
+                u = g - gamma @ d_g[:m]
+            start = (g, f, residual)
         x = np.exp(u)
     raise ConvergenceError(
         f"{what}: no fixed point after {max_iter} iterations",
@@ -276,10 +301,13 @@ def bp_fixed_point(graph, params, tol=1e-12, max_iter=100_000):
     passes the same residual test, but nothing certifies that the fixed
     point it approximates is the only one.
     """
+    return _fixed_point(_edge_array(graph, params.k), graph.num_vertices, params, tol, max_iter)
+
+
+def _fixed_point(edges, n, params, tol, max_iter):
     _check_uniqueness(params)
-    edges = _edge_array(graph, params.k)
-    x = np.full(graph.num_vertices, params.c)
-    if len(edges) == 0:
+    x = np.full(n, params.c)
+    if edges.shape[1] == 0:
         return x
     return _iterate(
         lambda v: _apply(v, edges, params.c, params.zeta, params.delta),
@@ -295,10 +323,12 @@ def bethe_free_energy(graph, params, x):
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0):
         raise ValueError("x entries must be positive")
-    edges = _edge_array(graph, params.k)
-    edge_term = float(x[edges].prod(axis=1).sum()) if len(edges) else 0.0
+    return _bethe(_edge_array(graph, params.k), params, x)
+
+
+def _bethe(edges, params, x):
     vertex_term = float((x * (np.log(x / params.c) - 1.0)).sum())
-    return -(params.zeta / params.delta) * edge_term - vertex_term
+    return -(params.zeta / params.delta) * _edge_sum(x, edges) - vertex_term
 
 
 def solve_zeta_regular(k, c, eta, tol=1e-15):
@@ -351,28 +381,33 @@ def solve_zeta(
     Requires c below the general critical density, or the regular one when
     the caller asserts near-regularity.  eta = 0 returns zeta = 1 directly.
     """
+    return _solve_zeta(
+        _edge_array(graph, k), graph.num_vertices, k, c, eta, tol, near_regular, delta,
+        fp_tol, max_iter, max_bisections,
+    )
+
+
+def _solve_zeta(
+    edges, n, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_tol=1e-13,
+    max_iter=100_000, max_bisections=200,
+):
     thr = thresholds(k, eta)
     bound = thr.c_max_regular if near_regular else thr.c_max_general
     _check_admissible(c, bound, f" for eta={eta}")
-    delta = _default_delta(graph) if delta is None else delta
+    delta = _default_delta(edges, n) if delta is None else delta
 
     if eta == 0.0:
-        params = BPParams(k, c, 1.0, delta)
-        return 1.0, bp_fixed_point(graph, params, tol=fp_tol, max_iter=max_iter)
+        return 1.0, _fixed_point(edges, n, BPParams(k, c, 1.0, delta), fp_tol, max_iter)
 
-    edges = _edge_array(graph, k)
-    if len(edges) == 0:
+    if edges.shape[1] == 0:
         raise DomainError("solve_zeta needs at least one edge")
-    scale = c**k * len(edges)
+    scale = c**k * edges.shape[1]
     target = eta * scale
 
-    def edge_sum(x):
-        return float(x[edges].prod(axis=1).sum())
-
     def residual(z, x):
-        return (1.0 - z) * edge_sum(x) - target
+        return (1.0 - z) * _edge_sum(x, edges) - target
 
-    x = np.full(graph.num_vertices, c)  # fixed point at zeta = 0
+    x = np.full(n, c)  # fixed point at zeta = 0
     lo, r_lo = 0.0, residual(0.0, x)
     # keep the bracket a little inside the contraction region: the margin
     # (and hence the iteration speed) vanishes at the critical density
@@ -458,13 +493,12 @@ def bp_log_partition(
     k, c = params.k, params.c
     scale = params.delta ** (-1.0 / (k - 1))
     _check_uniqueness(params)
-    if method == "bethe":
-        x = bp_fixed_point(graph, params, tol=fp_tol, max_iter=max_iter)
-        return scale * bethe_free_energy(graph, params, x)
-    if method != "integral":
-        raise ValueError("method must be 'bethe' or 'integral'")
     edges = _edge_array(graph, k)
     n = graph.num_vertices
+    if method == "bethe":
+        return scale * _bethe(edges, params, _fixed_point(edges, n, params, fp_tol, max_iter))
+    if method != "integral":
+        raise ValueError("method must be 'bethe' or 'integral'")
     total = _coupling_integral(
         lambda t, v: _apply(v, edges, t, params.zeta, params.delta), lambda x: float(x.sum()),
         n, n, c, quad_nodes, fp_tol, max_iter, "bp_log_partition integral",
@@ -479,17 +513,14 @@ def bp_lower_tail_rate(graph, k, c, eta, delta=None, near_regular=False, fp_tol=
     the achieving penalty; for eta = 0 the middle term is absent and
     zeta = 1.
     """
-    delta = _default_delta(graph) if delta is None else delta
+    edges = _edge_array(graph, k)
     n = graph.num_vertices
-    if eta == 0.0:
-        _check_admissible(c, thresholds(k, 0.0).c_max_general)
-        params = BPParams(k, c, 1.0, delta)
-        x = bp_fixed_point(graph, params, tol=fp_tol)
-        return bethe_free_energy(graph, params, x) / n - c
-    zeta, x = solve_zeta(
-        graph, k, c, eta, near_regular=near_regular, delta=delta, fp_tol=fp_tol
+    delta = _default_delta(edges, n) if delta is None else delta
+    zeta, x = _solve_zeta(
+        edges, n, k, c, eta, near_regular=near_regular, delta=delta, fp_tol=fp_tol
     )
-    params = BPParams(k, c, zeta, delta)
-    b = bethe_free_energy(graph, params, x)
+    b = _bethe(edges, BPParams(k, c, zeta, delta), x)
+    if eta == 0.0:
+        return b / n - c
     tail_term = math.log(1.0 - zeta) * eta * c**k * graph.num_edges / (n * delta)
     return b / n - tail_term - c

@@ -263,6 +263,7 @@ def _cmd_bp_solve(args):
     from .bp import (
         BPParams,
         _default_delta,
+        _edge_array,
         bethe_free_energy,
         bp_fixed_point,
         bp_log_partition,
@@ -273,7 +274,7 @@ def _cmd_bp_solve(args):
     k = args.k or graph.uniformity()
     if k is None:
         raise ValueError("graph is not uniform; pass --k explicitly")
-    delta = args.delta or _default_delta(graph)
+    delta = args.delta or _default_delta(_edge_array(graph, k), graph.num_vertices)
     if args.zeta is None and args.eta is None:
         raise ValueError("pass either --zeta or --eta")
     if args.zeta is not None:

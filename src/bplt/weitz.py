@@ -39,8 +39,6 @@ __all__ = [
     "tree_root_marginal",
     "weitz_equality_residual",
     "structure_report",
-    "tree_to_text",
-    "tree_from_text",
 ]
 
 DEFAULT_NODE_CAP = 1_000_000
@@ -410,49 +408,3 @@ def structure_report(
         )
     return rows
 
-
-def tree_to_text(tree):
-    """Dump format: node lines ``id parent parent_edge depth label``, then
-    edge lines ``id size node_ids... source_label``."""
-    lines = [f"nodes {tree.num_nodes}"]
-    for w in range(tree.num_nodes):
-        lines.append(
-            f"{w} {tree.parents[w]} {tree.parent_edges[w]} "
-            f"{tree.depths[w]} {tree.node_labels[w]}"
-        )
-    lines.append(f"edges {tree.num_edges}")
-    for i, members in enumerate(tree.edge_nodes):
-        mids = " ".join(str(w) for w in members)
-        lines.append(f"{i} {len(members)} {mids} {tree.edge_labels[i]}")
-    return "\n".join(lines) + "\n"
-
-
-def tree_from_text(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("nodes "):
-        raise ValueError("expected a 'nodes <count>' header")
-    n = int(lines[0].split()[1])
-    labels, parents, parent_edges, depths = [], [], [], []
-    for ln in lines[1 : 1 + n]:
-        _, parent, pe, depth, label = (int(t) for t in ln.split())
-        parents.append(parent)
-        parent_edges.append(pe)
-        depths.append(depth)
-        labels.append(label)
-    if not lines[1 + n].startswith("edges "):
-        raise ValueError("expected an 'edges <count>' header")
-    m = int(lines[1 + n].split()[1])
-    edge_nodes, edge_labels = [], []
-    for ln in lines[2 + n : 2 + n + m]:
-        toks = [int(t) for t in ln.split()]
-        size = toks[1]
-        edge_nodes.append(tuple(toks[2 : 2 + size]))
-        edge_labels.append(toks[2 + size])
-    return LabeledHypertree(
-        tuple(labels),
-        tuple(parents),
-        tuple(parent_edges),
-        tuple(depths),
-        tuple(edge_nodes),
-        tuple(edge_labels),
-    )

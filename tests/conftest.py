@@ -62,6 +62,16 @@ def naive_lower_tail(graph, p, threshold):
     return prob
 
 
+def naive_bp_apply(graph, params, x):
+    """The message operator by a loop over edges: each member of an edge adds
+    the product of the other members, by ``math.prod``, to its sum."""
+    sums = [0.0] * graph.num_vertices
+    for e in graph.edges:
+        for i, v in enumerate(e):
+            sums[v] += math.prod(float(x[u]) for j, u in enumerate(e) if j != i)
+    return np.array([params.c * math.exp(-(params.zeta / params.delta) * s) for s in sums])
+
+
 def plain_iterate(apply, x, tol, max_iter, what):
     """Plain iteration ``x <- apply(x)`` with the stopping test and errors of
     ``bp._iterate``: the reference for its Anderson-mixed iteration."""

@@ -27,7 +27,7 @@ from bplt.gibbs import ModelParams, partition_function
 from bplt.hypergraph import Multihypergraph
 from bplt.progressions import KapParams, kap_fixed_point, kap_rate, phi_fixed_point
 from bplt.rates import named_graph, subgraph_hypergraph
-from conftest import fixed_point_gap, log_gap
+from conftest import fixed_point_gap, log_gap, naive_bp_apply
 
 E = math.e
 OMEGA = 0.567143290409783873  # W(1), frozen from a 40-digit Newton solve
@@ -127,6 +127,28 @@ class TestApply:
         g = Multihypergraph(3, [[0, 1], [0, 1, 2]])
         with pytest.raises(ValueError):
             bp_apply(g, BPParams(3, 1.0, 1.0, 1), np.ones(3))
+
+    def test_matches_edge_loop(self, rng):
+        # k = 2..5; no edges, repeated edges and isolated vertices included
+        for k in range(2, 6):
+            for m in (0, 1, 5, 40):
+                n = int(rng.integers(k, 3 * k + 8))
+                g = random_k_uniform(rng, n, k, m, allow_multi=True)
+                g = Multihypergraph(n, g.edges + g.edges[: m // 4])
+                delta = max(max(g.degrees()), 1)
+                params = BPParams(k, float(rng.uniform(0.2, 1.2)), float(rng.uniform(0, 1)), delta)
+                x = rng.uniform(1e-3, params.c, size=n)
+                assert bp_apply(g, params, x) == pytest.approx(
+                    naive_bp_apply(g, params, x), rel=1e-14, abs=0
+                )
+
+    def test_leave_one_out_exact_when_product_underflows(self):
+        # the product of all three entries underflows to 0; the one vertex 0
+        # receives, 0.1 * 0.1, does not
+        g = Multihypergraph(3, [[0, 1, 2]])
+        out = bp_apply(g, BPParams(3, 1.0, 1.0, 1), np.array([5e-324, 0.1, 0.1]))
+        assert out[0] == pytest.approx(math.exp(-0.01), rel=1e-15)
+        assert out[1] == out[2] == 1.0
 
 
 class TestFixedPoint:
@@ -260,6 +282,23 @@ class TestMixedIteration:
         params = BPParams(3, 1.1, 1.0, 10)
         x = bp_fixed_point(g, params, max_iter=200)
         assert log_gap(bp_apply(g, params, x), x) < 1e-12
+
+    def test_application_counts(self, count_applications):
+        # a graph large enough that the conditioning of the least-squares
+        # solve shows in the step counts; the bounds are the counts of the
+        # column least-squares solve on the full (N, m) difference matrix
+        g = random_k_uniform(np.random.default_rng(1), 2000, 3, 6000)
+        delta = max(g.degrees())
+        _, fixed = count_applications(
+            lambda: bp_fixed_point(g, BPParams(3, 1.0, 1.0, delta), tol=1e-13)
+        )
+        _, penalty = count_applications(lambda: solve_zeta(g, 3, 1.0, 0.3))
+        _, integral = count_applications(
+            lambda: bp_log_partition(g, BPParams(3, 1.0, 0.5, delta), method="integral")
+        )
+        assert fixed <= 16
+        assert penalty <= 275
+        assert integral <= 567
 
     @settings(max_examples=60, deadline=None)
     @given(

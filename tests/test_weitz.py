@@ -15,10 +15,8 @@ from bplt.weitz import (
     build_saw_tree,
     build_weitz_tree,
     structure_report,
-    tree_from_text,
     tree_ratio,
     tree_root_marginal,
-    tree_to_text,
     weitz_equality_residual,
 )
 
@@ -245,9 +243,3 @@ class TestStructureReport:
             ]
             assert sorted(got_nodes) == sorted(full_nodes)
 
-
-class TestDump:
-    def test_roundtrip(self, rng):
-        g = random_multihypergraph(rng, max_vertices=6, max_edges=5)
-        t = build_weitz_tree(g, 0)
-        assert tree_from_text(tree_to_text(t)) == t
