@@ -11,7 +11,8 @@ returns a point only once its log-sup residual is below the tolerance; the
 certificate is what puts that point next to the unique fixed point.  On a
 Delta-regular graph the fixed point is the constant solution of
 ``x = c exp(-zeta x^(k-1))``, available in closed form through the Lambert
-W function.
+W function.  Both penalty solvers find the zeta that meets the lower-tail
+target with one bracketed root finder (``_root``, Illinois regula falsi).
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ __all__ = [
 
 _BRANCH_POINT = -1.0 / math.e
 _ANDERSON_DEPTH = 5  # differences kept by the mixing in _iterate
+_ROOT_MAX_ITER = 200  # evaluations allowed to _root
+_ROOT_RTOL = 4 * np.finfo(float).eps  # relative bracket width at which _root stops
 
 
 def lambert_w0(y):
@@ -331,6 +334,45 @@ def _bethe(edges, params, x):
     return -(params.zeta / params.delta) * _edge_sum(x, edges) - vertex_term
 
 
+def _root(f, a, b, fa, fb, xtol, rtol, ftol, max_iter):
+    """A root of ``f`` in the bracket between ``a`` and ``b``, where
+    ``fa = f(a)`` and ``fb = f(b)`` differ in sign.
+
+    Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971): each step
+    evaluates f at the secant point of the bracket, or at its midpoint when
+    the secant point is not strictly inside, and keeps the sign change; an
+    end kept twice in a row has its value halved in the secant.  Returns
+    ``(x, f(x))`` for the first point, the ends included, where
+    ``|f(x)| < ftol`` or ``f(x) == 0``; otherwise, once the bracket is no
+    wider than ``xtol + rtol |x|``, for the end x with the smaller |f|.
+    Raises ``ConvergenceError`` when ``max_iter`` evaluations get to neither.
+    """
+    side, wa, wb = 0, fa, fb  # the end last replaced, and the secant's values
+    for evaluations in range(max_iter + 1):
+        x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+        if abs(fx) < ftol or fx == 0 or abs(b - a) <= xtol + rtol * abs(x):
+            return x, fx
+        if evaluations == max_iter:
+            break
+        m = b - wb * (b - a) / (wb - wa)
+        if not min(a, b) < m < max(a, b):
+            m = 0.5 * (a + b)
+        fm = f(m)
+        if (fm > 0) == (fb > 0):  # m replaces b
+            if side == -1:
+                wa *= 0.5
+            b, fb, wb, side = m, fm, fm, -1
+        else:
+            if side == 1:
+                wb *= 0.5
+            a, fa, wa, side = m, fm, fm, 1
+    raise ConvergenceError(
+        f"root finder: no root after {max_iter} evaluations (residual {fx:.3e})",
+        residual=abs(fx),
+        iterations=max_iter,
+    )
+
+
 def solve_zeta_regular(k, c, eta, tol=1e-15):
     """The unique zeta in [0,1] with (1-zeta) * x(c,zeta)^k = eta * c^k,
     where x is the regular fixed point.
@@ -354,43 +396,30 @@ def solve_zeta_regular(k, c, eta, tol=1e-15):
     elif eta == 1.0:
         zeta = 0.0
     else:
-        from scipy.optimize import brentq  # slow to import; only this path uses it
-
-        zeta = brentq(g, 0.0, 1.0, xtol=tol, rtol=4 * np.finfo(float).eps)
+        zeta, _ = _root(g, 0.0, 1.0, 1.0 - eta, -eta, tol, _ROOT_RTOL, 0.0, _ROOT_MAX_ITER)
     ok = contraction_margin(k, c, zeta) > 0
     return float(zeta), ok
 
 
 def solve_zeta(
-    graph,
-    k,
-    c,
-    eta,
-    tol=1e-10,
-    near_regular=False,
-    delta=None,
-    fp_tol=1e-13,
-    max_iter=100_000,
-    max_bisections=200,
+    graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_tol=1e-13, max_iter=100_000
 ):
     """Penalty zeta for which the fixed point achieves the lower-tail target.
 
     Finds zeta in (0, 1-eta] with
     ``(1-zeta) sum_e prod_{u in e} x*_u(zeta) = eta c^k |E|`` up to
-    ``tol * c^k |E|``, by bisection with warm-started fixed points.
+    ``tol * c^k |E|``, by Illinois regula falsi (``_root``), each fixed
+    point warm-started from the one solved before it.
     Requires c below the general critical density, or the regular one when
     the caller asserts near-regularity.  eta = 0 returns zeta = 1 directly.
     """
     return _solve_zeta(
         _edge_array(graph, k), graph.num_vertices, k, c, eta, tol, near_regular, delta,
-        fp_tol, max_iter, max_bisections,
+        fp_tol, max_iter,
     )
 
 
-def _solve_zeta(
-    edges, n, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_tol=1e-13,
-    max_iter=100_000, max_bisections=200,
-):
+def _solve_zeta(edges, n, k, c, eta, tol, near_regular, delta, fp_tol, max_iter):
     thr = thresholds(k, eta)
     bound = thr.c_max_regular if near_regular else thr.c_max_general
     _check_admissible(c, bound, f" for eta={eta}")
@@ -403,53 +432,34 @@ def _solve_zeta(
         raise DomainError("solve_zeta needs at least one edge")
     scale = c**k * edges.shape[1]
     target = eta * scale
+    at = [0.0, np.full(n, c)]  # the last zeta solved at and its fixed point, warm start
 
-    def residual(z, x):
-        return (1.0 - z) * _edge_sum(x, edges) - target
+    def residual(z):
+        at[:] = z, _iterate(
+            lambda v: _apply(v, edges, c, z, delta), at[1], fp_tol, max_iter, "solve_zeta"
+        )
+        return (1.0 - z) * _edge_sum(at[1], edges) - target
 
-    x = np.full(n, c)  # fixed point at zeta = 0
-    lo, r_lo = 0.0, residual(0.0, x)
+    r_lo = _edge_sum(at[1], edges) - target
     # keep the bracket a little inside the contraction region: the margin
     # (and hence the iteration speed) vanishes at the critical density
     zeta_cap = 0.995 * math.e / ((k - 1) * c ** (k - 1))
     hi = min(1.0 - eta, zeta_cap)
-
-    def solve_at(z, warm):
-        return _iterate(
-            lambda v: _apply(v, edges, c, z, delta), warm, fp_tol, max_iter, "solve_zeta"
-        )
-
-    x_hi = solve_at(hi, x)
-    r_hi = residual(hi, x_hi)
-    if abs(r_hi) < tol * scale:
-        return hi, x_hi
-    if r_lo < 0 or r_hi > 0:
+    r_hi = residual(hi)
+    if not abs(r_hi) < tol * scale and (r_lo < 0 or r_hi > 0):
         raise ConvergenceError(
-            f"bisection bracket failure: residuals {r_lo:.3e}, {r_hi:.3e}",
+            f"zeta root finder bracket failure: residuals {r_lo:.3e}, {r_hi:.3e}",
             residual=r_hi,
         )
-    x_warm = x_hi
-    best = (hi, x_hi, abs(r_hi))
-    for _ in range(max_bisections):
-        mid = 0.5 * (lo + hi)
-        x_mid = solve_at(mid, x_warm)
-        r_mid = residual(mid, x_mid)
-        x_warm = x_mid
-        if abs(r_mid) < best[2]:
-            best = (mid, x_mid, abs(r_mid))
-        if abs(r_mid) < tol * scale:
-            return mid, x_mid
-        if r_mid > 0:
-            lo = mid
-        else:
-            hi = mid
-    zeta, x_best, r_best = best
-    if r_best < 10 * tol * scale:
-        return zeta, x_best
-    raise ConvergenceError(
-        f"zeta bisection did not reach tolerance (residual {r_best:.3e})",
-        residual=r_best,
-    )
+    zeta, r = _root(residual, 0.0, hi, r_lo, r_hi, 0.0, _ROOT_RTOL, tol * scale, _ROOT_MAX_ITER)
+    if not abs(r) < tol * scale:
+        raise ConvergenceError(
+            f"zeta root finder did not reach tolerance (residual {r:.3e})",
+            residual=r,
+        )
+    if zeta != at[0]:  # the end zeta = 0 met the target
+        residual(zeta)
+    return zeta, at[1]
 
 
 def _coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, max_iter, what):
@@ -516,9 +526,7 @@ def bp_lower_tail_rate(graph, k, c, eta, delta=None, near_regular=False, fp_tol=
     edges = _edge_array(graph, k)
     n = graph.num_vertices
     delta = _default_delta(edges, n) if delta is None else delta
-    zeta, x = _solve_zeta(
-        edges, n, k, c, eta, near_regular=near_regular, delta=delta, fp_tol=fp_tol
-    )
+    zeta, x = _solve_zeta(edges, n, k, c, eta, 1e-10, near_regular, delta, fp_tol, 100_000)
     b = _bethe(edges, BPParams(k, c, zeta, delta), x)
     if eta == 0.0:
         return b / n - c

@@ -41,6 +41,18 @@ __all__ = [
     "discrete_profile_gap",
 ]
 
+def _sum_of_nearer_sides(k, left, right):
+    """sum over positions i = 1..k of min(left(i-1), right(k-i)).
+
+    A side with no room (i = 1 on the left, i = k on the right) is
+    unconstrained: it reads as +infinity, so the minimum takes the other.
+    """
+    return sum(
+        min(left(i - 1) if i > 1 else math.inf, right(k - i) if i < k else math.inf)
+        for i in range(1, k + 1)
+    )
+
+
 def degree_coefficient(k):
     """Exact rational alpha with max degree of the AP hypergraph ~ alpha * n.
 
@@ -49,18 +61,7 @@ def degree_coefficient(k):
     """
     if k < 3:
         raise DomainError("k must be >= 3")
-    total = Fraction(0)
-    for i in range(1, k + 1):
-        left = Fraction(1, i - 1) if i > 1 else None
-        right = Fraction(1, k - i) if i < k else None
-        if left is None:
-            term = right
-        elif right is None:
-            term = left
-        else:
-            term = min(left, right)
-        total += term
-    return total / 2
+    return _sum_of_nearer_sides(k, lambda j: Fraction(1, j), lambda j: Fraction(1, j)) / 2
 
 
 def ap_hypergraph(k, n):
@@ -83,17 +84,7 @@ def ap_degree(k, n, t):
     sum over positions i of min(floor((t-1)/(i-1)), floor((n-t)/(k-i)))."""
     if not 1 <= t <= n:
         raise ValueError("t must lie in 1..n")
-    total = 0
-    for i in range(1, k + 1):
-        left = (t - 1) // (i - 1) if i > 1 else None
-        right = (n - t) // (k - i) if i < k else None
-        if left is None:
-            total += right
-        elif right is None:
-            total += left
-        else:
-            total += min(left, right)
-    return total
+    return _sum_of_nearer_sides(k, lambda j: (t - 1) // j, lambda j: (n - t) // j)
 
 
 @dataclass(frozen=True)

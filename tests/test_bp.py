@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from bplt.bp import (
     BPParams,
     _iterate,
+    _root,
     bethe_free_energy,
     bp_apply,
     bp_fixed_point,
@@ -245,9 +247,25 @@ class TestMixedIteration:
                 return solve_zeta(g, 3, c, 0.3)
 
             (zeta_a, x_a), (zeta_p, x_p) = penalty(), plain_solvers(penalty)
-            # the fixed points differ far below the bisection's tolerance,
-            # so both bisections take the same branches
-            assert zeta_a == zeta_p
+            edges = np.array(g.edges)
+            scale = c**3 * g.num_edges
+
+            def target_gap(z, x):
+                return (1 - z) * float(x[edges].prod(axis=1).sum()) - 0.3 * scale
+
+            # each answer passes solve_zeta's own stopping test, |gap| < tol c^k |E|
+            assert abs(target_gap(zeta_a, x_a)) < 1e-10 * scale
+            assert abs(target_gap(zeta_p, x_p)) < 1e-10 * scale
+            # so the two zetas lie within 2 tol c^k |E| / |slope| of each other,
+            # the slope of the gap by a central difference; the factor 2
+            # covers the difference's error and the fixed points' own error
+            h = 1e-5
+
+            def gap_at(z):
+                return target_gap(z, bp_fixed_point(g, BPParams(3, c, z, delta), tol=1e-14))
+
+            slope = (gap_at(zeta_a + h) - gap_at(zeta_a - h)) / (2 * h)
+            assert abs(zeta_a - zeta_p) <= 2 * (2 * 1e-10 * scale) / abs(slope)
             assert log_gap(x_a, x_p) <= fixed_point_gap(1e-13, contraction_margin(3, c, zeta_a))
 
             def integral():
@@ -297,7 +315,7 @@ class TestMixedIteration:
             lambda: bp_log_partition(g, BPParams(3, 1.0, 0.5, delta), method="integral")
         )
         assert fixed <= 16
-        assert penalty <= 275
+        assert penalty <= 84
         assert integral <= 567
 
     @settings(max_examples=60, deadline=None)
@@ -422,6 +440,58 @@ class TestZetaSolvers:
         g = subgraph_hypergraph(named_graph("K3"), 6)
         with pytest.raises(DomainError):
             solve_zeta(g, 3, 5.0, 0.1)
+
+
+class TestRoot:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_regular_matches_brentq(self, k):
+        # scipy's Brent solver is the independent reference, at the same tolerances
+        for c in np.linspace(0.1, 2.5, 25):
+            c = float(c)
+            for eta in (0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+
+                def g(z):
+                    return (1.0 - z) * (regular_fixed_point(k, c, z) / c) ** k - eta
+
+                ref = scipy.optimize.brentq(g, 0.0, 1.0, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+                assert abs(solve_zeta_regular(k, c, eta)[0] - ref) <= 1e-14
+
+    def test_root_at_an_end_needs_no_evaluation(self):
+        def f(x):
+            raise AssertionError("f evaluated")
+
+        assert _root(f, 0.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 10) == (1.0, 0.0)
+        assert _root(f, 0.0, 1.0, 1e-9, -0.5, 0.0, 0.0, 1e-8, 10) == (0.0, 1e-9)
+
+    def test_ftol_stop(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.cos(x)
+
+        x, fx = _root(f, 0.0, 3.0, 1.0, math.cos(3.0), 0.0, 0.0, 1e-6, 100)
+        assert abs(fx) < 1e-6 and fx == math.cos(x) and x == seen[-1]
+        assert abs(x - math.pi / 2) < 1e-5
+        # and it stops at the first point that passes: none before it did
+        assert all(abs(math.cos(y)) >= 1e-6 for y in seen[:-1])
+
+    def test_xtol_stop_returns_the_better_end(self):
+        x, fx = _root(lambda x: x**3 - 2.0, 0.0, 2.0, -2.0, 6.0, 1e-12, 0.0, 0.0, 200)
+        assert abs(x - 2.0 ** (1 / 3)) <= 1e-12 and fx == x**3 - 2.0
+
+    def test_max_iter_reported(self):
+        # a root the bracket cannot reach in three steps is an error, not a point
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return (x - 0.3) ** 3
+
+        with pytest.raises(ConvergenceError, match="no root after 3 evaluations") as err:
+            _root(f, 0.0, 1.0, -0.027, 0.343, 0.0, 0.0, 1e-30, 3)
+        assert len(calls) == 3
+        assert err.value.iterations == 3 and err.value.residual > 1e-30
 
 
 class TestLogPartition:
