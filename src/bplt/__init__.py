@@ -30,10 +30,8 @@ from .gibbs import (
 )
 from .hypergraph import (
     Multihypergraph,
-    SAW,
     TreeLikeReport,
     degree_stats,
-    enumerate_saws,
     is_linear_hypertree,
     parse_hypergraph,
     relabel_vertices,

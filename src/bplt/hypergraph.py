@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 __all__ = [
     "Multihypergraph",
-    "SAW",
     "TreeLikeReport",
     "degree_stats",
-    "enumerate_saws",
     "is_linear_hypertree",
     "relabel_vertices",
     "parse_hypergraph",
@@ -172,27 +170,6 @@ class Multihypergraph:
 
 
 @dataclass(frozen=True)
-class SAW:
-    """A self-avoiding walk: alternating distinct vertices and edge ids.
-
-    ``vertices`` has one more entry than ``edge_ids``; consecutive vertices
-    both lie in the connecting edge.  Copies of a multi-edge count as
-    distinct edges.
-    """
-
-    vertices: tuple
-    edge_ids: tuple
-
-    @property
-    def length(self):
-        return len(self.edge_ids)
-
-    @property
-    def end(self):
-        return self.vertices[-1]
-
-
-@dataclass(frozen=True)
 class TreeLikeReport:
     """Degree/codegree statistics quantifying how tree-like a hypergraph is.
 
@@ -271,38 +248,6 @@ def degree_stats(graph, k=None):
         "density_ratio": evr / delta if delta else 0.0,
     }
     return TreeLikeReport(delta, delta_min, delta_ell, gamma, evr, ratios)
-
-
-def enumerate_saws(graph, start, max_len=None):
-    """All self-avoiding walks from ``start`` of length <= max_len.
-
-    The length-0 walk ``(start)`` is included.  Parallel copies of an edge
-    are explored separately.  ``max_len=None`` means unbounded (the walk
-    count is finite since vertices and edges may not repeat).
-    """
-    if not 0 <= start < graph.num_vertices:
-        raise ValueError("start vertex out of range")
-    if max_len is not None and max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    inc = graph.incident_edge_ids()
-    out = []
-    stack = [(SAW((start,), ()), frozenset((start,)), frozenset())]
-    while stack:
-        walk, used_v, used_e = stack.pop()
-        out.append(walk)
-        if max_len is not None and walk.length >= max_len:
-            continue
-        x = walk.end
-        for eid in inc[x]:
-            if eid in used_e:
-                continue
-            for u in graph.edges[eid]:
-                if u in used_v:
-                    continue
-                nxt = SAW(walk.vertices + (u,), walk.edge_ids + (eid,))
-                stack.append((nxt, used_v | {u}, used_e | {eid}))
-    out.sort(key=lambda w: (w.length, w.vertices, w.edge_ids))
-    return out
 
 
 def is_linear_hypertree(graph):

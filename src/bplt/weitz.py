@@ -7,7 +7,7 @@ edge consisting of the node together with the extensions of the walk
 through e; vertices of e already on the walk contribute no extension, so
 the tree edge may be smaller than e (down to size 1) but always retains
 the label e.  The pruned tree applies two label-driven operations at every
-non-root node (in breadth-first order):
+non-root node:
 
 1. descendants labeled by a parent-edge vertex that precedes the node's
    own label in the vertex order are set occupied (removed from the tree
@@ -20,6 +20,13 @@ Keeping the root component afterwards yields a linear hypertree whose root
 occupation probability under the edge-penalty model equals the marginal of
 the distinguished vertex in the source graph, for every activity and
 penalty.
+
+Both operations act only below the node that applies them, so they are
+applied as the tree grows: each node hands its children the labels that it
+and its ancestors occupy and the edge labels that they delete.  An occupied
+child is never created and a deleted edge never added, so only the root
+component is ever built.  A depth limit keeps the edges that lie fully
+within it.
 """
 
 from __future__ import annotations
@@ -80,153 +87,58 @@ class LabeledHypertree:
 
     def node_edge_ids(self):
         """Per node, all incident tree edges."""
-        inc = [[] for _ in range(self.num_nodes)]
-        for i, members in enumerate(self.edge_nodes):
-            for w in members:
-                inc[w].append(i)
-        return inc
+        return _incidence(self.num_nodes, self.edge_nodes)
 
     def as_multihypergraph(self):
         return Multihypergraph(self.num_nodes, [tuple(m) for m in self.edge_nodes])
 
 
-class _TreeBuild:
-    """Mutable arrays produced by the walk-tree BFS."""
+def _walk_tree(edges_src, incidence, start, vrank, erank, depth_limit, max_nodes):
+    """The walk tree from ``start``, pruned as it grows unless ``vrank`` is None.
 
-    __slots__ = (
-        "labels",
-        "parents",
-        "parent_edges",
-        "depths",
-        "edge_nodes",
-        "edge_labels",
-        "children",
-    )
-
-    def __init__(self, start):
-        self.labels = [start]
-        self.parents = [-1]
-        self.parent_edges = [-1]
-        self.depths = [0]
-        self.edge_nodes = []
-        self.edge_labels = []
-        self.children = [[]]
-
-
-def _build_tsaw(edges_src, incidence, start, depth_limit, max_nodes):
-    tb = _TreeBuild(start)
-    queue = deque([(0, frozenset((start,)), frozenset())])
+    Each queued node carries, next to the vertices and edge ids its walk has
+    used, the labels that its ancestors' first operations occupy below it
+    and the edge labels that their second operations delete at or below it.
+    An occupied child is never created and a deleted edge never added, so
+    only the root component is built, already in breadth-first order.  With
+    ``depth_limit``, only edges lying fully within that depth are kept.
+    """
+    if depth_limit is not None and depth_limit < 0:
+        raise ValueError("depth_limit must be >= 0")
+    labels, parents, parent_edges, depths = [start], [-1], [-1], [0]
+    edge_nodes, edge_labels = [], []
+    empty = frozenset()
+    queue = deque([(0, frozenset((start,)), empty, empty, empty)])
     while queue:
-        w, visited, used = queue.popleft()
-        d = tb.depths[w]
-        if depth_limit is not None and d >= depth_limit:
-            continue
-        x = tb.labels[w]
+        w, visited, used, occupied, deleted = queue.popleft()
+        x, d = labels[w], depths[w]
+        if vrank is not None and w:
+            pe_label = edge_labels[parent_edges[w]]
+            my_rank, pe_rank = vrank[x], erank[pe_label]
+            occupied = occupied | {u for u in edges_src[pe_label] if vrank[u] < my_rank}
+            deleted = deleted | {
+                f for f in incidence[labels[parents[w]]] if erank[f] < pe_rank
+            }
+        frontier = depth_limit is not None and d >= depth_limit
         for eid in incidence[x]:
-            if eid in used:
+            if eid in used or eid in deleted:
+                continue
+            kids = [u for u in edges_src[eid] if u not in visited and u not in occupied]
+            if kids and frontier:
                 continue
             members = [w]
-            for u in edges_src[eid]:
-                if u in visited:
-                    continue
-                c = len(tb.labels)
+            for u in kids:
+                c = len(labels)
                 if c >= max_nodes:
-                    raise SizeGuardError(
-                        f"walk tree exceeded the {max_nodes}-node cap"
-                    )
-                tb.labels.append(u)
-                tb.parents.append(w)
-                tb.parent_edges.append(len(tb.edge_nodes))
-                tb.depths.append(d + 1)
-                tb.children.append([])
-                tb.children[w].append(c)
+                    raise SizeGuardError(f"walk tree exceeded the {max_nodes}-node cap")
+                labels.append(u)
+                parents.append(w)
+                parent_edges.append(len(edge_nodes))
+                depths.append(d + 1)
                 members.append(c)
-                queue.append((c, visited | {u}, used | {eid}))
-            tb.edge_nodes.append(tuple(members))
-            tb.edge_labels.append(eid)
-    return tb
-
-
-def _subtree_nodes(tb, w):
-    out = [w]
-    stack = [w]
-    while stack:
-        x = stack.pop()
-        for c in tb.children[x]:
-            out.append(c)
-            stack.append(c)
-    return out
-
-
-def _apply_ops(tb, edges_src, incidence, vrank, erank, op_depth_limit):
-    n = len(tb.labels)
-    occupied = [False] * n
-    deleted = [False] * len(tb.edge_nodes)
-    child_edges = [[] for _ in range(n)]
-    for te, members in enumerate(tb.edge_nodes):
-        child_edges[members[0]].append(te)
-    for w in range(1, n):
-        if occupied[w]:
-            continue
-        if op_depth_limit is not None and tb.depths[w] > op_depth_limit:
-            continue
-        pe_label = tb.edge_labels[tb.parent_edges[w]]
-        my_rank = vrank[tb.labels[w]]
-        targets = {u for u in edges_src[pe_label] if vrank[u] < my_rank}
-        if targets:
-            for x in _subtree_nodes(tb, w):
-                if x != w and tb.labels[x] in targets:
-                    occupied[x] = True
-        parent_vertex = tb.labels[tb.parents[w]]
-        pe_rank = erank[pe_label]
-        doomed = {f for f in incidence[parent_vertex] if erank[f] < pe_rank}
-        if doomed:
-            for x in _subtree_nodes(tb, w):
-                for te in child_edges[x]:
-                    if tb.edge_labels[te] in doomed:
-                        deleted[te] = True
-    return occupied, deleted
-
-
-def _assemble(tb, occupied, deleted, depth_limit=None):
-    """Root component after removing occupied nodes and deleted edges.
-
-    Occupied nodes leave every edge they were in; a node survives iff its
-    whole ancestor chain survives and no connecting edge was deleted.  With
-    ``depth_limit``, only edges fully within the limit are kept.
-    """
-    n = len(tb.labels)
-    keep = [False] * n
-    keep[0] = True
-    for w in range(1, n):
-        if occupied[w]:
-            continue
-        if depth_limit is not None and tb.depths[w] > depth_limit:
-            continue
-        keep[w] = keep[tb.parents[w]] and not deleted[tb.parent_edges[w]]
-    new_id = {}
-    for w in range(n):
-        if keep[w]:
-            new_id[w] = len(new_id)
-    labels, parents, parent_edges, depths = [], [], [], []
-    for w, i in new_id.items():
-        labels.append(tb.labels[w])
-        depths.append(tb.depths[w])
-        p = tb.parents[w]
-        parents.append(new_id[p] if p >= 0 else -1)
-        parent_edges.append(-2 if p >= 0 else -1)  # filled below
-    edge_nodes, edge_labels = [], []
-    for te, members in enumerate(tb.edge_nodes):
-        if deleted[te] or not keep[members[0]]:
-            continue
-        if any(not keep[w] and not occupied[w] for w in members):
-            continue  # crosses the depth frontier; drop rather than leave a stub
-        kept_members = [new_id[w] for w in members if keep[w]]
-        eid = len(edge_nodes)
-        edge_nodes.append(tuple(kept_members))
-        edge_labels.append(tb.edge_labels[te])
-        for c in kept_members[1:]:
-            parent_edges[c] = eid
+                queue.append((c, visited | {u}, used | {eid}, occupied, deleted))
+            edge_nodes.append(tuple(members))
+            edge_labels.append(eid)
     return LabeledHypertree(
         tuple(labels),
         tuple(parents),
@@ -235,6 +147,11 @@ def _assemble(tb, occupied, deleted, depth_limit=None):
         tuple(edge_nodes),
         tuple(edge_labels),
     )
+
+
+def _check_vertex(graph, vertex):
+    if not 0 <= vertex < graph.num_vertices:
+        raise ValueError("vertex out of range")
 
 
 def _check_ranks(order, count, what):
@@ -252,15 +169,13 @@ def _check_ranks(order, count, what):
 def build_saw_tree(graph, vertex, depth_limit=None, max_nodes=DEFAULT_NODE_CAP):
     """The tree of self-avoiding walks from ``vertex``.
 
-    With ``depth_limit``, walks longer than the limit are not expanded and
-    frontier nodes carry no non-parent edges.
+    With ``depth_limit``, only edges lying fully within that depth are kept:
+    the nodes are the walks of length at most the limit, and a node at the
+    limit keeps only its unit edges.
     """
-    if not 0 <= vertex < graph.num_vertices:
-        raise ValueError("vertex out of range")
-    tb = _build_tsaw(
-        graph.edges, graph.incident_edge_ids(), vertex, depth_limit, max_nodes
-    )
-    return _assemble(tb, [False] * len(tb.labels), [False] * len(tb.edge_nodes))
+    _check_vertex(graph, vertex)
+    incidence = graph.incident_edge_ids()
+    return _walk_tree(graph.edges, incidence, vertex, None, None, depth_limit, max_nodes)
 
 
 def build_weitz_tree(
@@ -279,16 +194,11 @@ def build_weitz_tree(
     With ``depth_limit`` the result is truncated to edges lying fully
     within that depth (exact as a sub-level of the full construction).
     """
-    if not 0 <= vertex < graph.num_vertices:
-        raise ValueError("vertex out of range")
+    _check_vertex(graph, vertex)
     vrank = _check_ranks(vertex_order, graph.num_vertices, "vertex")
     erank = _check_ranks(edge_order, graph.num_edges, "edge")
-    build_depth = None if depth_limit is None else depth_limit + 2
-    op_depth = None if depth_limit is None else depth_limit + 1
     incidence = graph.incident_edge_ids()
-    tb = _build_tsaw(graph.edges, incidence, vertex, build_depth, max_nodes)
-    occupied, deleted = _apply_ops(tb, graph.edges, incidence, vrank, erank, op_depth)
-    return _assemble(tb, occupied, deleted, depth_limit)
+    return _walk_tree(graph.edges, incidence, vertex, vrank, erank, depth_limit, max_nodes)
 
 
 def tree_ratio(tree, params):
@@ -353,9 +263,12 @@ def structure_report(
     For each depth up to ``depth``: the discrepancy between tree edge labels
     at a node and the source edges at the node's label, the degree deficit,
     counts of short (size < k) edges, and neighbours lying in size-1 edges.
-    The tree is built just deep enough that these rows are exact.
+    The tree is built one level deeper than ``depth``, so these rows are exact.
     """
+    _check_vertex(graph, vertex)
     u_set = frozenset(int(v) for v in contracted)
+    if not all(0 <= u < graph.num_vertices for u in u_set):
+        raise ValueError("contracted vertex out of range")
     if vertex in u_set:
         raise ValueError("the root vertex cannot be contracted")
     edges_src = [tuple(x for x in e if x not in u_set) for e in graph.edges]
@@ -364,9 +277,7 @@ def structure_report(
     # edge ids stay positional; tree labels are never contracted, so their
     # incident ids here are those of the source graph
     incidence = _incidence(graph.num_vertices, edges_src)
-    tb = _build_tsaw(edges_src, incidence, vertex, depth + 2, max_nodes)
-    occupied, deleted = _apply_ops(tb, edges_src, incidence, vrank, erank, depth + 1)
-    tree = _assemble(tb, occupied, deleted)
+    tree = _walk_tree(edges_src, incidence, vertex, vrank, erank, depth + 1, max_nodes)
 
     node_edges = tree.node_edge_ids()
     unit_nodes = {

@@ -2,6 +2,7 @@
 vectorised implementations."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import bplt.bp
 import bplt.progressions
 from bplt.errors import ConvergenceError
+from bplt.weitz import LabeledHypertree
 
 
 def _masks(graph):
@@ -60,6 +62,129 @@ def naive_lower_tail(graph, p, threshold):
             k = bin(s).count("1")
             prob += p**k * (1.0 - p) ** (n - k)
     return prob
+
+
+@dataclass(frozen=True)
+class SAW:
+    """A self-avoiding walk: alternating distinct vertices and edge ids.
+
+    ``vertices`` has one more entry than ``edge_ids``; consecutive vertices
+    both lie in the connecting edge.  Copies of a multi-edge count as
+    distinct edges.
+    """
+
+    vertices: tuple
+    edge_ids: tuple
+
+    @property
+    def length(self):
+        return len(self.edge_ids)
+
+    @property
+    def end(self):
+        return self.vertices[-1]
+
+
+def enumerate_saws(graph, start, max_len=None):
+    """All self-avoiding walks from ``start`` of length <= max_len, by
+    depth-first search; ``max_len=None`` means unbounded.  The length-0 walk
+    is included and parallel copies of an edge are explored separately."""
+    out = []
+    stack = [SAW((start,), ())]
+    while stack:
+        walk = stack.pop()
+        out.append(walk)
+        if max_len is not None and walk.length >= max_len:
+            continue
+        for eid, e in enumerate(graph.edges):
+            if walk.end not in e or eid in walk.edge_ids:
+                continue
+            for u in e:
+                if u not in walk.vertices:
+                    stack.append(SAW(walk.vertices + (u,), walk.edge_ids + (eid,)))
+    out.sort(key=lambda w: (w.length, w.vertices, w.edge_ids))
+    return out
+
+
+def naive_weitz_tree(graph, vertex, vertex_order=None, edge_order=None, depth_limit=None):
+    """The pruned walk tree as the ``bplt.weitz`` docstring defines it: the
+    full walk tree, then both operations at every non-root node in
+    breadth-first order, then the root component, keeping the edges that lie
+    fully within ``depth_limit``."""
+    vrank = {u: r for r, u in enumerate(vertex_order or range(graph.num_vertices))}
+    erank = {f: r for r, f in enumerate(edge_order or range(graph.num_edges))}
+    at = [[i for i, e in enumerate(graph.edges) if u in e] for u in range(graph.num_vertices)]
+    # full walk tree; a tree edge is [top, *children], node ids in BFS order
+    labels, parents, parent_edges, depths = [vertex], [-1], [-1], [0]
+    walks = [((vertex,), ())]
+    edges, edge_labels, children = [], [], [[]]
+    w = 0
+    while w < len(labels):
+        on_walk, used = walks[w]
+        for eid in at[labels[w]]:
+            if eid in used:
+                continue
+            members = [w]
+            for u in graph.edges[eid]:
+                if u not in on_walk:
+                    c = len(labels)
+                    labels.append(u)
+                    parents.append(w)
+                    parent_edges.append(len(edges))
+                    depths.append(depths[w] + 1)
+                    walks.append((on_walk + (u,), used + (eid,)))
+                    children.append([])
+                    children[w].append(c)
+                    members.append(c)
+            edges.append(members)
+            edge_labels.append(eid)
+        w += 1
+
+    def subtree(w):
+        out = [w]
+        for x in out:
+            out.extend(children[x])
+        return out
+
+    occupied = [False] * len(labels)
+    deleted = [False] * len(edges)
+    for w in range(1, len(labels)):
+        if occupied[w]:
+            continue
+        pe = edge_labels[parent_edges[w]]
+        below = set(subtree(w))
+        for x in below - {w}:
+            if labels[x] in graph.edges[pe] and vrank[labels[x]] < vrank[labels[w]]:
+                occupied[x] = True
+        doomed = {f for f in at[labels[parents[w]]] if erank[f] < erank[pe]}
+        for i, members in enumerate(edges):
+            if members[0] in below and edge_labels[i] in doomed:
+                deleted[i] = True
+
+    keep = [True] + [False] * (len(labels) - 1)
+    for w in range(1, len(labels)):
+        keep[w] = (
+            keep[parents[w]]
+            and not occupied[w]
+            and not deleted[parent_edges[w]]
+            and (depth_limit is None or depths[w] <= depth_limit)
+        )
+    new_id = {w: i for i, w in enumerate(w for w in range(len(labels)) if keep[w])}
+    kept_edges = [
+        i
+        for i, members in enumerate(edges)
+        if keep[members[0]] and not deleted[i]
+        and all(keep[x] or occupied[x] for x in members)
+    ]
+    new_edge = {i: j for j, i in enumerate(kept_edges)}
+    return LabeledHypertree(
+        tuple(labels[w] for w in new_id),
+        tuple(new_id[parents[w]] if w else -1 for w in new_id),
+        tuple(new_edge[parent_edges[w]] if w else -1 for w in new_id),
+        tuple(depths[w] for w in new_id),
+        tuple(tuple(new_id[x] for x in edges[i] if keep[x]) for i in kept_edges),
+        tuple(edge_labels[i] for i in kept_edges),
+    )
 
 
 def naive_bp_apply(graph, params, x):

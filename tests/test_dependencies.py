@@ -1,12 +1,16 @@
 """numpy is the only run-time dependency: no library module imports scipy,
-and a rate run that solves for the penalty loads none of it."""
+and a rate run that solves for the penalty loads none of it.  The public
+names of ``bplt`` are pinned, so an export is removed only on purpose."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import bplt
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -43,3 +47,31 @@ def test_rate_gnp_loads_no_scipy():
     )
     assert json.loads(done.stderr.splitlines()[-1]) == []
     assert "rate,-0.038237507927637027" in done.stdout.splitlines()
+
+
+PUBLIC_NAMES = [
+    "BPParams", "ConvergenceError", "DomainError", "GibbsSummary", "KapParams",
+    "LabeledHypertree", "ModelParams", "Multihypergraph", "SimpleGraph",
+    "SizeGuardError", "SubgraphProfile", "Thresholds", "TreeLikeReport",
+    "ap_degree", "ap_hypergraph", "bethe_free_energy", "bp_apply", "bp_fixed_point",
+    "bp_log_partition", "bp_lower_tail_rate", "build_saw_tree", "build_weitz_tree",
+    "contraction_margin", "copies_per_edge", "degree_coefficient", "degree_stats",
+    "discrete_profile_gap", "functional_apply", "glauber_marginals", "glauber_sample",
+    "is_linear_hypertree", "kap_fixed_point", "kap_marginal_check", "kap_rate",
+    "kap_rate_bethe", "lambert_w0", "lower_tail_exact", "mc_lower_tail", "named_graph",
+    "parse_hypergraph", "partition_function", "phi_apply", "phi_fixed_point",
+    "phi_threshold", "rate_gnm", "rate_gnp", "regular_fixed_point", "relabel_vertices",
+    "solve_zeta", "solve_zeta_regular", "structure_report", "subgraph_hypergraph",
+    "subgraph_profile", "subgraph_rate", "summarize", "thresholds", "tree_ratio",
+    "tree_root_marginal", "verify_identities", "weitz_equality_residual",
+    "write_hypergraph",
+]
+
+
+def test_public_names():
+    # submodules become attributes of the package once any test imports them
+    names = sorted(
+        n for n in dir(bplt)
+        if not n.startswith("_") and not isinstance(getattr(bplt, n), types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES

@@ -8,12 +8,13 @@ from bplt.generators import random_linear_hypertree, three_branch_tree
 from bplt.hypergraph import (
     Multihypergraph,
     degree_stats,
-    enumerate_saws,
     is_linear_hypertree,
     parse_hypergraph,
     relabel_vertices,
     write_hypergraph,
 )
+
+from conftest import enumerate_saws
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -20,7 +21,18 @@ from bplt.weitz import (
     weitz_equality_residual,
 )
 
-from conftest import naive_marginal
+from conftest import enumerate_saws, naive_marginal, naive_weitz_tree
+
+
+def _root_paths(tree):
+    """Per node, the (labels, edge labels) of its path from the root."""
+    paths = [((tree.node_labels[0],), ())]
+    for w in range(1, tree.num_nodes):
+        labels, edges = paths[tree.parents[w]]
+        paths.append(
+            (labels + (tree.node_labels[w],), edges + (tree.edge_labels[tree.parent_edges[w]],))
+        )
+    return paths
 
 
 class TestSawTree:
@@ -61,6 +73,32 @@ class TestSawTree:
         g = Multihypergraph(6, [[i, j] for i in range(6) for j in range(i + 1, 6)])
         with pytest.raises(SizeGuardError):
             build_saw_tree(g, 0, max_nodes=10)
+
+    def test_negative_depth_limit_rejected(self):
+        g = Multihypergraph(2, [[0, 1], [0]])
+        with pytest.raises(ValueError):
+            build_saw_tree(g, 0, depth_limit=-1)
+        with pytest.raises(ValueError):
+            build_weitz_tree(g, 0, depth_limit=-1)
+
+    def test_frontier_keeps_unit_edges(self):
+        # an edge lying fully within the limit is kept, also at the frontier
+        g = Multihypergraph(2, [[0, 1], [1], [1]])
+        t = build_saw_tree(g, 0, depth_limit=1)
+        assert t.edge_nodes == ((0, 1), (1,), (1,))
+
+    def test_paths_are_the_self_avoiding_walks(self, rng):
+        for _ in range(60):
+            g = random_multihypergraph(
+                rng, max_vertices=6, max_edges=6, allow_empty=True, multi_edge_prob=0.3
+            )
+            v = int(rng.integers(g.num_vertices))
+            for limit in (None, 0, 1, 2, 3):
+                t = build_saw_tree(g, v, depth_limit=limit)
+                walks = enumerate_saws(g, v, max_len=limit)
+                assert Counter(_root_paths(t)) == Counter(
+                    (w.vertices, w.edge_ids) for w in walks
+                )
 
 
 class TestWeitzTree:
@@ -118,6 +156,30 @@ class TestWeitzTree:
             want = summarize(mh, params).occupation_ratios()[t.root]
             assert tree_ratio(t, params) == pytest.approx(float(want), rel=1e-12)
             count += 1
+
+    def test_matches_naive_definition(self, rng):
+        for _ in range(300):
+            g = random_multihypergraph(
+                rng, max_vertices=6, max_edges=6, max_edge_size=4,
+                allow_empty=True, multi_edge_prob=0.3,
+            )
+            v = int(rng.integers(g.num_vertices))
+            vo = rng.permutation(g.num_vertices).tolist()
+            eo = rng.permutation(g.num_edges).tolist()
+            for limit in (None, 0, 1, 2, 3):
+                want = naive_weitz_tree(g, v, vo, eo, limit)
+                assert build_weitz_tree(g, v, vo, eo, limit) == want
+
+    def test_node_cap_bounds_the_pruned_tree(self):
+        # the walk tree of the complete 3-uniform graph on 5 vertices has
+        # 1933 nodes; the cap applies to the 409 that pruning keeps
+        g = Multihypergraph(5, itertools.combinations(range(5), 3))
+        size = build_weitz_tree(g, 0).num_nodes
+        with pytest.raises(SizeGuardError):
+            build_saw_tree(g, 0, max_nodes=size)
+        assert build_weitz_tree(g, 0, max_nodes=size).num_nodes == size
+        with pytest.raises(SizeGuardError):
+            build_weitz_tree(g, 0, max_nodes=size - 1)
 
     def test_output_is_linear_hypertree(self, rng):
         for _ in range(25):
@@ -224,6 +286,15 @@ class TestStructureReport:
         assert rows_plain[0]["nodes"] == rows_u[0]["nodes"] == 1
         # contracting 4 shrinks the edge {1,4} to a unit edge at depth 1
         assert rows_u[1]["unit_edge_count"] >= 1
+
+    @pytest.mark.parametrize(
+        "vertex, contracted",
+        [(-1, ()), (4, ()), (0, {4}), (0, {-1}), (0, {0})],
+    )
+    def test_rejects_vertices_outside_the_graph(self, vertex, contracted):
+        g = Multihypergraph(4, [[0, 1], [1, 2], [2, 3]])
+        with pytest.raises(ValueError):
+            structure_report(g, vertex, contracted, depth=1)
 
     def test_depth_limited_matches_full_construction(self, rng):
         # the truncated build must agree with slicing the full tree
