@@ -133,13 +133,13 @@ def _pattern_graph(name):
     return named_graph(name)
 
 
-def _run_rate(args, lead, formula, columns, echo, row, scalars):
+def _run_rate(args, lead, formula, columns, echo, scalars):
     """Shared body of the rate commands.
 
     With ``--sweep`` the lead parameter runs over the sweep points, each
-    giving the table row ``(value, *row(value), status)`` under the header
-    ``lead, *columns, status``, with ``echo`` and the seed in the comment
-    line.  Otherwise the lead parameter's flag is required and
+    giving a row of the lead value, the ``columns`` entries of
+    ``scalars(value)`` and a status, with ``echo`` and the seed in the
+    comment line.  Otherwise the lead parameter's flag is required and
     ``scalars(value)`` is printed as the scalar block.
     """
     from .errors import DomainError
@@ -155,7 +155,8 @@ def _run_rate(args, lead, formula, columns, echo, row, scalars):
     rows = []
     for v in _parse_sweep(args.sweep):
         try:
-            rows.append((v, *row(v), "ok"))
+            out = scalars(v)
+            rows.append((v, *(out[c] for c in columns), "ok"))
         except DomainError:
             rows.append((v, *[None] * len(columns), "out-of-domain"))
     if all(r[-1] != "ok" for r in rows):
@@ -169,7 +170,6 @@ def _cmd_rate_gnp(args):
 
     return _run_rate(
         args, "c", "gnp-lower-tail-rate", ["rate"], {"k": args.k, "eta": args.eta},
-        lambda c: (rate_gnp(args.k, c, args.eta),),
         lambda c: {"k": args.k, "c": c, "eta": args.eta, "rate": rate_gnp(args.k, c, args.eta)},
     )
 
@@ -179,7 +179,6 @@ def _cmd_rate_gnm(args):
 
     return _run_rate(
         args, "b", "gnm-lower-tail-rate", ["rate"], {"k": args.k, "eta": args.eta},
-        lambda b: (rate_gnm(args.k, b, args.eta),),
         lambda b: {"k": args.k, "b": b, "eta": args.eta, "rate": rate_gnm(args.k, b, args.eta)},
     )
 
@@ -215,7 +214,6 @@ def _cmd_rate_subgraph(args):
     return _run_rate(
         args, "c", f"subgraph-lower-tail-rate-{args.model}", ["rate", "rpartite_bound"],
         {"subgraph": args.subgraph, "model": args.model, "eta": args.eta},
-        lambda c: (subgraph_rate(pattern, c, args.eta, args.model).rate, bound(pattern, c)),
         scalars,
     )
 
@@ -234,7 +232,6 @@ def _cmd_rate_kap(args):
 
     return _run_rate(
         args, "c", "ap-avoidance-rate", ["rate"], {"k": args.k, "grid_size": args.grid_size},
-        lambda c: (kap_rate_bethe(args.k, c, args.grid_size),),
         scalars,
     )
 
@@ -371,23 +368,28 @@ def _cmd_mc_estimate(args):
 def _cmd_weitz_verify(args):
     import numpy as np
 
-    from .gibbs import ModelParams
-    from .weitz import weitz_equality_residual
+    from .gibbs import ModelParams, summarize
+    from .weitz import build_weitz_tree, tree_root_marginal, weitz_equality_residual
 
     graph = _read_graph(args.file)
     params = ModelParams(args.lam, args.zeta)
     rng = np.random.default_rng(args.seed)
-    vertices = [args.vertex] if args.vertex is not None else range(graph.num_vertices)
-    worst = 0.0
-    for v in vertices:
-        vo = rng.permutation(graph.num_vertices).tolist()
-        eo = rng.permutation(graph.num_edges).tolist()
-        worst = max(
-            worst,
-            weitz_equality_residual(
-                graph, v, params, vo, eo, unsafe_size=args.unsafe_size
-            ),
+
+    def orders():
+        vertex_order = rng.permutation(graph.num_vertices).tolist()
+        return vertex_order, rng.permutation(graph.num_edges).tolist()
+
+    if args.vertex is not None:
+        worst = weitz_equality_residual(
+            graph, args.vertex, params, *orders(), unsafe_size=args.unsafe_size
         )
+    else:
+        # one enumeration serves every vertex
+        exact = summarize(graph, params, unsafe_size=args.unsafe_size).marginals
+        worst = 0.0
+        for v in range(graph.num_vertices):
+            tree = build_weitz_tree(graph, v, *orders())
+            worst = max(worst, abs(float(exact[v]) - tree_root_marginal(tree, params)))
     ok = worst < args.tol
     _emit_scalars({"max_residual": worst, "tolerance": args.tol, "pass": ok}, args.json)
     if not ok:

@@ -366,6 +366,25 @@ def _vertex_edge_tables(graph):
     return table
 
 
+def _heat_bath(graph, params, chains, steps, seed):
+    """(chains, N) states of independent copies of the :func:`glauber_sample`
+    chain after ``steps`` updates; each update draws one uniform per chain."""
+    n = graph.num_vertices
+    rng = np.random.default_rng(seed)
+    table = _vertex_edge_tables(graph)
+    lam, zeta = params.lam, params.zeta
+    state = np.zeros((chains, n), dtype=bool)
+    for step in range(steps):
+        v = step % n
+        t = np.zeros(chains, dtype=np.int64)
+        for others in table[v]:
+            t += state[:, others].all(axis=1)
+        q = (1.0 - zeta) ** t
+        prob = lam * q / (1.0 + lam * q)
+        state[:, v] = rng.random(chains) < prob
+    return state
+
+
 def glauber_sample(graph, params, steps, seed):
     """State of the single-site heat-bath chain after ``steps`` updates.
 
@@ -374,20 +393,9 @@ def glauber_sample(graph, params, steps, seed):
     q = (1-zeta)^{t(v)} and t(v) counts edges v would complete.
     Deterministic given the seed.
     """
-    n = graph.num_vertices
-    if steps < n:
+    if steps < graph.num_vertices:
         raise ValueError("steps must be at least the vertex count")
-    rng = np.random.default_rng(seed)
-    table = _vertex_edge_tables(graph)
-    state = np.zeros(n, dtype=bool)
-    lam, zeta = params.lam, params.zeta
-    unif = rng.random(steps)
-    for step in range(steps):
-        v = step % n
-        t = sum(1 for others in table[v] if state[others].all())
-        q = (1.0 - zeta) ** t
-        prob = lam * q / (1.0 + lam * q)
-        state[v] = unif[step] < prob
+    state = _heat_bath(graph, params, 1, steps, seed)[0]
     return frozenset(np.flatnonzero(state).tolist())
 
 
@@ -398,23 +406,8 @@ def glauber_marginals(graph, params, num_chains, sweeps, seed):
     for ``sweeps`` full scans and averages the final states.  Vectorised
     across replicas; deterministic given the seed.
     """
-    n = graph.num_vertices
-    rng = np.random.default_rng(seed)
-    table = _vertex_edge_tables(graph)
-    lam, zeta = params.lam, params.zeta
-    state = np.zeros((num_chains, n), dtype=bool)
-    for _ in range(sweeps):
-        for v in range(n):
-            t = np.zeros(num_chains, dtype=np.int64)
-            for others in table[v]:
-                if len(others):
-                    t += state[:, others].all(axis=1)
-                else:
-                    t += 1
-            q = (1.0 - zeta) ** t
-            prob = lam * q / (1.0 + lam * q)
-            state[:, v] = rng.random(num_chains) < prob
-    return state.mean(axis=0)
+    steps = sweeps * graph.num_vertices
+    return _heat_bath(graph, params, num_chains, steps, seed).mean(axis=0)
 
 
 def mc_lower_tail(graph, p, eta, samples, seed):

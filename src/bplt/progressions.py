@@ -112,54 +112,27 @@ def _band_integral(f, offsets, a, b):
     prod_i f(t + offsets[i] * s), where w(t) = min(t/a, (1-t)/b) and a zero
     divisor means that side is unconstrained.
 
-    Full grid segments use the trapezoid rule with on-grid integer shifts;
-    the fractional tail uses linear interpolation of f.
+    The R(t) = floor(M w(t)) whole steps use the composite trapezoid rule
+    with on-grid integer shifts; the fractional tail [R(t)/M, w(t)] uses
+    linear interpolation of f.
     """
     m = len(f) - 1
     h = 1.0 / m
     j = np.arange(m + 1)
-    acc = np.zeros(m + 1)
-
-    def seg_product(r, lo, hi):
-        out = np.ones(hi - lo + 1)
-        for i in offsets:
-            out = out * f[lo + i * r : hi + i * r + 1]
-        return out
-
-    lo_prev = 0
-    g_prev = seg_product(0, 0, m)
-    r = 0
-    while True:
-        r_next = r + 1
-        lo = a * r_next
-        hi = m - b * r_next
-        if lo > hi:
-            break
-        g_next = seg_product(r_next, lo, hi)
-        acc[lo : hi + 1] += 0.5 * h * (g_prev[lo - lo_prev : hi - lo_prev + 1] + g_next)
-        g_prev, lo_prev = g_next, lo
-        r = r_next
-
-    # fractional tail [R(t)/M, w(t)]
-    if a > 0 and b > 0:
-        r_full = np.minimum(j // a, (m - j) // b)
-        w = np.minimum(j / (a * m), (m - j) / (b * m))
-    elif a > 0:
-        r_full = j // a
-        w = j / (a * m)
-    else:
-        r_full = (m - j) // b
-        w = (m - j) / (b * m)
-    tau = w - r_full * h
-    g_full = np.ones(m + 1)
-    for i in offsets:
-        g_full = g_full * f[j + i * r_full]
     grid = j * h
-    g_end = np.ones(m + 1)
-    for i in offsets:
-        g_end = g_end * np.interp(grid + i * w, grid, f)
-    acc += 0.5 * tau * (g_full + g_end)
-    return acc
+    sides = [(room, d) for room, d in ((j, a), (m - j, b)) if d > 0]
+    r_full = np.min([room // d for room, d in sides], axis=0)
+    w = np.min([room / (d * m) for room, d in sides], axis=0)
+    # sum of g_r = prod_i f(t + offsets[i] r/M) over r = 0..R(t); step r
+    # covers the points a*r <= j <= m - b*r
+    g_0 = math.prod(f for _ in offsets)
+    total = g_0.copy()
+    for r in range(1, int(r_full.max()) + 1):
+        lo, hi = a * r, m - b * r
+        total[lo : hi + 1] += math.prod(f[lo + i * r : hi + i * r + 1] for i in offsets)
+    g_full = math.prod(f[j + i * r_full] for i in offsets)
+    g_end = math.prod(np.interp(grid + i * w, grid, f) for i in offsets)
+    return h * (total - 0.5 * (g_0 + g_full)) + 0.5 * (w - r_full * h) * (g_full + g_end)
 
 
 def _grid_apply(f, c, coeff, k):

@@ -241,6 +241,7 @@ def weitz_equality_residual(
     The two sides come from independent computations: subset enumeration on
     the graph versus the tree recursion on the pruned walk tree.
     """
+    _check_vertex(graph, vertex)
     exact = summarize(graph, params, unsafe_size=unsafe_size).marginals[vertex]
     tree = build_weitz_tree(
         graph, vertex, vertex_order, edge_order, max_nodes=max_nodes

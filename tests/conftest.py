@@ -197,6 +197,26 @@ def naive_bp_apply(graph, params, x):
     return np.array([params.c * math.exp(-(params.zeta / params.delta) * s) for s in sums])
 
 
+def naive_band_integral(f, offsets, a, b):
+    """The band integral of ``bplt.progressions`` point by point: at t = j/M,
+    the trapezoid rule over the on-grid products g_r = prod_i f(t + i r/M),
+    r = 0..R, R = floor(M w(t)), then half the tail length times g_R plus
+    the product of linearly interpolated values at w(t)."""
+    m = len(f) - 1
+    h = 1.0 / m
+    grid = np.arange(m + 1) * h
+    out = []
+    for j in range(m + 1):
+        sides = [(j, a), (m - j, b)]
+        big_r = min(room // d for room, d in sides if d)
+        w = min(room / (d * m) for room, d in sides if d)
+        g = [math.prod(float(f[j + i * r]) for i in offsets) for r in range(big_r + 1)]
+        value = sum(0.5 * h * (g[r - 1] + g[r]) for r in range(1, big_r + 1))
+        g_end = math.prod(float(np.interp(j * h + i * w, grid, f)) for i in offsets)
+        out.append(value + 0.5 * (w - big_r * h) * (g[big_r] + g_end))
+    return np.array(out)
+
+
 def plain_iterate(apply, x, tol, max_iter, what):
     """Plain iteration ``x <- apply(x)`` with the stopping test and errors of
     ``bp._iterate``: the reference for its Anderson-mixed iteration."""

@@ -229,6 +229,37 @@ class TestWeitzVerify:
         scalars = dict(line.split(",") for line in out.strip().splitlines())
         assert float(scalars["max_residual"]) < 1e-10
 
+    @pytest.fixture
+    def summarize_calls(self, monkeypatch):
+        import bplt.gibbs
+        import bplt.weitz
+
+        calls = []
+        summarize = bplt.gibbs.summarize
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return summarize(*args, **kwargs)
+
+        for module in (bplt.gibbs, bplt.weitz):
+            monkeypatch.setattr(module, "summarize", counted)
+        return calls
+
+    def test_one_enumeration_per_command(self, capsys, tmp_path, summarize_calls):
+        path = tmp_path / "cycle.hg"
+        path.write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
+        code, _, _ = run(capsys, "weitz-verify", "--file", str(path), "--lambda", "1")
+        assert code == 0 and len(summarize_calls) == 1
+
+    def test_vertex_out_of_range_exits_2(self, capsys, tmp_path, summarize_calls):
+        path = tmp_path / "cycle.hg"
+        path.write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
+        code, _, err = run(
+            capsys, "weitz-verify", "--file", str(path), "--lambda", "1", "--vertex", "9"
+        )
+        assert code == 2 and "vertex out of range" in err
+        assert summarize_calls == []
+
 
 class TestConfig:
     def test_config_with_flag_override(self, capsys, tmp_path):

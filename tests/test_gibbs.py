@@ -257,6 +257,15 @@ class TestSamplers:
         b = glauber_sample(g, ModelParams(1.0, 0.8), steps=60, seed=11)
         assert a == b
 
+    def test_glauber_one_chain_is_the_sample(self):
+        # one replica of glauber_marginals runs the chain of glauber_sample
+        g = Multihypergraph(6, [[0, 1, 2], [2, 3], [3, 4, 5], [1, 4], [5], [2, 3]])
+        params = ModelParams(1.3, 0.6)
+        for sweeps, seed in [(1, 0), (3, 7), (10, 42)]:
+            marg = glauber_marginals(g, params, num_chains=1, sweeps=sweeps, seed=seed)
+            state = glauber_sample(g, params, steps=sweeps * 6, seed=seed)
+            assert marg.tolist() == [float(v in state) for v in range(6)]
+
     def test_glauber_matches_exact(self, rng):
         g = Multihypergraph(5, [[0, 1, 2], [2, 3], [3, 4]])
         params = ModelParams(0.9, 0.7)

@@ -8,6 +8,7 @@ from bplt import gibbs
 from bplt.errors import DomainError
 from bplt.progressions import (
     KapParams,
+    _band_integral,
     ap_degree,
     ap_hypergraph,
     degree_coefficient,
@@ -20,7 +21,7 @@ from bplt.progressions import (
     phi_fixed_point,
     phi_threshold,
 )
-from conftest import fixed_point_gap, log_gap
+from conftest import fixed_point_gap, log_gap, naive_band_integral
 
 
 class TestDegreeCoefficient:
@@ -83,6 +84,25 @@ class TestFunctionalApply:
         f = np.concatenate([half, half[-2::-1]])
         out = functional_apply(params, f)
         assert np.max(np.abs(out - out[::-1])) < 1e-12
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_band_integral_matches_pointwise_loop(self, k, rng):
+        # every band of the operator and the kap_rate_bethe edge band; the
+        # points with w(t) = 0 (t = 0 under a left, t = 1 under a right
+        # constraint) integrate over an empty range and must read exactly 0
+        for m in (2 * k, 2 * k + 1, 2 * k + 2, 31, 100, 501):
+            f = rng.uniform(0.1, 1.2, m + 1)
+            j = np.arange(m + 1)
+            bands = [
+                ([i for i in range(1 - ell, k - ell + 1) if i], ell - 1, k - ell)
+                for ell in range(1, k + 1)
+            ]
+            for offsets, a, b in [*bands, (list(range(k)), 0, k - 1)]:
+                got = _band_integral(f, offsets, a, b)
+                want = naive_band_integral(f, offsets, a, b)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+                empty = (a > 0) & (j == 0) | (b > 0) & (j == m)
+                assert np.all(got[empty] == 0) and np.all(got[~empty] > 0)
 
     def test_trapezoid_against_dense_reference(self, rng):
         # independent slow evaluation of the band integral on a smooth input
