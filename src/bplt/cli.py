@@ -306,26 +306,29 @@ def _worst(residuals):
 
 
 def _cmd_exact_check(args):
-    from .gibbs import ModelParams, summarize, verify_identities
+    from .gibbs import ModelParams, _check_guard, _edge_residual, _vertex_residuals, summarize
 
     graph = _read_graph(args.file)
     params = ModelParams(args.lam, args.zeta)
-    by_vertex, by_edge = [], []
-    if graph.num_vertices and graph.num_edges:
-        # the two splits and the conditional residual depend on v only,
-        # edge deletion on e only
-        def check(v, e):
-            return verify_identities(graph, params, v, e, unsafe_size=args.unsafe_size)
-
-        by_vertex = [check(v, 0) for v in range(graph.num_vertices)]
-        by_edge = [check(0, e) for e in range(graph.num_edges)]
-    worst = {
-        "occupied_split": _worst(r.occupied_split for r in by_vertex),
-        "unoccupied_split": _worst(r.unoccupied_split for r in by_vertex),
-        "edge_deletion": _worst(r.edge_deletion for r in by_edge),
-        "conditional": _worst(r.conditional for r in by_vertex),
-    }
+    checks = graph.num_vertices and graph.num_edges
+    if checks:
+        _check_guard(graph, args.unsafe_size)
     summary = summarize(graph, params, unsafe_size=args.unsafe_size)
+    by_vertex, by_edge = [], []
+    if checks:
+        # the two splits and the conditional residual depend on v only,
+        # edge deletion on e and Z(G) only
+        by_vertex = [_vertex_residuals(graph, params, v) for v in range(graph.num_vertices)]
+        by_edge = [
+            _edge_residual(graph, params, e, summary.log_z) for e in range(graph.num_edges)
+        ]
+    occupied, unoccupied, conditional = list(zip(*by_vertex)) or [(), (), ()]
+    worst = {
+        "occupied_split": _worst(occupied),
+        "unoccupied_split": _worst(unoccupied),
+        "edge_deletion": _worst(by_edge),
+        "conditional": _worst(conditional),
+    }
     if args.out or args.plot_script:
         rows = [(v, float(m)) for v, m in enumerate(summary.marginals)]
         echo = {"file": args.file, "lam": args.lam, "zeta": args.zeta}

@@ -316,12 +316,19 @@ def verify_identities(graph, params, v, edge_id, unsafe_size=False):
     the contracted side vanishes too.
     """
     _check_guard(graph, unsafe_size)
-    lam, zeta = params.lam, params.zeta
     if not 0 <= v < graph.num_vertices:
         raise ValueError("vertex out of range")
     if not 0 <= edge_id < graph.num_edges:
         raise ValueError("edge id out of range")
+    r_occ, r_unocc, r_cond = _vertex_residuals(graph, params, v)
+    log_z = partition_function(graph, params, unsafe_size=True)
+    return IdentityResiduals(r_occ, r_unocc, _edge_residual(graph, params, edge_id, log_z), r_cond)
 
+
+def _vertex_residuals(graph, params, v):
+    """The occupied split, unoccupied split and conditional residual at v,
+    none of which depends on the edge.  The caller checks the size guard."""
+    lam, zeta = params.lam, params.zeta
     n = graph.num_vertices
     _, in_v = _tables(n, *_listing(graph, zeta == 1, True, require=(v,)), by_vertex=True)
     held = _total(in_v, params.p, zeta)  # held[u]: weight of the subsets holding u and v
@@ -334,16 +341,6 @@ def verify_identities(graph, params, v, edge_id, unsafe_size=False):
     deleted, _ = graph.remove_vertices((v,))
     r_unocc = _rel_from_logs(log_out_v, partition_function(deleted, params, unsafe_size=True))
 
-    e = graph.edges[edge_id]
-    minus_e = graph.remove_edges([e])
-    log_z = partition_function(graph, params, unsafe_size=True)
-    log_z_minus = partition_function(minus_e, params, unsafe_size=True)
-    log_in_e = _log_z(minus_e, params, True, require=e)
-    if log_z == -math.inf and zeta == 1 and log_in_e == log_z_minus:
-        r_edge = 0.0  # both sides vanish: Z(G) = 0 = Z(G - e) - Z(G - e; e inside S)
-    else:
-        r_edge = abs(math.exp(log_z_minus - log_z) - zeta * math.exp(log_in_e - log_z) - 1.0)
-
     r_cond = 0.0
     if held[v] > 0:
         marginals = summarize(contracted, params, unsafe_size=True).marginals
@@ -351,19 +348,34 @@ def verify_identities(graph, params, v, edge_id, unsafe_size=False):
             (float(abs(held[u] / held[v] - marginals[c])) for u, c in cmap.items()),
             default=0.0,
         )
+    return r_occ, r_unocc, r_cond
 
-    return IdentityResiduals(r_occ, r_unocc, r_edge, r_cond)
+
+def _edge_residual(graph, params, edge_id, log_z):
+    """The edge-deletion residual at edge ``edge_id``, given log Z(G), which
+    does not depend on the edge.  The caller checks the size guard."""
+    e = graph.edges[edge_id]
+    minus_e = graph.remove_edges([e])
+    log_z_minus = partition_function(minus_e, params, unsafe_size=True)
+    log_in_e = _log_z(minus_e, params, True, require=e)
+    if log_z == -math.inf and params.zeta == 1 and log_in_e == log_z_minus:
+        return 0.0  # both sides vanish: Z(G) = 0 = Z(G - e) - Z(G - e; e inside S)
+    return abs(math.exp(log_z_minus - log_z) - params.zeta * math.exp(log_in_e - log_z) - 1.0)
 
 
-def _vertex_edge_tables(graph):
-    """Per vertex v: one index array of the other vertices of each edge at v,
-    repeated edges listed once per copy."""
-    table = [[] for _ in range(graph.num_vertices)]
+def _vertex_edge_index(graph):
+    """Per vertex v: a (deg v, kmax - 1) array whose rows list the other
+    vertices of each edge at v, repeated edges once per copy.  Short rows are
+    padded with the sentinel N, a column of the chain state that is always
+    occupied, so a row is fully occupied exactly when its edge is."""
+    n = graph.num_vertices
+    width = max([0] + [len(e) - 1 for e in graph.edges])
+    rows = [[] for _ in range(n)]
     for e in graph.edges:
         for u in e:
-            others = np.array([w for w in e if w != u], dtype=np.int64)
-            table[u].append(others)
-    return table
+            others = [w for w in e if w != u]
+            rows[u].append(others + [n] * (width - len(others)))
+    return [np.array(r, dtype=np.int64).reshape(len(r), width) for r in rows]
 
 
 def _heat_bath(graph, params, chains, steps, seed):
@@ -371,18 +383,17 @@ def _heat_bath(graph, params, chains, steps, seed):
     chain after ``steps`` updates; each update draws one uniform per chain."""
     n = graph.num_vertices
     rng = np.random.default_rng(seed)
-    table = _vertex_edge_tables(graph)
-    lam, zeta = params.lam, params.zeta
-    state = np.zeros((chains, n), dtype=bool)
+    index = _vertex_edge_index(graph)
+    # occupation probability lam*q/(1+lam*q), q = (1-zeta)^t, by edge count t
+    q = (1.0 - params.zeta) ** np.arange(max(map(len, index), default=0) + 1)
+    prob = params.lam * q / (1.0 + params.lam * q)
+    state = np.zeros((chains, n + 1), dtype=bool)
+    state[:, n] = True  # the sentinel column
     for step in range(steps):
         v = step % n
-        t = np.zeros(chains, dtype=np.int64)
-        for others in table[v]:
-            t += state[:, others].all(axis=1)
-        q = (1.0 - zeta) ** t
-        prob = lam * q / (1.0 + lam * q)
-        state[:, v] = rng.random(chains) < prob
-    return state
+        t = state[:, index[v]].all(axis=2).sum(axis=1)
+        state[:, v] = rng.random(chains) < prob[t]
+    return state[:, :n]
 
 
 def glauber_sample(graph, params, steps, seed):

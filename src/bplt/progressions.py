@@ -8,7 +8,11 @@ on a uniform grid of size M and solved by the shared iteration of ``bp``,
 under the same log-sup contraction certificate as the finite-dimensional
 operator.  Inner integrals use the
 composite trapezoid rule on the grid (integer shifts stay on-grid), with
-linear interpolation only on the fractional tail segment.
+linear interpolation only on the fractional tail segment.  The on-grid sums
+run over blocks of steps at once, at most ``CELLS`` products per block, on
+shifted views of f zero-padded once; the padding makes every product past a
+point's last whole step exactly 0, and each point still adds its steps in
+order, so the blocks give the same floats as one step at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bp import BPParams, _check_admissible, _coupling_integral, _iterate, bp_fixed_point
 from .errors import DomainError, SizeGuardError
@@ -40,6 +45,9 @@ __all__ = [
     "kap_marginal_check",
     "discrete_profile_gap",
 ]
+
+CELLS = 1 << 15  # entries per block of band-integral steps, about 256 KB
+
 
 def _sum_of_nearer_sides(k, left, right):
     """sum over positions i = 1..k of min(left(i-1), right(k-i)).
@@ -115,6 +123,15 @@ def _band_integral(f, offsets, a, b):
     The R(t) = floor(M w(t)) whole steps use the composite trapezoid rule
     with on-grid integer shifts; the fractional tail [R(t)/M, w(t)] uses
     linear interpolation of f.
+
+    The on-grid sum runs over blocks of steps r0 <= r < r0 + B, each over
+    the points a*r0 <= j <= M - b*r0 of its first step.  f is zero-padded
+    once: for such j, some index j + i*r leaves [0, M] exactly when
+    r > R(t), so the product there is exactly 0 and needs no mask.  Row 0
+    of the block's buffer holds the running total and numpy adds the rows
+    of a C-contiguous array in order, so each point sums g_0, g_1, ...,
+    g_R(t) left to right, as one step at a time does.  (numpy sums a single
+    column pairwise, but a block one point wide is the last step alone.)
     """
     m = len(f) - 1
     h = 1.0 / m
@@ -123,13 +140,30 @@ def _band_integral(f, offsets, a, b):
     sides = [(room, d) for room, d in ((j, a), (m - j, b)) if d > 0]
     r_full = np.min([room // d for room, d in sides], axis=0)
     w = np.min([room / (d * m) for room, d in sides], axis=0)
-    # sum of g_r = prod_i f(t + offsets[i] r/M) over r = 0..R(t); step r
-    # covers the points a*r <= j <= m - b*r
+    # sum of g_r = prod_i f(t + offsets[i] r/M) over r = 0..R(t)
     g_0 = math.prod(f for _ in offsets)
     total = g_0.copy()
-    for r in range(1, int(r_full.max()) + 1):
-        lo, hi = a * r, m - b * r
-        total[lo : hi + 1] += math.prod(f[lo + i * r : hi + i * r + 1] for i in offsets)
+    r_max = int(r_full.max())
+    reach = r_max * max(abs(i) for i in offsets)
+    # row s of windows is f shifted by s - reach, zero outside [0, M]
+    padded = np.zeros(m + 1 + 2 * reach)
+    padded[reach : reach + m + 1] = f
+    windows = sliding_window_view(padded, m + 1)
+    block = max(1, CELLS // (m + 1))
+    scratch = np.empty((block + 1) * (m + 1))
+    for r0 in range(1, r_max + 1, block):
+        rows = min(block, r_max + 1 - r0)
+        lo, hi = a * r0, m - b * r0
+        buf = scratch[: (rows + 1) * (hi + 1 - lo)].reshape(rows + 1, hi + 1 - lo)
+        buf[0] = total[lo : hi + 1]
+        shifted = [
+            windows[reach + i * r0 :: i][:rows, lo : hi + 1] if i else f[lo : hi + 1]
+            for i in offsets
+        ]
+        np.multiply(shifted[0], shifted[1], out=buf[1:])
+        for factor in shifted[2:]:
+            buf[1:] *= factor
+        buf.sum(axis=0, out=total[lo : hi + 1])
     g_full = math.prod(f[j + i * r_full] for i in offsets)
     g_end = math.prod(np.interp(grid + i * w, grid, f) for i in offsets)
     return h * (total - 0.5 * (g_0 + g_full)) + 0.5 * (w - r_full * h) * (g_full + g_end)

@@ -217,6 +217,52 @@ def naive_band_integral(f, offsets, a, b):
     return np.array(out)
 
 
+def loop_band_integral(f, offsets, a, b):
+    """The band integral of ``bplt.progressions`` with one step r at a time:
+    the on-grid product of step r, ``math.prod`` over the shifted slices, is
+    added into the points a*r <= j <= M - b*r for r = 1..max R, so each point
+    sums g_0, g_1, ..., g_R in order.  The reference for its blocked sum,
+    which must match it bit for bit."""
+    m = len(f) - 1
+    h = 1.0 / m
+    j = np.arange(m + 1)
+    grid = j * h
+    sides = [(room, d) for room, d in ((j, a), (m - j, b)) if d > 0]
+    r_full = np.min([room // d for room, d in sides], axis=0)
+    w = np.min([room / (d * m) for room, d in sides], axis=0)
+    g_0 = math.prod(f for _ in offsets)
+    total = g_0.copy()
+    for r in range(1, int(r_full.max()) + 1):
+        lo, hi = a * r, m - b * r
+        total[lo : hi + 1] += math.prod(f[lo + i * r : hi + i * r + 1] for i in offsets)
+    g_full = math.prod(f[j + i * r_full] for i in offsets)
+    g_end = math.prod(np.interp(grid + i * w, grid, f) for i in offsets)
+    return h * (total - 0.5 * (g_0 + g_full)) + 0.5 * (w - r_full * h) * (g_full + g_end)
+
+
+def loop_heat_bath(graph, params, chains, steps, seed):
+    """The heat-bath chains of ``bplt.gibbs`` with the count t(v) taken by a
+    loop over the edges at v, one index array of the other members per edge
+    copy: the reference for its one-gather update, which must give the same
+    states from the same draws."""
+    n = graph.num_vertices
+    rng = np.random.default_rng(seed)
+    table = [[] for _ in range(n)]
+    for e in graph.edges:
+        for u in e:
+            table[u].append(np.array([w for w in e if w != u], dtype=np.int64))
+    state = np.zeros((chains, n), dtype=bool)
+    for step in range(steps):
+        v = step % n
+        t = np.zeros(chains, dtype=np.int64)
+        for others in table[v]:
+            t += state[:, others].all(axis=1)
+        q = (1.0 - params.zeta) ** t
+        prob = params.lam * q / (1.0 + params.lam * q)
+        state[:, v] = rng.random(chains) < prob
+    return state
+
+
 def plain_iterate(apply, x, tol, max_iter, what):
     """Plain iteration ``x <- apply(x)`` with the stopping test and errors of
     ``bp._iterate``: the reference for its Anderson-mixed iteration."""

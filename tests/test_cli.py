@@ -416,13 +416,36 @@ class TestExactCheckFold:
                 scalars = dict(line.split(",") for line in out.strip().splitlines())
                 assert {name: float(scalars[name]) for name in names} == worst
 
+    def test_listings_per_command(self, capsys, monkeypatch, tmp_path):
+        # Z(G) is listed once, by the summary; each vertex lists its four
+        # split sides and, when v can be occupied, the contracted marginals;
+        # each edge lists Z(G - e) and its restriction to supersets of e
+        from bplt import gibbs
+
+        listing = gibbs._listing
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return listing(*args, **kwargs)
+
+        monkeypatch.setattr(gibbs, "_listing", counted)
+        g = Multihypergraph(5, [[0, 1, 2], [1, 3], [2, 3, 4], [1, 3]])
+        path = tmp_path / "g.hg"
+        path.write_text(write_hypergraph(g))
+        for lam, zeta in ((1.0, 0.5), (0.7, 1.0)):
+            calls = 0
+            code, _, _ = run(
+                capsys, "exact-check", "--file", str(path), "--lambda", str(lam),
+                "--zeta", str(zeta),
+            )
+            assert code == 0 and calls == 1 + 5 * g.num_vertices + 2 * g.num_edges
+
     def test_nan_residual_fails(self, capsys, monkeypatch, triangle_file):
         from bplt import gibbs
 
-        monkeypatch.setattr(
-            gibbs, "verify_identities",
-            lambda *a, **kw: gibbs.IdentityResiduals(0.0, 0.0, math.nan, 0.0),
-        )
+        monkeypatch.setattr(gibbs, "_edge_residual", lambda *a, **kw: math.nan)
         code, out, _ = run(
             capsys, "exact-check", "--file", triangle_file, "--lambda", "1", "--zeta", "1"
         )

@@ -19,7 +19,7 @@ from bplt.gibbs import (
 from bplt.hypergraph import Multihypergraph
 from bplt.progressions import ap_hypergraph
 
-from conftest import naive_log_z, naive_lower_tail, naive_marginal
+from conftest import loop_heat_bath, naive_log_z, naive_lower_tail, naive_marginal
 
 TRIPLE = Multihypergraph(3, [[0, 1, 2]])
 
@@ -274,6 +274,29 @@ class TestSamplers:
         marg = glauber_marginals(g, params, num_chains=chains, sweeps=40, seed=2)
         sigma = np.sqrt(exact * (1 - exact) / chains)
         assert np.all(np.abs(marg - exact) < 3.5 * sigma)
+
+    def test_heat_bath_matches_edge_loop(self, rng):
+        # the inputs of the sampler tests above (chains, steps, seed), then
+        # random multihypergraphs with empty, unit and repeated edges
+        path = Multihypergraph(5, [[0, 1, 2], [2, 3], [3, 4]])
+        mixed = Multihypergraph(6, [[0, 1, 2], [2, 3], [3, 4, 5], [1, 4], [5], [2, 3]])
+        cases = [
+            (Multihypergraph(4, [[0, 1], [2, 3]]), ModelParams(1.0, 0.0), 40_000, 12, 5),
+            (Multihypergraph(2, [[0, 1]]), ModelParams(50.0, 1.0), 1, 500, 3),
+            (TRIPLE, ModelParams(1.0, 0.8), 1, 60, 11),
+            (path, ModelParams(0.9, 0.7), 60_000, 200, 2),
+            *((mixed, ModelParams(1.3, 0.6), 1, 6 * sweeps, seed)
+              for sweeps, seed in [(1, 0), (3, 7), (10, 42)]),
+        ]
+        for i in range(20):
+            g = random_multihypergraph(
+                rng, max_vertices=7, max_edges=8, max_edge_size=4, allow_empty=True
+            )
+            params = ModelParams(float(rng.uniform(0.2, 3.0)), (0.0, 0.5, 1.0)[i % 3])
+            cases.append((g, params, 50, 5 * g.num_vertices, i))
+        for g, params, chains, steps, seed in cases:
+            got = gibbs._heat_bath(g, params, chains, steps, seed)
+            assert np.array_equal(got, loop_heat_bath(g, params, chains, steps, seed))
 
     def test_mc_trivial_threshold(self):
         est, err = mc_lower_tail(TRIPLE, 0.5, 0.999999, samples=100, seed=0)

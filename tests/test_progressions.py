@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bplt import gibbs
+from bplt import gibbs, progressions
 from bplt.errors import DomainError
 from bplt.progressions import (
     KapParams,
@@ -21,7 +22,7 @@ from bplt.progressions import (
     phi_fixed_point,
     phi_threshold,
 )
-from conftest import fixed_point_gap, log_gap, naive_band_integral
+from conftest import fixed_point_gap, log_gap, loop_band_integral, naive_band_integral
 
 
 class TestDegreeCoefficient:
@@ -87,10 +88,16 @@ class TestFunctionalApply:
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_band_integral_matches_pointwise_loop(self, k, rng):
-        # every band of the operator and the kap_rate_bethe edge band; the
-        # points with w(t) = 0 (t = 0 under a left, t = 1 under a right
-        # constraint) integrate over an empty range and must read exactly 0
-        for m in (2 * k, 2 * k + 1, 2 * k + 2, 31, 100, 501):
+        # every band of the operator and the kap_rate_bethe edge band: bit for
+        # bit the per-step loop, and within rounding the per-point loop on the
+        # small grids; the points with w(t) = 0 (t = 0 under a left, t = 1
+        # under a right constraint) integrate over an empty range and must
+        # read exactly 0.  At M = 1000 the last block of every band is partial
+        # (max R(t) = M // (k-1) is no multiple of the block); M = 2000 makes
+        # many blocks
+        block = max(1, progressions.CELLS // 1001)
+        assert (1000 // (k - 1)) % block
+        for m in (2 * k, 2 * k + 1, 2 * k + 2, 31, 100, 501, 1000, 2000):
             f = rng.uniform(0.1, 1.2, m + 1)
             j = np.arange(m + 1)
             bands = [
@@ -99,10 +106,26 @@ class TestFunctionalApply:
             ]
             for offsets, a, b in [*bands, (list(range(k)), 0, k - 1)]:
                 got = _band_integral(f, offsets, a, b)
-                want = naive_band_integral(f, offsets, a, b)
-                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+                assert np.array_equal(got, loop_band_integral(f, offsets, a, b))
+                if m <= 501:
+                    want = naive_band_integral(f, offsets, a, b)
+                    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
                 empty = (a > 0) & (j == 0) | (b > 0) & (j == m)
                 assert np.all(got[empty] == 0) and np.all(got[~empty] > 0)
+
+    def test_band_integral_scratch_is_bounded(self, rng):
+        # k = 3 at M = 4000 takes up to 2000 steps: the whole (R, M)
+        # rectangle of products would be about 64 MB, the blocks stay O(M)
+        m = 4000
+        f = rng.uniform(0.1, 1.2, m + 1)
+        tracemalloc.start()
+        try:
+            for offsets, a, b in (([1, 2], 0, 2), ([-1, 1], 1, 1), ([0, 1, 2], 0, 2)):
+                _band_integral(f, offsets, a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_trapezoid_against_dense_reference(self, rng):
         # independent slow evaluation of the band integral on a smooth input
