@@ -38,13 +38,10 @@ from .hypergraph import (
     write_hypergraph,
 )
 from .progressions import (
-    KapParams,
     ap_degree,
     ap_hypergraph,
     degree_coefficient,
     discrete_profile_gap,
-    functional_apply,
-    kap_fixed_point,
     kap_marginal_check,
     kap_rate,
     kap_rate_bethe,

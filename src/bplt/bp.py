@@ -471,6 +471,8 @@ def _coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, max_iter,
     contributes ``head * eps``, since x*(t) ~ t as t -> 0 and ``head`` is the
     mass of the all-ones vector.
     """
+    if not quad_nodes >= 1:
+        raise ValueError(f"quad_nodes must be >= 1 (got {quad_nodes})")
     eps = c * 1e-6
     nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
     mid, half = 0.5 * (eps + c), 0.5 * (c - eps)

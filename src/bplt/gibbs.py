@@ -334,20 +334,21 @@ def _vertex_residuals(graph, params, v):
     held = _total(in_v, params.p, zeta)  # held[u]: weight of the subsets holding u and v
     log_in_v = _log_z_from_total(held[v], n, lam)
     contracted, cmap = graph.contract_vertices((v,))
-    log_z_contracted = partition_function(contracted, params, unsafe_size=True)
+    r_cond = 0.0
+    if held[v] > 0:  # one listing of the contracted graph gives Z and the conditional
+        summary = summarize(contracted, params, unsafe_size=True)
+        log_z_contracted = summary.log_z
+        r_cond = max(
+            (float(abs(held[u] / held[v] - summary.marginals[c])) for u, c in cmap.items()),
+            default=0.0,
+        )
+    else:
+        log_z_contracted = partition_function(contracted, params, unsafe_size=True)
     r_occ = _rel_from_logs(log_in_v, math.log(lam) + log_z_contracted if lam > 0 else -math.inf)
 
     log_out_v = _log_z(graph, params, True, forbid=(v,))
     deleted, _ = graph.remove_vertices((v,))
     r_unocc = _rel_from_logs(log_out_v, partition_function(deleted, params, unsafe_size=True))
-
-    r_cond = 0.0
-    if held[v] > 0:
-        marginals = summarize(contracted, params, unsafe_size=True).marginals
-        r_cond = max(
-            (float(abs(held[u] / held[v] - marginals[c])) for u, c in cmap.items()),
-            default=0.0,
-        )
     return r_occ, r_unocc, r_cond
 
 

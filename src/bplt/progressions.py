@@ -1,12 +1,16 @@
-"""Arithmetic-progression avoidance: the AP hypergraph, the functional
-message operator on a grid, its fixed point, and the two rate formulas.
+"""Arithmetic-progression avoidance: the AP hypergraph, the profile
+operator on a grid, its fixed point, and the two rate formulas.
 
 Integers 1..n become vertices 0..n-1; the k-uniform hypergraph has one edge
 per k-term progression inside [n].  The position-dependent degree makes the
 message fixed point a function of position t in [0, 1]; it is represented
 on a uniform grid of size M and solved by the shared iteration of ``bp``,
 under the same log-sup contraction certificate as the finite-dimensional
-operator.  Inner integrals use the
+operator.  One operator serves every edge penalty zeta in [0, 1] (zeta = 1
+for non-existence, zeta < 1 for lower tails): :func:`phi_apply` and
+:func:`phi_fixed_point`, with prefactor zeta.  The hypergraph's own
+normalisation (prefactor zeta/alpha) is the same operator after the
+scaling gamma = alpha^(1/(k-1)).  Inner integrals use the
 composite trapezoid rule on the grid (integer shifts stay on-grid), with
 linear interpolation only on the fractional tail segment.  The on-grid sums
 run over blocks of steps at once, at most ``CELLS`` products per block, on
@@ -30,13 +34,10 @@ from .gibbs import ModelParams, glauber_marginals, summarize
 from .hypergraph import Multihypergraph
 
 __all__ = [
-    "KapParams",
     "degree_coefficient",
     "ap_hypergraph",
     "ap_degree",
-    "functional_apply",
     "phi_apply",
-    "kap_fixed_point",
     "phi_fixed_point",
     "phi_threshold",
     "kap_rate",
@@ -95,24 +96,17 @@ def ap_degree(k, n, t):
     return _sum_of_nearer_sides(k, lambda j: (t - 1) // j, lambda j: (n - t) // j)
 
 
-@dataclass(frozen=True)
-class KapParams:
-    """Uniformity, prior density, penalty, and grid resolution."""
-
-    k: int
-    c: float
-    zeta: float = 1.0
-    grid_size: int = 2000
-
-    def __post_init__(self):
-        if self.k < 3:
-            raise ValueError("k must be >= 3")
-        if not self.c > 0:
-            raise ValueError("c must be positive")
-        if not 0 <= self.zeta <= 1:
-            raise ValueError("zeta must lie in [0, 1]")
-        if self.grid_size < 2 * self.k:
-            raise ValueError("grid_size too small for the offsets")
+def _check_grid(k, c, zeta, grid_size):
+    """The one input guard of the grid API: k >= 3, c > 0 and finite,
+    zeta in [0, 1], and grid_size >= 2k (the band offsets reach k-1 steps)."""
+    if not k >= 3:
+        raise DomainError("k must be >= 3")
+    if not 0 < c < math.inf:
+        raise DomainError(f"c={c} must be positive and finite")
+    if not 0 <= zeta <= 1:
+        raise DomainError(f"zeta={zeta} must lie in [0, 1]")
+    if not grid_size >= 2 * k:
+        raise ValueError(f"grid_size={grid_size} must be at least 2k = {2 * k}")
 
 
 def _band_integral(f, offsets, a, b):
@@ -170,7 +164,6 @@ def _band_integral(f, offsets, a, b):
 
 
 def _grid_apply(f, c, coeff, k):
-    f = np.asarray(f, dtype=float)
     total = np.zeros(len(f))
     for ell in range(1, k + 1):
         offsets = [i for i in range(-(ell - 1), k - ell + 1) if i != 0]
@@ -178,63 +171,55 @@ def _grid_apply(f, c, coeff, k):
     return c * np.exp(-coeff * total)
 
 
-def functional_apply(params, f):
-    """One application of the grid operator with prefactor zeta/alpha."""
-    if len(f) != params.grid_size + 1:
-        raise ValueError("f must have grid_size + 1 entries")
-    alpha = float(degree_coefficient(params.k))
-    return _grid_apply(f, params.c, params.zeta / alpha, params.k)
-
-
-def phi_apply(k, c, f):
-    """One application of the unscaled profile operator (prefactor 1)."""
-    return _grid_apply(f, c, 1.0, k)
+def phi_apply(k, c, f, zeta=1.0):
+    """One application of the profile operator with edge penalty zeta:
+    c exp(-zeta * sum of the k band integrals of f), on the grid of f."""
+    f = np.asarray(f, dtype=float)
+    _check_grid(k, c, zeta, len(f) - 1)
+    if not np.all((f > 0) & (f < math.inf)):
+        raise ValueError("f must be positive and finite")
+    return _grid_apply(f, c, zeta, k)
 
 
 def _grid_fixed_point(c, coeff, k, grid_size, tol, max_iter):
-    alpha = float(degree_coefficient(k))
-    factor = coeff * alpha * (k - 1) * c ** (k - 1) / math.e
-    if factor >= 1.0:
-        raise DomainError(
-            f"outside the contraction region (square-iterate factor {factor:.6g})"
-        )
+    """Fixed point of the grid operator with prefactor ``coeff``, from the
+    constant c.  The caller checks the inputs and the certificate."""
     f = np.full(grid_size + 1, float(c))
     return _iterate(
         lambda g: _grid_apply(g, c, coeff, k), f, tol, max_iter, "grid fixed point"
     )
 
 
-def kap_fixed_point(params, tol=1e-12, max_iter=10_000):
-    """Fixed point of the zeta/alpha-scaled operator, from the constant c."""
-    alpha = float(degree_coefficient(params.k))
-    return _grid_fixed_point(
-        params.c, params.zeta / alpha, params.k, params.grid_size, tol, max_iter
-    )
-
-
 def phi_threshold(k):
-    """Largest admissible c for the profile operator:
-    (e / ((k-1) alpha))^(1/(k-1))."""
+    """Largest admissible c for the profile operator at zeta = 1:
+    (e / ((k-1) alpha))^(1/(k-1)).  At penalty zeta the bound is this
+    times zeta^(-1/(k-1))."""
     alpha = float(degree_coefficient(k))
     return (math.e / ((k - 1) * alpha)) ** (1.0 / (k - 1))
 
 
-def phi_fixed_point(k, c, tol=1e-12, grid_size=2000, method="scaled", max_iter=10_000):
-    """Fixed point of the profile operator.
+def phi_fixed_point(
+    k, c, tol=1e-12, grid_size=2000, method="scaled", max_iter=10_000, zeta=1.0
+):
+    """Fixed point of the profile operator with edge penalty zeta.
 
-    ``method='scaled'`` solves the zeta=1 scaled operator at c' = gamma*c
-    with gamma = alpha^(1/(k-1)) and divides by gamma (the two operators
-    are conjugate under that scaling); ``method='direct'`` iterates the
-    profile operator itself.  Both routes agree to solver tolerance.
+    The contraction certificate admits c < phi_threshold(k) zeta^(-1/(k-1)),
+    with no bound at zeta = 0.  ``method='direct'`` iterates the profile
+    operator itself, at (c, zeta).  ``method='scaled'`` solves the operator
+    with prefactor zeta/alpha at gamma*c, gamma = alpha^(1/(k-1)), and
+    divides by gamma (the two operators are conjugate under that scaling).
+    Both routes agree to solver tolerance.
     """
-    _check_admissible(c, phi_threshold(k))
+    _check_grid(k, c, zeta, grid_size)
+    bound = phi_threshold(k) * zeta ** (-1.0 / (k - 1)) if zeta > 0 else math.inf
+    _check_admissible(c, bound, f" at zeta={zeta}")
     if method == "direct":
-        return _grid_fixed_point(c, 1.0, k, grid_size, tol, max_iter)
+        return _grid_fixed_point(c, zeta, k, grid_size, tol, max_iter)
     if method != "scaled":
         raise ValueError("method must be 'scaled' or 'direct'")
     alpha = float(degree_coefficient(k))
     gamma = alpha ** (1.0 / (k - 1))
-    scaled = _grid_fixed_point(gamma * c, 1.0 / alpha, k, grid_size, tol, max_iter)
+    scaled = _grid_fixed_point(gamma * c, zeta / alpha, k, grid_size, tol, max_iter)
     return scaled / gamma
 
 
@@ -251,6 +236,7 @@ def kap_rate(k, c, quad_nodes=64, grid_size=800, tol=1e-11, max_iter=10_000):
     the [0, eps) head contributes eps since the fixed point at parameter t
     approaches t uniformly.
     """
+    _check_grid(k, c, 1.0, grid_size)
     _check_admissible(c, phi_threshold(k))
     h = 1.0 / grid_size
     total = _coupling_integral(
@@ -345,11 +331,15 @@ def discrete_profile_gap(k, n, c, zeta=1.0, tol=1e-10, grid_tol=1e-12):
     """Sup-norm gap between the finite-hypergraph fixed point on the AP
     hypergraph (scaled by its max degree) and the grid fixed point.
 
-    Vertex j (0-based) is compared with the grid value at (j+1)/n on a
-    grid of size n.  Returns (gap, bp_vector, grid_values)."""
+    Both take the hypergraph's normalisation, prefactor zeta/alpha at c;
+    the finite solve certifies that pair first.  Vertex j (0-based) is
+    compared with the grid value at (j+1)/n on a grid of size n.  Returns
+    (gap, bp_vector, grid_values)."""
+    _check_grid(k, c, zeta, n)
     graph = ap_hypergraph(k, n)
     delta = max(graph.degrees())
     bp_vec = bp_fixed_point(graph, BPParams(k, c, zeta, delta), tol=tol)
-    grid_fp = kap_fixed_point(KapParams(k, c, zeta, grid_size=n), tol=grid_tol)
+    alpha = float(degree_coefficient(k))
+    grid_fp = _grid_fixed_point(c, zeta / alpha, k, n, grid_tol, 10_000)
     gap = float(np.max(np.abs(bp_vec - grid_fp[1:])))
     return gap, bp_vec, grid_fp

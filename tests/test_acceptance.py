@@ -16,7 +16,6 @@ import pytest
 import bplt
 from bplt import (
     BPParams,
-    KapParams,
     ModelParams,
     Multihypergraph,
 )
@@ -271,7 +270,7 @@ def test_criterion_10_kap_suite():
             assert all(deg[t - 1] == ap_degree(k, n, t) for t in range(1, n + 1))
 
     tol = 1e-12
-    f = bplt.kap_fixed_point(KapParams(3, 1.0, 1.0, 2000), tol=tol)
+    f = bplt.phi_fixed_point(3, 1.0, tol=tol, grid_size=2000, method="direct")
     sym = float(np.max(np.abs(f - f[::-1])))
     assert sym < 10 * tol
     assert np.argmin(f) in (1000, 999, 1001)

@@ -27,7 +27,7 @@ from bplt.errors import ConvergenceError, DomainError
 from bplt.generators import random_k_uniform
 from bplt.gibbs import ModelParams, partition_function
 from bplt.hypergraph import Multihypergraph
-from bplt.progressions import KapParams, kap_fixed_point, kap_rate, phi_fixed_point
+from bplt.progressions import kap_rate, phi_fixed_point
 from bplt.rates import named_graph, subgraph_hypergraph
 from conftest import fixed_point_gap, log_gap, naive_bp_apply
 
@@ -208,7 +208,7 @@ class TestFixedPoint:
             lambda: solve_zeta(g, 3, 0.9, 0.3, max_iter=2),
             lambda: bp_log_partition(g, params, method="integral", max_iter=2),
             lambda: phi_fixed_point(3, 0.9, grid_size=60, max_iter=2),
-            lambda: kap_fixed_point(KapParams(3, 0.9, 1.0, grid_size=60), max_iter=2),
+            lambda: phi_fixed_point(3, 0.9, grid_size=60, max_iter=2, method="direct"),
             lambda: kap_rate(3, 0.9, quad_nodes=4, grid_size=60, max_iter=2),
         ]
         for solve in solvers:
@@ -216,6 +216,17 @@ class TestFixedPoint:
                 solve()
             assert err.value.residual is not None
             assert err.value.iterations == 2
+
+    def test_quad_nodes_named(self):
+        # both coupling-constant integrals refuse an empty rule by name
+        g = subgraph_hypergraph(named_graph("K3"), 6)
+        params = BPParams(3, 0.9, 1.0, max(g.degrees()))
+        for solve in (
+            lambda: bp_log_partition(g, params, method="integral", quad_nodes=0),
+            lambda: kap_rate(3, 0.9, quad_nodes=0, grid_size=60),
+        ):
+            with pytest.raises(ValueError, match="quad_nodes"):
+                solve()
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_underflow_fails_fast(self):

@@ -100,6 +100,14 @@ class TestRateKap:
         rates = [float(r.split(",")[1]) for r in rows]
         assert rates[0] > rates[1] > rates[2]
 
+    @pytest.mark.parametrize("command", ["rate-kap", "kap-profile"])
+    @pytest.mark.parametrize("size", ["0", "5"])
+    def test_small_grid_exits_2(self, capsys, command, size):
+        # the band offsets need grid_size >= 2k: refused with one line
+        code, out, err = run(capsys, command, "--k", "3", "--c", "1", "--grid-size", size)
+        assert code == 2 and out == ""
+        assert err.startswith("error: grid_size") and err.count("\n") == 1
+
 
 class TestSubgraphCommand:
     def test_triangle_scalars(self, capsys):
@@ -417,9 +425,10 @@ class TestExactCheckFold:
                 assert {name: float(scalars[name]) for name in names} == worst
 
     def test_listings_per_command(self, capsys, monkeypatch, tmp_path):
-        # Z(G) is listed once, by the summary; each vertex lists its four
-        # split sides and, when v can be occupied, the contracted marginals;
-        # each edge lists Z(G - e) and its restriction to supersets of e
+        # Z(G) is listed once, by the summary; each vertex lists the four
+        # sides of its two splits, the contracted side also giving the
+        # marginals when v can be occupied; each edge lists Z(G - e) and its
+        # restriction to supersets of e
         from bplt import gibbs
 
         listing = gibbs._listing
@@ -440,7 +449,7 @@ class TestExactCheckFold:
                 capsys, "exact-check", "--file", str(path), "--lambda", str(lam),
                 "--zeta", str(zeta),
             )
-            assert code == 0 and calls == 1 + 5 * g.num_vertices + 2 * g.num_edges
+            assert code == 0 and calls == 1 + 4 * g.num_vertices + 2 * g.num_edges
 
     def test_nan_residual_fails(self, capsys, monkeypatch, triangle_file):
         from bplt import gibbs

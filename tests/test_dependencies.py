@@ -50,14 +50,14 @@ def test_rate_gnp_loads_no_scipy():
 
 
 PUBLIC_NAMES = [
-    "BPParams", "ConvergenceError", "DomainError", "GibbsSummary", "KapParams",
+    "BPParams", "ConvergenceError", "DomainError", "GibbsSummary",
     "LabeledHypertree", "ModelParams", "Multihypergraph", "SimpleGraph",
     "SizeGuardError", "SubgraphProfile", "Thresholds", "TreeLikeReport",
     "ap_degree", "ap_hypergraph", "bethe_free_energy", "bp_apply", "bp_fixed_point",
     "bp_log_partition", "bp_lower_tail_rate", "build_saw_tree", "build_weitz_tree",
     "contraction_margin", "copies_per_edge", "degree_coefficient", "degree_stats",
-    "discrete_profile_gap", "functional_apply", "glauber_marginals", "glauber_sample",
-    "is_linear_hypertree", "kap_fixed_point", "kap_marginal_check", "kap_rate",
+    "discrete_profile_gap", "glauber_marginals", "glauber_sample",
+    "is_linear_hypertree", "kap_marginal_check", "kap_rate",
     "kap_rate_bethe", "lambert_w0", "lower_tail_exact", "mc_lower_tail", "named_graph",
     "parse_hypergraph", "partition_function", "phi_apply", "phi_fixed_point",
     "phi_threshold", "rate_gnm", "rate_gnp", "regular_fixed_point", "relabel_vertices",

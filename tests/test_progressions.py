@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +12,11 @@ import pytest
 from bplt import gibbs, progressions
 from bplt.errors import DomainError
 from bplt.progressions import (
-    KapParams,
     _band_integral,
     ap_degree,
     ap_hypergraph,
     degree_coefficient,
-    functional_apply,
-    kap_fixed_point,
+    discrete_profile_gap,
     kap_marginal_check,
     kap_rate,
     kap_rate_bethe,
@@ -23,6 +25,32 @@ from bplt.progressions import (
     phi_threshold,
 )
 from conftest import fixed_point_gap, log_gap, loop_band_integral, naive_band_integral
+
+
+def _headed(value):
+    """A 61-point profile of ones whose first entry is ``value``."""
+    return np.r_[value, np.ones(60)]
+
+
+# inputs the grid API refuses: (call, exception type, message fragment)
+REFUSED = {
+    "grid-0": (lambda: phi_fixed_point(3, 1.0, grid_size=0), ValueError, "grid_size"),
+    "grid-5": (lambda: phi_fixed_point(3, 1.0, grid_size=5), ValueError, "grid_size"),
+    "rate-grid": (lambda: kap_rate(3, 0.5, grid_size=5), ValueError, "grid_size"),
+    "gap-grid": (lambda: discrete_profile_gap(3, 5, 0.5), ValueError, "grid_size"),
+    "apply-grid": (lambda: phi_apply(3, 0.5, np.ones(6)), ValueError, "grid_size"),
+    "zeta-high": (lambda: phi_fixed_point(3, 0.5, zeta=1.5), DomainError, "zeta"),
+    "zeta-low": (lambda: phi_fixed_point(3, 0.5, zeta=-0.1), DomainError, "zeta"),
+    "zeta-nan": (lambda: phi_fixed_point(3, 0.5, zeta=math.nan), DomainError, "zeta"),
+    "c-negative": (lambda: phi_fixed_point(3, -1.0), DomainError, "c="),
+    "c-inf": (lambda: phi_fixed_point(3, math.inf, zeta=0.0), DomainError, "c="),
+    "apply-c": (lambda: phi_apply(3, -1.0, np.full(61, 0.5)), DomainError, "c="),
+    "k-2": (lambda: phi_fixed_point(2, 0.5), DomainError, "k must"),
+    "f-nan": (lambda: phi_apply(3, 0.5, _headed(math.nan)), ValueError, "f must"),
+    "f-inf": (lambda: phi_apply(3, 0.5, _headed(math.inf)), ValueError, "f must"),
+    "f-zero": (lambda: phi_apply(3, 0.5, _headed(0.0)), ValueError, "f must"),
+    "f-negative": (lambda: phi_apply(3, 0.5, _headed(-0.1)), ValueError, "f must"),
+}
 
 
 class TestDegreeCoefficient:
@@ -68,22 +96,19 @@ class TestFunctionalApply:
     def test_symmetric_point_value(self):
         # constant input, k=3, zeta=1: the exponent at t=1/2 is exactly -c^2
         c = 0.7
-        params = KapParams(3, c, 1.0, 500)
-        out = functional_apply(params, np.full(501, c))
+        out = phi_apply(3, c, np.full(501, c), zeta=1.0)
         assert out[250] == pytest.approx(c * math.exp(-(c**2)), rel=1e-12)
 
     def test_boundary_point(self):
         # at t=0 only the leftmost-position term survives, with range 1/(k-1)
         c, k = 0.7, 3
-        params = KapParams(k, c, 1.0, 500)
-        out = functional_apply(params, np.full(501, c))
+        out = phi_apply(k, c, np.full(501, c), zeta=1.0)
         assert out[0] == pytest.approx(c * math.exp(-(c**2) / (k - 1)), rel=1e-12)
 
     def test_symmetry_preserved(self, rng):
-        params = KapParams(3, 0.9, 0.8, 400)
         half = rng.uniform(0.2, 0.9, size=201)
         f = np.concatenate([half, half[-2::-1]])
-        out = functional_apply(params, f)
+        out = phi_apply(3, 0.9, f, zeta=0.8)
         assert np.max(np.abs(out - out[::-1])) < 1e-12
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
@@ -133,9 +158,7 @@ class TestFunctionalApply:
         m = 200
         grid = np.linspace(0, 1, m + 1)
         f = c * (0.6 + 0.3 * np.sin(2.3 * grid) ** 2)
-        params = KapParams(k, c, zeta, m)
-        got = functional_apply(params, f)
-        alpha = float(degree_coefficient(k))
+        got = phi_apply(k, c, f, zeta=zeta)
 
         def interp(x):
             return np.interp(x, grid, f)
@@ -152,24 +175,25 @@ class TestFunctionalApply:
                     if i:
                         prod = prod * interp(t + i * ss)
                 total += np.trapezoid(prod, ss)
-            want = c * math.exp(-zeta / alpha * total)
+            want = c * math.exp(-zeta * total)
             assert got[idx] == pytest.approx(want, abs=5e-5)
 
 
 class TestContraction:
     def test_grid_double_step_contracts(self, rng):
-        # log-sup contraction of the squared operator, up to quadrature error
+        # log-sup contraction of the squared operator, up to quadrature error,
+        # by the profile operator's own factor zeta alpha (k-1) c^(k-1) / e
         for _ in range(15):
             k = int(rng.integers(3, 5))
+            alpha = float(degree_coefficient(k))
             c = float(rng.uniform(0.2, 0.9))
-            zeta_max = min(1.0, 0.9 * math.e / ((k - 1) * c ** (k - 1)))
+            zeta_max = min(1.0, 0.9 * math.e / (alpha * (k - 1) * c ** (k - 1)))
             zeta = float(rng.uniform(0.1, zeta_max))
-            params = KapParams(k, c, zeta, 300)
-            margin = 1.0 - zeta * c ** (k - 1) * (k - 1) / math.e
+            margin = 1.0 - zeta * alpha * (k - 1) * c ** (k - 1) / math.e
             f = rng.uniform(0.05, c, size=301)
             g = rng.uniform(0.05, c, size=301)
-            ff = functional_apply(params, functional_apply(params, f))
-            gg = functional_apply(params, functional_apply(params, g))
+            ff = phi_apply(k, c, phi_apply(k, c, f, zeta=zeta), zeta=zeta)
+            gg = phi_apply(k, c, phi_apply(k, c, g, zeta=zeta), zeta=zeta)
             lhs = np.max(np.abs(np.log(ff) - np.log(gg)))
             rhs = (1 - margin) * np.max(np.abs(np.log(f) - np.log(g)))
             assert lhs <= rhs + 1e-6  # grid-error allowance
@@ -188,8 +212,7 @@ class TestContraction:
 
 class TestFixedPoints:
     def test_fixed_point_properties(self):
-        params = KapParams(3, 1.0, 1.0, 800)
-        f = kap_fixed_point(params, tol=1e-12)
+        f = phi_fixed_point(3, 1.0, tol=1e-12, grid_size=800, method="direct")
         # symmetric, endpoint maxima, interior minimum at the centre
         assert np.max(np.abs(f - f[::-1])) < 1e-11
         assert np.argmin(f) in (400, 401)
@@ -200,8 +223,8 @@ class TestFixedPoints:
         assert np.all(f >= 1.0 * math.exp(-1.0) - 1e-9)
 
     def test_grid_refinement_consistency(self):
-        a = kap_fixed_point(KapParams(3, 1.0, 1.0, 400))
-        b = kap_fixed_point(KapParams(3, 1.0, 1.0, 800))
+        a = phi_fixed_point(3, 1.0, grid_size=400, method="direct")
+        b = phi_fixed_point(3, 1.0, grid_size=800, method="direct")
         jump_a = np.max(np.abs(np.diff(a)))
         jump_b = np.max(np.abs(np.diff(b)))
         assert jump_b < jump_a
@@ -209,13 +232,31 @@ class TestFixedPoints:
 
     def test_condition_refused(self):
         with pytest.raises(DomainError):
-            kap_fixed_point(KapParams(3, 1.5, 1.0, 200))
+            phi_fixed_point(3, 1.5, grid_size=200, method="direct")
 
     def test_phi_routes_agree(self):
-        for k, c in [(3, 0.9), (4, 0.55)]:
-            a = phi_fixed_point(k, c, grid_size=500, method="scaled")
-            b = phi_fixed_point(k, c, grid_size=500, method="direct")
-            assert np.max(np.abs(a - b)) < 1e-11
+        # the certificate admits c < phi_threshold(k) zeta^(-1/(k-1)); at
+        # zeta = 0.5 the last k = 4 case lies above the zeta = 1 bound
+        routes = ("scaled", "direct")
+        for zeta in (0.5, 1.0):
+            for k, fraction in [(3, 0.9), (4, 0.55), (4, 0.95)]:
+                bound = phi_threshold(k) * zeta ** (-1.0 / (k - 1))
+                c = fraction * bound
+                a, b = (phi_fixed_point(k, c, grid_size=500, method=m, zeta=zeta) for m in routes)
+                assert np.max(np.abs(a - b)) < 1e-11
+                for method in routes:
+                    with pytest.raises(DomainError, match=f"{bound:.12g}"):
+                        phi_fixed_point(k, 1.001 * bound, grid_size=60, method=method, zeta=zeta)
+        assert 0.95 * phi_threshold(4) * 0.5 ** (-1.0 / 3) > phi_threshold(4)
+
+    @pytest.mark.parametrize("case", list(REFUSED))
+    def test_inputs_refused(self, case):
+        # one guard for the grid API; a bad grid size or f is a ValueError,
+        # not a DomainError, so a rate sweep does not call it out of domain
+        call, error, match = REFUSED[case]
+        with pytest.raises(error, match=match) as err:
+            call()
+        assert type(err.value) is error
 
     def test_phi_residual(self):
         x = phi_fixed_point(3, 1.0, grid_size=600, tol=1e-12)
@@ -242,7 +283,7 @@ class TestMixedIteration:
         margin = 1 - fraction**2  # 1 - the square-iterate factor (c / threshold)^(k-1)
         solves = [
             lambda: phi_fixed_point(3, c, grid_size=200),
-            lambda: kap_fixed_point(KapParams(3, c, 1.0, grid_size=200)),
+            lambda: phi_fixed_point(3, c, grid_size=200, method="direct"),
         ]
         for solve in solves:
             assert log_gap(solve(), plain_solvers(solve)) <= fixed_point_gap(1e-12, margin)
@@ -324,3 +365,25 @@ class TestMarginalCheck:
             3, 1.0, 14, mode="mc", grid_size=300, chains=12_000, sweeps=40, seed=4
         )
         assert np.max(np.abs(exact.scaled - mc.scaled)) < 0.15
+
+
+def test_diagnostics_script_runs():
+    # scripts/finite_size_diagnostics.py at its smallest sizes: every section
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [
+            sys.executable, str(root / "scripts" / "finite_size_diagnostics.py"),
+            "--profile-sizes", "60", "--marginal-sizes", "12", "--triangle-sizes", "5",
+        ],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    headers = [line for line in done.stdout.splitlines() if line.startswith("== ")]
+    assert headers == [
+        "== grid vs hypergraph fixed point (sup-norm gap) ==",
+        "== exact conditional marginals vs profile (mean |gap|) ==",
+        "== exact scaled non-existence log-probability vs limiting rate ==",
+        "== BP log Z and scaled marginal vs exact on triangle hypergraphs ==",
+    ]
