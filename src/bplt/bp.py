@@ -13,6 +13,13 @@ Delta-regular graph the fixed point is the constant solution of
 ``x = c exp(-zeta x^(k-1))``, available in closed form through the Lambert
 W function.  Both penalty solvers find the zeta that meets the lower-tail
 target with one bracketed root finder (``_root``, Illinois regula falsi).
+
+The operator works on the edges as one (k, M) array (``_edge_array``).
+Each public call builds it once, together with a workspace of two (k, M)
+float buffers (``_workspace``) that every application in that call reuses:
+a solve makes tens to thousands of applications, and allocating the buffers
+afresh each time made the kernel wait on page faults.  The buffers live no
+longer than the call.
 """
 
 from __future__ import annotations
@@ -190,39 +197,58 @@ def _edge_array(graph, k):
     return np.fromiter(flat, np.int64, count=k * graph.num_edges).reshape(-1, k).T.copy()
 
 
-def _edge_sum(x, edges):
+def _workspace(edges):
+    """The two (k, M) float buffers ``_apply`` works in, ``_edge_sum`` in
+    the first: built once per public call and reused by every application
+    in it."""
+    return np.empty((2, *edges.shape))
+
+
+def _edge_sum(x, edges, work):
     """Sum over the edges of the product of their members' entries."""
-    return float(np.prod(x[edges], axis=0).sum())
+    vals = np.take(x, edges, out=work[0], mode="clip")
+    return float(np.prod(vals, axis=0).sum())
 
 
-def _apply(x, edges, c, zeta, delta):
+def _apply(x, edges, work, c, zeta, delta):
     # Each member of an edge receives the product of the other members,
     # built from prefix and suffix products over the k rows of vals: no
     # division, so it stays exact when the product of all k underflows.
+    # vals and loo are the caller's workspace, reused across applications:
+    # fresh (k, M) arrays on every call cost more in page faults than the
+    # arithmetic.  The gather clips rather than checks its indices, since
+    # Multihypergraph keeps every vertex in range and every x reaching here
+    # has one entry per vertex; the default mode would buffer a (k, M) copy.
+    # The suffix product runs in loo[0], where it ends.
     k = len(edges)
-    vals = x[edges]
-    loo = np.empty_like(vals)
+    vals, loo = work
+    np.take(x, edges, out=vals, mode="clip")
     loo[1] = vals[0]
     for j in range(2, k):
         np.multiply(loo[j - 1], vals[j - 1], out=loo[j])
-    suffix = vals[k - 1]
+    loo[0] = vals[k - 1]
     for j in range(k - 2, 0, -1):
-        loo[j] *= suffix
-        suffix = suffix * vals[j]
-    loo[0] = suffix
+        loo[j] *= loo[0]
+        loo[0] *= vals[j]
     sums = np.bincount(edges.ravel(), weights=loo.ravel(), minlength=len(x))
     return c * np.exp(-(zeta / delta) * sums)
 
 
-def bp_apply(graph, params, x):
-    """One application of the message operator; pure in x."""
+def _check_vector(graph, x):
+    """x as a float array, refused unless it has one positive entry per vertex."""
     x = np.asarray(x, dtype=float)
     if x.shape != (graph.num_vertices,):
         raise ValueError("x must have one entry per vertex")
     if not np.all(x > 0):
         raise ValueError("x entries must be positive")
+    return x
+
+
+def bp_apply(graph, params, x):
+    """One application of the message operator; pure in x."""
+    x = _check_vector(graph, x)
     edges = _edge_array(graph, params.k)
-    return _apply(x, edges, params.c, params.zeta, params.delta)
+    return _apply(x, edges, _workspace(edges), params.c, params.zeta, params.delta)
 
 
 def _iterate(apply, x, tol, max_iter, what):
@@ -304,16 +330,17 @@ def bp_fixed_point(graph, params, tol=1e-12, max_iter=100_000):
     passes the same residual test, but nothing certifies that the fixed
     point it approximates is the only one.
     """
-    return _fixed_point(_edge_array(graph, params.k), graph.num_vertices, params, tol, max_iter)
+    edges = _edge_array(graph, params.k)
+    return _fixed_point(edges, _workspace(edges), graph.num_vertices, params, tol, max_iter)
 
 
-def _fixed_point(edges, n, params, tol, max_iter):
+def _fixed_point(edges, work, n, params, tol, max_iter):
     _check_uniqueness(params)
     x = np.full(n, params.c)
     if edges.shape[1] == 0:
         return x
     return _iterate(
-        lambda v: _apply(v, edges, params.c, params.zeta, params.delta),
+        lambda v: _apply(v, edges, work, params.c, params.zeta, params.delta),
         x,
         tol,
         max_iter,
@@ -323,15 +350,14 @@ def _fixed_point(edges, n, params, tol, max_iter):
 
 def bethe_free_energy(graph, params, x):
     """-(zeta/Delta) sum_e prod_{u in e} x_u - sum_v x_v (log(x_v/c) - 1)."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(x > 0):
-        raise ValueError("x entries must be positive")
-    return _bethe(_edge_array(graph, params.k), params, x)
+    x = _check_vector(graph, x)
+    edges = _edge_array(graph, params.k)
+    return _bethe(edges, _workspace(edges), params, x)
 
 
-def _bethe(edges, params, x):
+def _bethe(edges, work, params, x):
     vertex_term = float((x * (np.log(x / params.c) - 1.0)).sum())
-    return -(params.zeta / params.delta) * _edge_sum(x, edges) - vertex_term
+    return -(params.zeta / params.delta) * _edge_sum(x, edges, work) - vertex_term
 
 
 def _root(f, a, b, fa, fb, xtol, rtol, ftol, max_iter):
@@ -413,20 +439,21 @@ def solve_zeta(
     Requires c below the general critical density, or the regular one when
     the caller asserts near-regularity.  eta = 0 returns zeta = 1 directly.
     """
+    edges = _edge_array(graph, k)
     return _solve_zeta(
-        _edge_array(graph, k), graph.num_vertices, k, c, eta, tol, near_regular, delta,
+        edges, _workspace(edges), graph.num_vertices, k, c, eta, tol, near_regular, delta,
         fp_tol, max_iter,
     )
 
 
-def _solve_zeta(edges, n, k, c, eta, tol, near_regular, delta, fp_tol, max_iter):
+def _solve_zeta(edges, work, n, k, c, eta, tol, near_regular, delta, fp_tol, max_iter):
     thr = thresholds(k, eta)
     bound = thr.c_max_regular if near_regular else thr.c_max_general
     _check_admissible(c, bound, f" for eta={eta}")
     delta = _default_delta(edges, n) if delta is None else delta
 
     if eta == 0.0:
-        return 1.0, _fixed_point(edges, n, BPParams(k, c, 1.0, delta), fp_tol, max_iter)
+        return 1.0, _fixed_point(edges, work, n, BPParams(k, c, 1.0, delta), fp_tol, max_iter)
 
     if edges.shape[1] == 0:
         raise DomainError("solve_zeta needs at least one edge")
@@ -436,11 +463,11 @@ def _solve_zeta(edges, n, k, c, eta, tol, near_regular, delta, fp_tol, max_iter)
 
     def residual(z):
         at[:] = z, _iterate(
-            lambda v: _apply(v, edges, c, z, delta), at[1], fp_tol, max_iter, "solve_zeta"
+            lambda v: _apply(v, edges, work, c, z, delta), at[1], fp_tol, max_iter, "solve_zeta"
         )
-        return (1.0 - z) * _edge_sum(at[1], edges) - target
+        return (1.0 - z) * _edge_sum(at[1], edges, work) - target
 
-    r_lo = _edge_sum(at[1], edges) - target
+    r_lo = _edge_sum(at[1], edges, work) - target
     # keep the bracket a little inside the contraction region: the margin
     # (and hence the iteration speed) vanishes at the critical density
     zeta_cap = 0.995 * math.e / ((k - 1) * c ** (k - 1))
@@ -506,13 +533,16 @@ def bp_log_partition(
     scale = params.delta ** (-1.0 / (k - 1))
     _check_uniqueness(params)
     edges = _edge_array(graph, k)
+    work = _workspace(edges)
     n = graph.num_vertices
     if method == "bethe":
-        return scale * _bethe(edges, params, _fixed_point(edges, n, params, fp_tol, max_iter))
+        x = _fixed_point(edges, work, n, params, fp_tol, max_iter)
+        return scale * _bethe(edges, work, params, x)
     if method != "integral":
         raise ValueError("method must be 'bethe' or 'integral'")
     total = _coupling_integral(
-        lambda t, v: _apply(v, edges, t, params.zeta, params.delta), lambda x: float(x.sum()),
+        lambda t, v: _apply(v, edges, work, t, params.zeta, params.delta),
+        lambda x: float(x.sum()),
         n, n, c, quad_nodes, fp_tol, max_iter, "bp_log_partition integral",
     )
     return scale * total
@@ -526,10 +556,11 @@ def bp_lower_tail_rate(graph, k, c, eta, delta=None, near_regular=False, fp_tol=
     zeta = 1.
     """
     edges = _edge_array(graph, k)
+    work = _workspace(edges)
     n = graph.num_vertices
     delta = _default_delta(edges, n) if delta is None else delta
-    zeta, x = _solve_zeta(edges, n, k, c, eta, 1e-10, near_regular, delta, fp_tol, 100_000)
-    b = _bethe(edges, BPParams(k, c, zeta, delta), x)
+    zeta, x = _solve_zeta(edges, work, n, k, c, eta, 1e-10, near_regular, delta, fp_tol, 100_000)
+    b = _bethe(edges, work, BPParams(k, c, zeta, delta), x)
     if eta == 0.0:
         return b / n - c
     tail_term = math.log(1.0 - zeta) * eta * c**k * graph.num_edges / (n * delta)

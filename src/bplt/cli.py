@@ -268,10 +268,13 @@ def _cmd_bp_solve(args):
     )
 
     graph = _read_graph(args.file)
-    k = args.k or graph.uniformity()
+    k = graph.uniformity() if args.k is None else args.k
     if k is None:
         raise ValueError("graph is not uniform; pass --k explicitly")
-    delta = args.delta or _default_delta(_edge_array(graph, k), graph.num_vertices)
+    if args.delta is None:
+        delta = _default_delta(_edge_array(graph, k), graph.num_vertices)
+    else:
+        delta = args.delta
     if args.zeta is None and args.eta is None:
         raise ValueError("pass either --zeta or --eta")
     if args.zeta is not None:

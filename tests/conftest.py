@@ -197,6 +197,31 @@ def naive_bp_apply(graph, params, x):
     return np.array([params.c * math.exp(-(params.zeta / params.delta) * s) for s in sums])
 
 
+def reference_apply(x, edges, c, zeta, delta):
+    """The BP kernel's prefix and suffix products over the (k, M) edge
+    array, in fresh arrays on every call and with a checked gather: the
+    reference that ``bp._apply`` on its reused workspace must match bit for
+    bit."""
+    k = len(edges)
+    vals = x[edges]
+    loo = np.empty_like(vals)
+    loo[1] = vals[0]
+    for j in range(2, k):
+        np.multiply(loo[j - 1], vals[j - 1], out=loo[j])
+    suffix = vals[k - 1]
+    for j in range(k - 2, 0, -1):
+        loo[j] *= suffix
+        suffix = suffix * vals[j]
+    loo[0] = suffix
+    sums = np.bincount(edges.ravel(), weights=loo.ravel(), minlength=len(x))
+    return c * np.exp(-(zeta / delta) * sums)
+
+
+def reference_edge_sum(x, edges):
+    """``bp._edge_sum`` with a fresh gather, the reference for its workspace."""
+    return float(np.prod(x[edges], axis=0).sum())
+
+
 def naive_band_integral(f, offsets, a, b):
     """The band integral of ``bplt.progressions`` point by point: at t = j/M,
     the trapezoid rule over the on-grid products g_r = prod_i f(t + i r/M),
@@ -308,6 +333,21 @@ def plain_solvers(monkeypatch):
     """``plain_solvers(solve)`` calls ``solve()`` with every fixed-point
     solver of the library running ``plain_iterate`` instead."""
     return lambda solve: _with_iterate(monkeypatch, plain_iterate, solve)
+
+
+@pytest.fixture
+def reference_kernel(monkeypatch):
+    """``reference_kernel(solve)`` calls ``solve()`` with the BP solvers
+    applying ``reference_apply`` and summing by ``reference_edge_sum``, so
+    ``bp._iterate`` is driven by the allocating kernel and no workspace is read."""
+
+    def run(solve):
+        with monkeypatch.context() as m:
+            m.setattr(bplt.bp, "_apply", lambda x, edges, work, *a: reference_apply(x, edges, *a))
+            m.setattr(bplt.bp, "_edge_sum", lambda x, edges, work: reference_edge_sum(x, edges))
+            return solve()
+
+    return run
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,12 @@ from hypothesis import strategies as st
 
 from bplt.bp import (
     BPParams,
+    _apply,
+    _edge_array,
+    _edge_sum,
     _iterate,
     _root,
+    _workspace,
     bethe_free_energy,
     bp_apply,
     bp_fixed_point,
@@ -29,7 +34,13 @@ from bplt.gibbs import ModelParams, partition_function
 from bplt.hypergraph import Multihypergraph
 from bplt.progressions import kap_rate, phi_fixed_point
 from bplt.rates import named_graph, subgraph_hypergraph
-from conftest import fixed_point_gap, log_gap, naive_bp_apply
+from conftest import (
+    fixed_point_gap,
+    log_gap,
+    naive_bp_apply,
+    reference_apply,
+    reference_edge_sum,
+)
 
 E = math.e
 OMEGA = 0.567143290409783873  # W(1), frozen from a 40-digit Newton solve
@@ -151,6 +162,54 @@ class TestApply:
         out = bp_apply(g, BPParams(3, 1.0, 1.0, 1), np.array([5e-324, 0.1, 0.1]))
         assert out[0] == pytest.approx(math.exp(-0.01), rel=1e-15)
         assert out[1] == out[2] == 1.0
+
+    def test_wrong_length_rejected(self):
+        # the kernel's gather does not check its indices; this check and
+        # Multihypergraph's vertex range are what keep them in range
+        g = Multihypergraph(4, [[0, 1, 2], [1, 2, 3]])
+        params = BPParams(3, 1.0, 1.0, 2)
+        for n in (3, 5):
+            for public in (bp_apply, bethe_free_energy):
+                with pytest.raises(ValueError, match="one entry per vertex"):
+                    public(g, params, np.full(n, 0.5))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_workspace_kernel_matches_reference(self, rng, k):
+        # bit for bit against the allocating kernel, one workspace per edge
+        # array reused across several (x, c, zeta) in turn, starting from
+        # garbage; repeated edges, and a row whose edge products underflow
+        for m in (0, 1, 5, 40):
+            n = k + 6
+            g = random_k_uniform(rng, n, k, m - m // 3, allow_multi=True)
+            g = Multihypergraph(n, g.edges + g.edges[: m // 3])
+            edges = _edge_array(g, k)
+            work = _workspace(edges)
+            work.fill(np.nan)
+            tiny = np.full(n, 0.1)
+            tiny[::2] = 5e-324
+            for x in [rng.uniform(1e-3, 1.5, size=n) for _ in range(4)] + [tiny]:
+                c, zeta = float(rng.uniform(0.2, 1.2)), float(rng.uniform(0, 1))
+                delta = int(rng.integers(1, 9))
+                got = _apply(x, edges, work, c, zeta, delta)
+                assert np.array_equal(got, reference_apply(x, edges, c, zeta, delta))
+                assert _edge_sum(x, edges, work) == reference_edge_sum(x, edges)
+
+    def test_application_allocates_no_edge_arrays(self):
+        # with its workspace one application allocates only per-vertex
+        # arrays: less than the edge array, where the allocating kernel
+        # took about three float arrays of that size
+        g = random_k_uniform(np.random.default_rng(1), 20000, 3, 60000)
+        edges = _edge_array(g, 3)
+        work = _workspace(edges)
+        x, delta = np.full(g.num_vertices, 0.5), max(g.degrees())
+        _apply(x, edges, work, 1.0, 1.0, delta)
+        tracemalloc.start()
+        try:
+            _apply(x, edges, work, 1.0, 1.0, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < edges.nbytes
 
 
 class TestFixedPoint:
@@ -285,6 +344,27 @@ class TestMixedIteration:
             # every node's mass moves by at most expm1(gap) relative to itself
             a, b = integral(), plain_solvers(integral)
             assert abs(a - b) <= math.expm1(fixed_point_gap(1e-13, params.margin)) * b
+
+    def test_solvers_match_reference_kernel(self, reference_kernel):
+        # every solver on its workspace returns exactly what _iterate returns
+        # driven by the allocating kernel
+        g = random_k_uniform(np.random.default_rng(5), 300, 3, 900)
+        params = BPParams(3, 1.0, 0.5, max(g.degrees()))
+        solves = [
+            lambda: bp_fixed_point(g, params, tol=1e-13),
+            lambda: solve_zeta(g, 3, 1.0, 0.3),
+            lambda: bp_log_partition(g, params, method="bethe"),
+            lambda: bp_log_partition(g, params, method="integral", quad_nodes=16),
+            lambda: bp_lower_tail_rate(g, 3, 1.0, 0.3),
+        ]
+
+        def parts(result):  # solve_zeta returns (zeta, x)
+            return result if isinstance(result, tuple) else (result,)
+
+        for solve in solves:
+            got, want = solve(), reference_kernel(solve)
+            for a, b in zip(parts(got), parts(want), strict=True):
+                assert np.array_equal(a, b)
 
     def test_drops_a_mixed_step_that_raises_the_residual(self):
         # x -> exp(G(log x)) with G' in (-0.97, 0.99): plain iteration

@@ -166,6 +166,15 @@ class TestBpSolve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--k", "--delta"])
+    def test_zero_exits_2(self, capsys, triangle_file, flag):
+        # 0 is refused, not read as "use the graph's uniformity or Dmax"
+        code, out, err = run(
+            capsys, "bp-solve", "--file", triangle_file, "--c", "0.9", "--zeta", "1", flag, "0"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestExactCheck:
     def test_triangle_passes(self, capsys, triangle_file):
