@@ -336,7 +336,7 @@ def bp_fixed_point(graph, params, tol=1e-12, max_iter=100_000):
 
 def _fixed_point(edges, work, n, params, tol, max_iter):
     _check_uniqueness(params)
-    x = np.full(n, params.c)
+    x = np.full(n, params.c, dtype=float)  # the kernel gathers into float buffers
     if edges.shape[1] == 0:
         return x
     return _iterate(
@@ -459,7 +459,9 @@ def _solve_zeta(edges, work, n, k, c, eta, tol, near_regular, delta, fp_tol, max
         raise DomainError("solve_zeta needs at least one edge")
     scale = c**k * edges.shape[1]
     target = eta * scale
-    at = [0.0, np.full(n, c)]  # the last zeta solved at and its fixed point, warm start
+    # the last zeta solved at and its fixed point, the warm start; float, as
+    # the kernel gathers into float buffers
+    at = [0.0, np.full(n, c, dtype=float)]
 
     def residual(z):
         at[:] = z, _iterate(

@@ -32,7 +32,7 @@ from bplt.errors import ConvergenceError, DomainError
 from bplt.generators import random_k_uniform
 from bplt.gibbs import ModelParams, partition_function
 from bplt.hypergraph import Multihypergraph
-from bplt.progressions import kap_rate, phi_fixed_point
+from bplt.progressions import discrete_profile_gap, kap_rate, phi_fixed_point
 from bplt.rates import named_graph, subgraph_hypergraph
 from conftest import (
     fixed_point_gap,
@@ -365,6 +365,27 @@ class TestMixedIteration:
             got, want = solve(), reference_kernel(solve)
             for a, b in zip(parts(got), parts(want), strict=True):
                 assert np.array_equal(a, b)
+
+    def test_integer_density_matches_float(self):
+        # an int c must not make the starting vectors int arrays, which the
+        # kernel cannot gather into its float buffers
+        g = random_k_uniform(np.random.default_rng(5), 300, 3, 900)
+        d = max(g.degrees())
+
+        def results(c):
+            params = BPParams(3, c, 1.0, d)
+            return [
+                bp_fixed_point(g, params),
+                *solve_zeta(g, 3, c, 0.3),
+                bp_lower_tail_rate(g, 3, c, 0.0),
+                bp_log_partition(g, params, method="bethe"),
+                bp_log_partition(g, params, method="integral", quad_nodes=8),
+                bp_log_partition(Multihypergraph(4, []), BPParams(3, c, 1.0, 1)),
+                *discrete_profile_gap(3, 200, c, 1),
+            ]
+
+        for a, b in zip(results(1), results(1.0), strict=True):
+            assert np.array_equal(a, b)
 
     def test_drops_a_mixed_step_that_raises_the_residual(self):
         # x -> exp(G(log x)) with G' in (-0.97, 0.99): plain iteration
