@@ -6,13 +6,27 @@ The operator sends a positive vertex vector x to
 When ``zeta * (k-1) * c^(k-1) < e`` its square contracts the log-sup metric
 with factor ``1 - margin`` where ``margin = 1 - zeta c^(k-1) (k-1)/e``, so
 there is a unique fixed point.  Every solver reaches it through one shared
-Anderson-mixed iteration (``_iterate``) from the constant vector c, which
-returns a point only once its log-sup residual is below the tolerance; the
-certificate is what puts that point next to the unique fixed point.  On a
+Anderson-mixed iteration (``_iterate``), from the constant vector c or a
+predicted start (below), which returns a point only once its log-sup
+residual is below the tolerance; the certificate is what puts that point
+next to the unique fixed point.  On a
 Delta-regular graph the fixed point is the constant solution of
 ``x = c exp(-zeta x^(k-1))``, available in closed form through the Lambert
 W function.  Both penalty solvers find the zeta that meets the lower-tail
 target with one bracketed root finder (``_root``, Illinois regula falsi).
+
+The drivers that solve a family of fixed points, along the coupling
+constant t of the log Z integral (``_coupling_integral``, also behind the
+grid's ``kap_rate``) and along the penalty zeta in ``solve_zeta``, start each
+solve from a prediction: Lagrange interpolation or extrapolation
+(``_predict``) of the log fixed points
+through the ``_PREDICT_ORDER`` solved parameters nearest the next one.  The
+prediction is clipped to be positive and at most the prior (t, or c) it
+starts from (``_start``), where every fixed point lies, so a poor one costs
+applications and never a failure.  Only the starting points are predicted;
+each returned point still passes ``_iterate``'s residual test.  This is the
+predictor of a predictor-corrector continuation method (Allgower and Georg,
+Numerical Continuation Methods, 1990), with ``_iterate`` the corrector.
 
 The operator works on the edges as one (k, M) array (``_edge_array``).
 Each public call builds it once, together with a workspace of two (k, M)
@@ -24,6 +38,7 @@ longer than the call.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,6 +67,8 @@ _BRANCH_POINT = -1.0 / math.e
 _ANDERSON_DEPTH = 5  # differences kept by the mixing in _iterate
 _ROOT_MAX_ITER = 200  # evaluations allowed to _root
 _ROOT_RTOL = 4 * np.finfo(float).eps  # relative bracket width at which _root stops
+_PREDICT_ORDER = 6  # solved points the warm-start predictor interpolates through
+_LOG_TINY = math.log(np.finfo(float).tiny)  # floor of a predicted start, in log
 
 
 def lambert_w0(y):
@@ -434,8 +451,9 @@ def solve_zeta(
 
     Finds zeta in (0, 1-eta] with
     ``(1-zeta) sum_e prod_{u in e} x*_u(zeta) = eta c^k |E|`` up to
-    ``tol * c^k |E|``, by Illinois regula falsi (``_root``), each fixed
-    point warm-started from the one solved before it.
+    ``tol * c^k |E|``, by Illinois regula falsi (``_root``).  Each fixed
+    point starts from one interpolated through the last ``_PREDICT_ORDER``
+    solved (zeta = 0 among them, where x* = c), clipped to at most c.
     Requires c below the general critical density, or the regular one when
     the caller asserts near-regularity.  eta = 0 returns zeta = 1 directly.
     """
@@ -459,14 +477,18 @@ def _solve_zeta(edges, work, n, k, c, eta, tol, near_regular, delta, fp_tol, max
         raise DomainError("solve_zeta needs at least one edge")
     scale = c**k * edges.shape[1]
     target = eta * scale
-    # the last zeta solved at and its fixed point, the warm start; float, as
-    # the kernel gathers into float buffers
+    # the last zeta solved at and its fixed point; float, as the kernel
+    # gathers into float buffers.  At zeta = 0 the fixed point is c itself.
     at = [0.0, np.full(n, c, dtype=float)]
+    # (zeta, log x*(zeta)) of the last solves, the predictor's history
+    solved = collections.deque([(0.0, np.log(at[1]))], maxlen=_PREDICT_ORDER)
 
     def residual(z):
+        x = _start(_predict(solved, z, n), c)
         at[:] = z, _iterate(
-            lambda v: _apply(v, edges, work, c, z, delta), at[1], fp_tol, max_iter, "solve_zeta"
+            lambda v: _apply(v, edges, work, c, z, delta), x, fp_tol, max_iter, "solve_zeta"
         )
+        solved.append((z, np.log(at[1])))
         return (1.0 - z) * _edge_sum(at[1], edges, work) - target
 
     r_lo = _edge_sum(at[1], edges, work) - target
@@ -491,14 +513,38 @@ def _solve_zeta(edges, work, n, k, c, eta, tol, near_regular, delta, fp_tol, max
     return zeta, at[1]
 
 
+def _predict(solved, s, size):
+    """Lagrange interpolation, or extrapolation, at parameter ``s`` through
+    the ``_PREDICT_ORDER`` pairs ``(parameter, vector)`` of ``solved`` whose
+    parameters, all distinct, lie nearest s: the zero vector of ``size``
+    entries when nothing is solved yet.  At a solved parameter it returns
+    that parameter's vector."""
+    near = sorted(solved, key=lambda pair: abs(pair[0] - s))[:_PREDICT_ORDER]
+    out = np.zeros(size)
+    for j, (p, u) in enumerate(near):
+        out += math.prod((s - q) / (p - q) for i, (q, _) in enumerate(near) if i != j) * u
+    return out
+
+
+def _start(u, prior):
+    """exp(u) clipped into [tiny, prior], a NaN entry read as tiny: a
+    starting point that is positive, finite and no larger than ``prior``,
+    whatever the predicted log-vector ``u`` holds.  Every fixed point lies
+    below the prior, and the certified operator maps such a point back
+    below it, so a wild prediction costs applications but never a failure."""
+    return np.exp(np.fmin(np.fmax(u, _LOG_TINY), math.log(prior)))
+
+
 def _coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, max_iter, what):
     """Integral over t in (0, c] of mass(x*(t))/t, x*(t) the fixed point of
     ``apply_at(t, .)`` on vectors of ``size`` entries.
 
-    Gauss-Legendre nodes on [eps, c] with eps = c*1e-6, each solve
-    warm-started from the previous node's fixed point; the [0, eps) head
+    Gauss-Legendre nodes on [eps, c] with eps = c*1e-6; the [0, eps) head
     contributes ``head * eps``, since x*(t) ~ t as t -> 0 and ``head`` is the
-    mass of the all-ones vector.
+    mass of the all-ones vector.  Each node's solve starts from ``t`` times
+    the exponential of ``log(x*/t)`` predicted (``_predict``) from the last
+    ``_PREDICT_ORDER`` nodes, clipped to at most t (``_start``); the first
+    node starts from the constant t.
     """
     if not quad_nodes >= 1:
         raise ValueError(f"quad_nodes must be >= 1 (got {quad_nodes})")
@@ -506,11 +552,13 @@ def _coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, max_iter,
     nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
     mid, half = 0.5 * (eps + c), 0.5 * (c - eps)
     ts, ws = mid + half * nodes, half * weights
-    x = np.full(size, ts[0])
+    solved = collections.deque(maxlen=_PREDICT_ORDER)  # (t, log(x*(t)/t))
     total = head * eps
     for t, w in zip(ts, ws):
         t = float(t)
+        x = _start(math.log(t) + _predict(solved, t, size), t)
         x = _iterate(lambda v: apply_at(t, v), x, tol, max_iter, what)
+        solved.append((t, np.log(x / t)))
         total += w * mass(x) / t
     return total
 
@@ -527,10 +575,13 @@ def bp_log_partition(
 
     ``method='bethe'`` evaluates the Bethe free energy at the fixed point
     and rescales; ``method='integral'`` integrates sum_v x*_v(t)/t over
-    t in (0, c] with Gauss-Legendre nodes (fixed points re-solved per node,
-    warm-started) plus the analytic small-t contribution N*eps, using
-    x*_v(t) ~ t as t -> 0.
+    t in (0, c] with Gauss-Legendre nodes plus the analytic small-t
+    contribution N*eps, using x*_v(t) ~ t as t -> 0.  The fixed point is
+    re-solved at each node, from a start extrapolated from the nodes before
+    it and clipped to at most t.
     """
+    if method not in ("bethe", "integral"):
+        raise ValueError("method must be 'bethe' or 'integral'")
     k, c = params.k, params.c
     scale = params.delta ** (-1.0 / (k - 1))
     _check_uniqueness(params)
@@ -540,8 +591,6 @@ def bp_log_partition(
     if method == "bethe":
         x = _fixed_point(edges, work, n, params, fp_tol, max_iter)
         return scale * _bethe(edges, work, params, x)
-    if method != "integral":
-        raise ValueError("method must be 'bethe' or 'integral'")
     total = _coupling_integral(
         lambda t, v: _apply(v, edges, work, t, params.zeta, params.delta),
         lambda x: float(x.sum()),

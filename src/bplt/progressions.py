@@ -232,9 +232,10 @@ def kap_rate(k, c, quad_nodes=64, grid_size=800, tol=1e-11, max_iter=10_000):
     integral over t in (0, c] of (1/t) * integral of the fixed point at
     parameter t, minus c.
 
-    Outer Gauss-Legendre on [eps, c] with warm-started solves per node;
-    the [0, eps) head contributes eps since the fixed point at parameter t
-    approaches t uniformly.
+    Outer Gauss-Legendre on [eps, c], the profile re-solved at each node
+    from a start extrapolated from the nodes before it and clipped to at
+    most t; the [0, eps) head contributes eps since the fixed point at
+    parameter t approaches t uniformly.
     """
     _check_grid(k, c, 1.0, grid_size)
     _check_admissible(c, phi_threshold(k))

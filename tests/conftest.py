@@ -303,6 +303,26 @@ def plain_iterate(apply, x, tol, max_iter, what):
     raise ConvergenceError(f"{what}: no fixed point", residual=residual, iterations=max_iter)
 
 
+def previous_node_coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, max_iter, what):
+    """``bp._coupling_integral`` with each node's solve started from the
+    previous node's fixed point, the first from the constant t: the
+    reference for its predicted starts, which must agree with it to within
+    the solver tolerance at every node."""
+    if not quad_nodes >= 1:
+        raise ValueError(f"quad_nodes must be >= 1 (got {quad_nodes})")
+    eps = c * 1e-6
+    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
+    mid, half = 0.5 * (eps + c), 0.5 * (c - eps)
+    ts, ws = mid + half * nodes, half * weights
+    x = np.full(size, ts[0])
+    total = head * eps
+    for t, w in zip(ts, ws):
+        t = float(t)
+        x = bplt.bp._iterate(lambda v: apply_at(t, v), x, tol, max_iter, what)
+        total += w * mass(x) / t
+    return total
+
+
 def fixed_point_gap(tol, margin):
     """Bound on the log-sup distance between two points whose residuals
     ``d(x, F x)`` are below ``tol``, for an operator F whose square contracts
@@ -333,6 +353,21 @@ def plain_solvers(monkeypatch):
     """``plain_solvers(solve)`` calls ``solve()`` with every fixed-point
     solver of the library running ``plain_iterate`` instead."""
     return lambda solve: _with_iterate(monkeypatch, plain_iterate, solve)
+
+
+@pytest.fixture
+def previous_node_starts(monkeypatch):
+    """``previous_node_starts(solve)`` calls ``solve()`` with the
+    coupling-constant integrals of ``bp`` and ``progressions`` run by
+    ``previous_node_coupling_integral`` instead of from predicted starts."""
+
+    def run(solve):
+        with monkeypatch.context() as m:
+            for module in (bplt.bp, bplt.progressions):
+                m.setattr(module, "_coupling_integral", previous_node_coupling_integral)
+            return solve()
+
+    return run
 
 
 @pytest.fixture

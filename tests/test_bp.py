@@ -8,6 +8,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bplt.bp
 from bplt.bp import (
     BPParams,
     _apply,
@@ -32,7 +33,7 @@ from bplt.errors import ConvergenceError, DomainError
 from bplt.generators import random_k_uniform
 from bplt.gibbs import ModelParams, partition_function
 from bplt.hypergraph import Multihypergraph
-from bplt.progressions import discrete_profile_gap, kap_rate, phi_fixed_point
+from bplt.progressions import discrete_profile_gap, kap_rate, phi_fixed_point, phi_threshold
 from bplt.rates import named_graph, subgraph_hypergraph
 from conftest import (
     fixed_point_gap,
@@ -415,8 +416,8 @@ class TestMixedIteration:
 
     def test_application_counts(self, count_applications):
         # a graph large enough that the conditioning of the least-squares
-        # solve shows in the step counts; the bounds are the counts of the
-        # column least-squares solve on the full (N, m) difference matrix
+        # solve shows in the step counts; the bounds are the counts with
+        # predicted starts (the previous-node starts took 84 and 567)
         g = random_k_uniform(np.random.default_rng(1), 2000, 3, 6000)
         delta = max(g.degrees())
         _, fixed = count_applications(
@@ -427,8 +428,8 @@ class TestMixedIteration:
             lambda: bp_log_partition(g, BPParams(3, 1.0, 0.5, delta), method="integral")
         )
         assert fixed <= 16
-        assert penalty <= 84
-        assert integral <= 567
+        assert penalty <= 56
+        assert integral <= 224
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -448,6 +449,73 @@ class TestMixedIteration:
         except (ConvergenceError, DomainError):
             return
         assert log_gap(bp_apply(g, params, x), x) < 1e-12
+
+
+class TestPredictedStarts:
+    # The drivers start each solve from a start extrapolated through the
+    # fixed points solved before it; only the starting points differ from
+    # the previous-node starts, so every node's mass moves by at most
+    # expm1(gap) relative to itself, gap = fixed_point_gap(tol, margin) at c.
+    @pytest.mark.parametrize("quad_nodes", [1, 2, 3, 7, 16, 64])
+    def test_integral_matches_previous_node_starts(self, rng, previous_node_starts, quad_nodes):
+        for zeta in (0.0, 0.5, 1.0):
+            g = random_k_uniform(rng, int(rng.integers(20, 60)), 3, int(rng.integers(20, 120)))
+            delta = max(max(g.degrees()), 1)
+            bound = math.sqrt(E / (2 * zeta)) if zeta else 2.0  # any c is certified at zeta = 0
+            for fraction in (0.3, 0.9, 0.99):
+                params = BPParams(3, fraction * bound, zeta, delta)
+
+                def integral():
+                    return bp_log_partition(g, params, method="integral", quad_nodes=quad_nodes)
+
+                a, b = integral(), previous_node_starts(integral)
+                assert abs(a - b) <= math.expm1(fixed_point_gap(1e-13, params.margin)) * b
+
+    @pytest.mark.parametrize("wild", [1e6, -1e6])
+    def test_wild_prediction_is_clipped(self, monkeypatch, previous_node_starts, wild):
+        # a prediction far above the prior, or far below every fixed point,
+        # costs applications and changes nothing beyond the solver tolerance
+        g = random_k_uniform(np.random.default_rng(7), 40, 3, 90)
+        params = BPParams(3, 1.0, 0.5, max(g.degrees()))
+        c_grid = 0.99 * phi_threshold(3)
+
+        def integral():
+            return bp_log_partition(g, params, method="integral", quad_nodes=16)
+
+        def rate():
+            return kap_rate(3, c_grid, quad_nodes=7, grid_size=60)
+
+        want_integral, want_rate = previous_node_starts(integral), previous_node_starts(rate)
+        monkeypatch.setattr(bplt.bp, "_predict", lambda solved, s, size: np.full(size, wild))
+        gap = fixed_point_gap(1e-13, params.margin)
+        assert abs(integral() - want_integral) <= math.expm1(gap) * want_integral
+        gap = fixed_point_gap(1e-11, 1 - 0.99**2)
+        assert abs(rate() - want_rate) <= math.expm1(gap) * (want_rate + c_grid)
+        _assert_meets_target(g, 3, 1.0, 0.3, *solve_zeta(g, 3, 1.0, 0.3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 30),
+        st.integers(1, 60),
+        st.floats(min_value=0.05, max_value=0.99),
+        st.floats(min_value=0.0, max_value=0.95),
+    )
+    def test_solve_zeta_meets_its_target(self, seed, n, m, fraction, eta):
+        g = random_k_uniform(np.random.default_rng(seed), n, 3, m)
+        c = fraction * thresholds(3, eta).c_max_general
+        _assert_meets_target(g, 3, c, eta, *solve_zeta(g, 3, c, eta))
+
+
+def _assert_meets_target(g, k, c, eta, zeta, x):
+    """solve_zeta's own acceptance test at its defaults: zeta in [0, 1 - eta],
+    x a fixed point at zeta to fp_tol = 1e-13, and the target met to
+    tol = 1e-10 of c^k |E|."""
+    assert 0 <= zeta <= 1 - eta
+    assert log_gap(bp_apply(g, BPParams(k, c, zeta, max(g.degrees())), x), x) < 1e-13
+    scale = c**k * g.num_edges
+    gap = (1 - zeta) * float(x[np.array(g.edges)].prod(axis=1).sum()) - eta * scale
+    assert abs(gap) < 1e-10 * scale
 
 
 class TestContraction:
@@ -615,6 +683,13 @@ class TestLogPartition:
             a = bp_log_partition(g, params, method="bethe")
             b = bp_log_partition(g, params, method="integral")
             assert b == pytest.approx(a, rel=1e-6)
+
+    def test_unknown_method_refused_first(self):
+        # the method is checked before the certificate and the graph
+        g = random_k_uniform(np.random.default_rng(3), 9, 3, 10)
+        for params in (BPParams(3, 2.0, 1.0, max(g.degrees())), BPParams(4, 0.5, 1.0, 3)):
+            with pytest.raises(ValueError, match="method must be 'bethe' or 'integral'"):
+                bp_log_partition(g, params, method="bogus")
 
     def test_edgeless_scaling(self):
         g = Multihypergraph(8, [])

@@ -298,12 +298,27 @@ class TestMixedIteration:
         a, b = rate(), plain_solvers(rate)
         assert abs(a - b) <= math.expm1(fixed_point_gap(1e-11, margin)) * (b + 0.9)
 
+    @pytest.mark.parametrize("quad_nodes", [1, 2, 3, 7, 16, 64])
+    def test_kap_rate_matches_previous_node_starts(self, previous_node_starts, quad_nodes):
+        # only the starting points differ, so each node's profile mass moves
+        # by at most expm1(gap) relative to itself
+        for fraction in (0.3, 0.9, 0.99):
+            c = fraction * phi_threshold(3)
+
+            def rate():
+                return kap_rate(3, c, quad_nodes=quad_nodes, grid_size=60)
+
+            a, b = rate(), previous_node_starts(rate)
+            gap = fixed_point_gap(1e-11, 1 - fraction**2)
+            assert abs(a - b) <= math.expm1(gap) * (b + c)
+
     def test_application_counts(self, count_applications):
-        # the plain iteration took 91 and 458 applications here
+        # the plain iteration took 91 and 458 applications here, the mixed
+        # one from previous-node starts 120 for the rate
         _, n = count_applications(lambda: phi_fixed_point(3, 1.0, grid_size=200))
         assert 0 < n <= 20
         _, n = count_applications(lambda: kap_rate(3, 1.0, quad_nodes=16, grid_size=200))
-        assert 0 < n <= 458 / 3
+        assert 0 < n <= 75
 
 
 class TestRates:
