@@ -28,24 +28,26 @@ each returned point still passes ``_iterate``'s residual test.  This is the
 predictor of a predictor-corrector continuation method (Allgower and Georg,
 Numerical Continuation Methods, 1990), with ``_iterate`` the corrector.
 
-The operator works on the edges as one (k, M) array (``_edge_array``).
-Each public call builds it once, together with a workspace of two (k, M)
-float buffers (``_workspace``) that every application in that call reuses:
-a solve makes tens to thousands of applications, and allocating the buffers
-afresh each time made the kernel wait on page faults.  The buffers live no
-longer than the call.
+The operator works on the edges as one (k, M) array, which the graph
+builds on first use and keeps (``hypergraph._edge_rows``), so the public
+functions below share it by calling one another.  Each public call also
+allocates a workspace of two (k, M) float buffers (``_workspace``) that
+every application in that call reuses: a solve makes tens to thousands of
+applications, and allocating the buffers afresh each time made the kernel
+wait on page faults.  The buffers live no longer than the call, so
+concurrent calls on one graph never share them.
 """
 
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .hypergraph import _edge_rows
 
 __all__ = [
     "BPParams",
@@ -199,19 +201,11 @@ def _check_admissible(c, bound, context=""):
         raise DomainError(f"c={c} outside the admissible range (0, {bound:.12g}){context}")
 
 
-def _default_delta(edges, n):
-    """The maximum degree of the ``n``-vertex graph with edge array ``edges``,
-    at least 1: the default degree scale Delta."""
-    return max(int(np.bincount(edges.ravel(), minlength=n).max(initial=0)), 1)
-
-
-def _edge_array(graph, k):
-    """The edges as one C-contiguous (k, M) int64 array: row j holds slot j
-    of every edge, so the kernels below work on whole rows."""
-    if not set(map(len, graph.edges)) <= {k}:
-        raise ValueError(f"graph is not {k}-uniform")
-    flat = itertools.chain.from_iterable(graph.edges)
-    return np.fromiter(flat, np.int64, count=k * graph.num_edges).reshape(-1, k).T.copy()
+def _default_delta(graph, k):
+    """The maximum degree of the k-uniform ``graph``, at least 1: the
+    default degree scale Delta."""
+    degrees = np.bincount(_edge_rows(graph, k).ravel(), minlength=graph.num_vertices)
+    return max(int(degrees.max(initial=0)), 1)
 
 
 def _workspace(edges):
@@ -264,7 +258,7 @@ def _check_vector(graph, x):
 def bp_apply(graph, params, x):
     """One application of the message operator; pure in x."""
     x = _check_vector(graph, x)
-    edges = _edge_array(graph, params.k)
+    edges = _edge_rows(graph, params.k)
     return _apply(x, edges, _workspace(edges), params.c, params.zeta, params.delta)
 
 
@@ -347,15 +341,12 @@ def bp_fixed_point(graph, params, tol=1e-12, max_iter=100_000):
     passes the same residual test, but nothing certifies that the fixed
     point it approximates is the only one.
     """
-    edges = _edge_array(graph, params.k)
-    return _fixed_point(edges, _workspace(edges), graph.num_vertices, params, tol, max_iter)
-
-
-def _fixed_point(edges, work, n, params, tol, max_iter):
+    edges = _edge_rows(graph, params.k)
     _check_uniqueness(params)
-    x = np.full(n, params.c, dtype=float)  # the kernel gathers into float buffers
-    if edges.shape[1] == 0:
+    x = np.full(graph.num_vertices, params.c, dtype=float)  # the kernel gathers into floats
+    if not graph.num_edges:
         return x
+    work = _workspace(edges)
     return _iterate(
         lambda v: _apply(v, edges, work, params.c, params.zeta, params.delta),
         x,
@@ -368,13 +359,9 @@ def _fixed_point(edges, work, n, params, tol, max_iter):
 def bethe_free_energy(graph, params, x):
     """-(zeta/Delta) sum_e prod_{u in e} x_u - sum_v x_v (log(x_v/c) - 1)."""
     x = _check_vector(graph, x)
-    edges = _edge_array(graph, params.k)
-    return _bethe(edges, _workspace(edges), params, x)
-
-
-def _bethe(edges, work, params, x):
+    edges = _edge_rows(graph, params.k)
     vertex_term = float((x * (np.log(x / params.c) - 1.0)).sum())
-    return -(params.zeta / params.delta) * _edge_sum(x, edges, work) - vertex_term
+    return -(params.zeta / params.delta) * _edge_sum(x, edges, _workspace(edges)) - vertex_term
 
 
 def _root(f, a, b, fa, fb, xtol, rtol, ftol, max_iter):
@@ -456,26 +443,23 @@ def solve_zeta(
     solved (zeta = 0 among them, where x* = c), clipped to at most c.
     Requires c below the general critical density, or the regular one when
     the caller asserts near-regularity.  eta = 0 returns zeta = 1 directly.
+    ``delta`` defaults to the maximum degree, and below 1 is refused.
     """
-    edges = _edge_array(graph, k)
-    return _solve_zeta(
-        edges, _workspace(edges), graph.num_vertices, k, c, eta, tol, near_regular, delta,
-        fp_tol, max_iter,
-    )
-
-
-def _solve_zeta(edges, work, n, k, c, eta, tol, near_regular, delta, fp_tol, max_iter):
+    edges = _edge_rows(graph, k)
     thr = thresholds(k, eta)
     bound = thr.c_max_regular if near_regular else thr.c_max_general
     _check_admissible(c, bound, f" for eta={eta}")
-    delta = _default_delta(edges, n) if delta is None else delta
+    # the parameters at zeta = 1, built first since BPParams refuses delta < 1
+    params = BPParams(k, c, 1.0, _default_delta(graph, k) if delta is None else delta)
 
     if eta == 0.0:
-        return 1.0, _fixed_point(edges, work, n, BPParams(k, c, 1.0, delta), fp_tol, max_iter)
+        return 1.0, bp_fixed_point(graph, params, fp_tol, max_iter)
 
-    if edges.shape[1] == 0:
+    if not graph.num_edges:
         raise DomainError("solve_zeta needs at least one edge")
-    scale = c**k * edges.shape[1]
+    n = graph.num_vertices
+    work = _workspace(edges)
+    scale = c**k * graph.num_edges
     target = eta * scale
     # the last zeta solved at and its fixed point; float, as the kernel
     # gathers into float buffers.  At zeta = 0 the fixed point is c itself.
@@ -486,7 +470,7 @@ def _solve_zeta(edges, work, n, k, c, eta, tol, near_regular, delta, fp_tol, max
     def residual(z):
         x = _start(_predict(solved, z, n), c)
         at[:] = z, _iterate(
-            lambda v: _apply(v, edges, work, c, z, delta), x, fp_tol, max_iter, "solve_zeta"
+            lambda v: _apply(v, edges, work, c, z, params.delta), x, fp_tol, max_iter, "solve_zeta"
         )
         solved.append((z, np.log(at[1])))
         return (1.0 - z) * _edge_sum(at[1], edges, work) - target
@@ -585,12 +569,12 @@ def bp_log_partition(
     k, c = params.k, params.c
     scale = params.delta ** (-1.0 / (k - 1))
     _check_uniqueness(params)
-    edges = _edge_array(graph, k)
+    if method == "bethe":
+        x = bp_fixed_point(graph, params, fp_tol, max_iter)
+        return scale * bethe_free_energy(graph, params, x)
+    edges = _edge_rows(graph, k)
     work = _workspace(edges)
     n = graph.num_vertices
-    if method == "bethe":
-        x = _fixed_point(edges, work, n, params, fp_tol, max_iter)
-        return scale * _bethe(edges, work, params, x)
     total = _coupling_integral(
         lambda t, v: _apply(v, edges, work, t, params.zeta, params.delta),
         lambda x: float(x.sum()),
@@ -606,12 +590,10 @@ def bp_lower_tail_rate(graph, k, c, eta, delta=None, near_regular=False, fp_tol=
     the achieving penalty; for eta = 0 the middle term is absent and
     zeta = 1.
     """
-    edges = _edge_array(graph, k)
-    work = _workspace(edges)
     n = graph.num_vertices
-    delta = _default_delta(edges, n) if delta is None else delta
-    zeta, x = _solve_zeta(edges, work, n, k, c, eta, 1e-10, near_regular, delta, fp_tol, 100_000)
-    b = _bethe(edges, work, BPParams(k, c, zeta, delta), x)
+    delta = _default_delta(graph, k) if delta is None else delta
+    zeta, x = solve_zeta(graph, k, c, eta, near_regular=near_regular, delta=delta, fp_tol=fp_tol)
+    b = bethe_free_energy(graph, BPParams(k, c, zeta, delta), x)
     if eta == 0.0:
         return b / n - c
     tail_term = math.log(1.0 - zeta) * eta * c**k * graph.num_edges / (n * delta)

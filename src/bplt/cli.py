@@ -257,24 +257,13 @@ def _cmd_kap_profile(args):
 
 
 def _cmd_bp_solve(args):
-    from .bp import (
-        BPParams,
-        _default_delta,
-        _edge_array,
-        bethe_free_energy,
-        bp_fixed_point,
-        bp_log_partition,
-        solve_zeta,
-    )
+    from .bp import BPParams, bethe_free_energy, bp_fixed_point, solve_zeta
 
     graph = _read_graph(args.file)
     k = graph.uniformity() if args.k is None else args.k
     if k is None:
         raise ValueError("graph is not uniform; pass --k explicitly")
-    if args.delta is None:
-        delta = _default_delta(_edge_array(graph, k), graph.num_vertices)
-    else:
-        delta = args.delta
+    delta = max([1, *graph.degrees()]) if args.delta is None else args.delta
     if args.zeta is None and args.eta is None:
         raise ValueError("pass either --zeta or --eta")
     if args.zeta is not None:
@@ -284,14 +273,15 @@ def _cmd_bp_solve(args):
     else:
         zeta, x = solve_zeta(graph, k, args.c, args.eta, delta=delta)
         params = BPParams(k, args.c, zeta, delta)
-    marginal_scale = delta ** (-1.0 / (k - 1))
+    bethe = bethe_free_energy(graph, params, x)
+    marginal_scale = delta ** (-1.0 / (k - 1))  # also the activity scale of log Z
     rows = [(v, float(x[v]), float(x[v]) * marginal_scale) for v in range(len(x))]
     echo = {"file": args.file, "k": k, "c": args.c, "zeta": zeta, "delta": delta}
     _emit_table(args, "bp-fixed-point", echo, ["vertex", "x_star", "marginal"], rows)
     _emit_scalars(
         {
-            "bethe_free_energy": bethe_free_energy(graph, params, x),
-            "log_z_bp": bp_log_partition(graph, params),
+            "bethe_free_energy": bethe,
+            "log_z_bp": marginal_scale * bethe,
             "zeta": zeta,
             "delta_contraction": params.margin,
         },

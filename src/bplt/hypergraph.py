@@ -5,6 +5,10 @@ canonical sorted order; copies of the same edge are distinct objects
 identified by their position in :attr:`Multihypergraph.edges` (the "edge
 id"), so self-avoiding walks can tell parallel edges apart.  Empty edges are
 allowed and carry multiplicity like any other edge.
+
+A graph also keeps, built on first use, its edges as one (k, M) integer
+array (``_edge_rows``), the layout the belief-propagation kernels work on;
+every BP call on the same graph reuses it.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Multihypergraph",
@@ -33,16 +39,36 @@ def _incidence(num_vertices, edges):
     return inc
 
 
+def _edge_rows(graph, k):
+    """The edges as one C-contiguous (k, M) int64 array: row j holds slot j
+    of every edge, so the BP kernels work on whole rows.
+
+    Built on first use and kept on the graph, which is immutable, so every
+    later call returns the same array; callers must not write into it.  It
+    is not marked read-only: numpy copies a read-only index array on every
+    ``np.take`` and ``np.bincount`` that reads it.
+    """
+    rows = graph._rows
+    if rows is None or len(rows) != k:  # an edgeless graph fits every k
+        if not set(map(len, graph.edges)) <= {k}:
+            raise ValueError(f"graph is not {k}-uniform")
+        flat = itertools.chain.from_iterable(graph.edges)
+        rows = np.fromiter(flat, np.int64, count=k * graph.num_edges).reshape(-1, k).T.copy()
+        object.__setattr__(graph, "_rows", rows)
+    return rows
+
+
 class Multihypergraph:
     """A vertex count plus a multiset of hyperedges.
 
     Each edge is stored as a strictly increasing tuple of vertex indices;
     the edge list itself is sorted, so equal multihypergraphs compare equal
     and edge ids are reproducible.  Instances are immutable: every operator
-    returns a new graph.
+    returns a new graph.  The edge array of ``_edge_rows``, cached in
+    ``_rows``, takes no part in equality, hashing or the repr.
     """
 
-    __slots__ = ("num_vertices", "edges")
+    __slots__ = ("num_vertices", "edges", "_rows")
 
     def __init__(self, num_vertices, edges=()):
         num_vertices = int(num_vertices)
@@ -60,6 +86,7 @@ class Multihypergraph:
         canon.sort()
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Multihypergraph is immutable")
@@ -258,26 +285,22 @@ def is_linear_hypertree(graph):
     multiplicity, and empty edges are ignored; parallel copies of a larger
     edge always fail linearity.
     """
-    big = [(i, e) for i, e in enumerate(graph.edges) if len(e) >= 2]
-    for (_, e), (_, f) in itertools.combinations(big, 2):
+    big = [e for e in graph.edges if len(e) >= 2]
+    for e, f in itertools.combinations(big, 2):
         if len(set(e) & set(f)) > 1:
             return False
     n = graph.num_vertices
     if n == 0:
         return True
-    if sum(len(e) - 1 for _, e in big) != n - 1:
+    if sum(len(e) - 1 for e in big) != n - 1:
         return False
     # connectivity over size->=2 edges
-    adj = [[] for _ in range(n)]
-    for _, e in big:
-        for u in e:
-            adj[u].append(e)
+    incidence = _incidence(n, big)
     seen = {0}
     queue = deque([0])
     while queue:
-        u = queue.popleft()
-        for e in adj[u]:
-            for w in e:
+        for i in incidence[queue.popleft()]:
+            for w in big[i]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)

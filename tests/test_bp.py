@@ -12,7 +12,6 @@ import bplt.bp
 from bplt.bp import (
     BPParams,
     _apply,
-    _edge_array,
     _edge_sum,
     _iterate,
     _root,
@@ -32,7 +31,7 @@ from bplt.bp import (
 from bplt.errors import ConvergenceError, DomainError
 from bplt.generators import random_k_uniform
 from bplt.gibbs import ModelParams, partition_function
-from bplt.hypergraph import Multihypergraph
+from bplt.hypergraph import Multihypergraph, _edge_rows
 from bplt.progressions import discrete_profile_gap, kap_rate, phi_fixed_point, phi_threshold
 from bplt.rates import named_graph, subgraph_hypergraph
 from conftest import (
@@ -183,7 +182,7 @@ class TestApply:
             n = k + 6
             g = random_k_uniform(rng, n, k, m - m // 3, allow_multi=True)
             g = Multihypergraph(n, g.edges + g.edges[: m // 3])
-            edges = _edge_array(g, k)
+            edges = _edge_rows(g, k)  # the graph's own array, as the solvers use it
             work = _workspace(edges)
             work.fill(np.nan)
             tiny = np.full(n, 0.1)
@@ -198,9 +197,11 @@ class TestApply:
     def test_application_allocates_no_edge_arrays(self):
         # with its workspace one application allocates only per-vertex
         # arrays: less than the edge array, where the allocating kernel
-        # took about three float arrays of that size
+        # took about three float arrays of that size.  The edges are the
+        # graph's cached array: were it read-only, numpy would copy it on
+        # every gather and bincount, and this bound would fail
         g = random_k_uniform(np.random.default_rng(1), 20000, 3, 60000)
-        edges = _edge_array(g, 3)
+        edges = _edge_rows(g, 3)
         work = _workspace(edges)
         x, delta = np.full(g.num_vertices, 0.5), max(g.degrees())
         _apply(x, edges, work, 1.0, 1.0, delta)
@@ -732,3 +733,55 @@ class TestLowerTailRate:
         rates = [bp_lower_tail_rate(g, 3, 0.7, float(eta)) for eta in (0.0, 0.2, 0.4, 0.6)]
         assert all(b > a for a, b in zip(rates, rates[1:]))
         assert rates[-1] < 0
+
+    @pytest.mark.parametrize("delta", [0, -2])
+    @pytest.mark.parametrize("eta", [0.0, 0.2])
+    def test_delta_below_one_refused(self, delta, eta):
+        # refused at once, before any iteration, with BPParams' own message
+        g = subgraph_hypergraph(named_graph("K3"), 4)
+        for solve in (solve_zeta, bp_lower_tail_rate):
+            with pytest.raises(ValueError, match="delta must be >= 1"):
+                solve(g, 3, 0.8, eta, delta=delta)
+
+
+def run_every_public_call(g, k):
+    """Every public BP function that takes a graph, once on ``g``."""
+    params = BPParams(k, 0.8, 0.6, max(max(g.degrees()), 1))
+    x = bp_fixed_point(g, params)
+    bp_apply(g, params, x)
+    bethe_free_energy(g, params, x)
+    solve_zeta(g, k, 0.8, 0.3)
+    bp_log_partition(g, params, "bethe")
+    bp_log_partition(g, params, "integral", quad_nodes=8)
+    bp_lower_tail_rate(g, k, 0.8, 0.0)
+
+
+class TestEdgeRows:
+    def test_public_calls_share_one_array(self, monkeypatch):
+        g = random_k_uniform(np.random.default_rng(3), 40, 3, 60)
+        seen = []
+
+        def recorded(graph, k):
+            seen.append(_edge_rows(graph, k))
+            return seen[-1]
+
+        monkeypatch.setattr(bplt.bp, "_edge_rows", recorded)
+        run_every_public_call(g, 3)
+        assert len(seen) >= 7 and all(rows is seen[0] for rows in seen)
+
+    def test_solvers_leave_the_array_unchanged(self):
+        g = random_k_uniform(np.random.default_rng(4), 40, 3, 60, allow_multi=True)
+        snapshot = _edge_rows(g, 3).copy()
+        run_every_public_call(g, 3)
+        assert np.array_equal(_edge_rows(g, 3), snapshot)
+        assert np.array_equal(snapshot, np.array(g.edges).T)
+
+    def test_edgeless_every_k(self):
+        g = Multihypergraph(4)
+        for k in (2, 3, 4, 5, 3):
+            params = BPParams(k, 0.9, 1.0, 1)
+            x = bp_fixed_point(g, params)
+            assert np.array_equal(x, np.full(4, 0.9))
+            assert np.array_equal(bp_apply(g, params, x), x)
+            assert bp_log_partition(g, params) == pytest.approx(4 * 0.9, rel=1e-15)
+            assert bp_lower_tail_rate(g, k, 0.9, 0.0) == pytest.approx(0.0, abs=1e-15)

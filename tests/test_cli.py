@@ -168,12 +168,37 @@ class TestBpSolve:
 
     @pytest.mark.parametrize("flag", ["--k", "--delta"])
     def test_zero_exits_2(self, capsys, triangle_file, flag):
-        # 0 is refused, not read as "use the graph's uniformity or Dmax"
-        code, out, err = run(
-            capsys, "bp-solve", "--file", triangle_file, "--c", "0.9", "--zeta", "1", flag, "0"
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        # 0 is refused, not read as "use the graph's uniformity or Dmax",
+        # whether zeta is given or solved for
+        for mode in (("--zeta", "1"), ("--eta", "0.2")):
+            code, out, err = run(
+                capsys, "bp-solve", "--file", triangle_file, "--c", "0.9", *mode, flag, "0"
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", [("--zeta", "0.7"), ("--eta", "0.2")])
+    def test_one_edge_array_one_solve(self, capsys, monkeypatch, tmp_path, mode):
+        # the command builds the graph's edge array once and solves once:
+        # log Z is the printed Bethe free energy rescaled, not a second solve
+        import bplt.bp
+
+        bowtie = tmp_path / "bowtie.hg"  # two triangles at one vertex: Delta = 2
+        bowtie.write_text(write_hypergraph(Multihypergraph(5, [[0, 1, 2], [2, 3, 4]])))
+        arrays = []
+        builder = bplt.bp._edge_rows
+
+        def recorded(graph, k):
+            arrays.append(builder(graph, k))
+            return arrays[-1]
+
+        monkeypatch.setattr(bplt.bp, "_edge_rows", recorded)
+        code, _, err = run(capsys, "bp-solve", "--file", str(bowtie), "--c", "0.8", *mode)
+        assert code == 0
+        assert arrays and len({id(rows) for rows in arrays}) == 1
+        scalars = dict(line.split(",") for line in err.strip().splitlines())
+        bethe = float(scalars["bethe_free_energy"])
+        assert float(scalars["log_z_bp"]) == 2 ** (-1 / 2) * bethe
 
 
 class TestExactCheck:

@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bplt.generators import random_linear_hypertree, three_branch_tree
+import numpy as np
+
 from bplt.hypergraph import (
     Multihypergraph,
+    _edge_rows,
     degree_stats,
     is_linear_hypertree,
     parse_hypergraph,
@@ -60,6 +63,47 @@ class TestConstruction:
         g = Multihypergraph(2, [[0, 1]])
         with pytest.raises(AttributeError):
             g.num_vertices = 5
+
+
+class TestEdgeRows:
+    def test_layout(self):
+        g = Multihypergraph(6, [[3, 4, 5], [0, 1, 2], [0, 1, 2], [1, 3, 5]])
+        rows = _edge_rows(g, 3)
+        assert rows.dtype == np.int64 and rows.flags.c_contiguous
+        # the BP kernels need it writeable: numpy copies a read-only index
+        # array on every gather and bincount
+        assert rows.flags.writeable
+        assert rows.tolist() == [list(slot) for slot in zip(*g.edges)]
+
+    def test_built_once(self):
+        g = Multihypergraph(4, [[0, 1, 2], [1, 2, 3]])
+        assert _edge_rows(g, 3) is _edge_rows(g, 3)
+
+    def test_identity_unchanged_once_filled(self):
+        g, h = (Multihypergraph(4, [[0, 1, 2], [1, 2, 3]]) for _ in range(2))
+        before = (hash(g), repr(g))
+        _edge_rows(g, 3)
+        assert g == h and h == g
+        assert (hash(g), repr(g)) == before == (hash(h), repr(h))
+        for name in ("num_vertices", "edges", "_rows"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_not_uniform_refused(self, k):
+        mixed = Multihypergraph(5, [[0, 1, 2], [3, 4]])
+        with pytest.raises(ValueError, match=f"^graph is not {k}-uniform$"):
+            _edge_rows(mixed, k)
+        g = Multihypergraph(5, [[0, 1, 2], [2, 3, 4]])
+        _edge_rows(g, 3)
+        if k != 3:  # the cached array is no answer for another k
+            with pytest.raises(ValueError, match=f"^graph is not {k}-uniform$"):
+                _edge_rows(g, k)
+
+    def test_edgeless_every_k(self):
+        g = Multihypergraph(3)
+        for k in (2, 5, 3, 2):
+            assert _edge_rows(g, k).shape == (k, 0)
 
 
 class TestOperators:
