@@ -11,9 +11,14 @@ last.  Two listings feed the kernel.  When only subsets without a full edge
 carry weight (``zeta = 1``, or P(X = 0)) the hard-core support is listed,
 with no edge to count; past ``_SUPPORT_CAP`` subsets or 64 vertices, and in
 every other case, all 2^N subsets are listed, guarded at ``EXACT_GUARD``
-vertices.  Weighted cells are summed along x first, so the zero-weight
-cells that only the 2^N listing has cannot change a float result: both
-listings give the same numbers bit for bit.
+vertices.  The 2^N listing finds every x(S) at once by a subset-sum (zeta)
+transform over blocks of ``_CHUNK`` subsets (Yates; Bjorklund, Husfeldt,
+Kaski and Koivisto, "Fourier meets Mobius", STOC 2007), in O(N 2^N)
+operations whatever the number of edges and in O(``_CHUNK``) memory; the
+transform needs whole blocks, so a ``require``/``forbid`` restriction is
+applied after counting.  Weighted cells are summed along x first, so the
+zero-weight cells that only the 2^N listing has cannot change a float
+result: both listings give the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -149,50 +154,123 @@ def _hardcore_support(graph):
 
 
 def _listing(graph, edge_free, unsafe_size, require=(), forbid=()):
-    """Blocks of subset bitmasks, and the edge masks and multiplicities to
-    count in them.
+    """What to list and count: ``(states, masks, mults, require, forbid)``.
 
     With ``edge_free`` only subsets without a full edge carry weight: the
-    hard-core support is listed when it fits, and it has no edge to count.
-    Otherwise all 2^N subsets are listed, behind the size guard.  Only the
-    subsets S with require ⊆ S and S ∩ forbid = ∅ are kept.
+    hard-core support is listed as ``states`` when it fits, and it has no
+    edge to count.  Otherwise ``states`` is None, which lists all 2^N
+    subsets, behind the size guard, with the distinct edge masks and their
+    multiplicities to count.  Only the subsets S with require ⊆ S and
+    S ∩ forbid = ∅ are kept; both sets come back as bitmasks.
     """
     states = _hardcore_support(graph) if edge_free else None
     if states is not None:
         masks, mults = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
-        blocks = (states[lo : lo + _CHUNK] for lo in range(0, len(states), _CHUNK))
     else:
         _check_guard(graph, unsafe_size)
         masks, mults = _edge_masks(graph)
-        total = 1 << graph.num_vertices
-        blocks = (np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
-                  for lo in range(0, total, _CHUNK))
-    if require or forbid:
-        req, forb = np.uint64(_mask(require)), np.uint64(_mask(forbid))
-        blocks = (b[((b & req) == req) & ((b & forb) == 0)] for b in blocks)
-    return blocks, masks, mults
+    return states, masks, mults, _mask(require), _mask(forbid)
 
 
-def _tables(n, blocks, masks, mults, by_vertex=False):
+def _tables(n, states, masks, mults, require, forbid, by_vertex=False):
     """Exact counts of the listed subsets by size s and edge count x.
 
     Returns ``table[s, x]`` and, with ``by_vertex``, ``per_vertex[v, s, x]``
-    over the listed subsets that hold v (else None).
+    over the listed subsets that hold v (else None).  A subset is counted at
+    the flat cell ``s * width + x``, ``width`` one more than the largest x.
+    Listed support states are filtered by ``require`` and ``forbid`` before
+    they are counted.  All 2^N subsets are counted by the subset-sum
+    transform of :func:`_count_all` in O(N 2^N), and the subsets that
+    ``require`` and ``forbid`` reject go to one extra last cell, which is
+    dropped.
     """
     width = int(mults.sum()) + 1
     cells = (n + 1) * width
-    table = np.zeros(cells, dtype=np.int64)
-    per_vertex = np.zeros((n, cells), dtype=np.int64) if by_vertex else None
-    for block in blocks:
-        cell = np.bitwise_count(block).astype(np.intp) * width
-        for mask, mult in zip(masks, mults):
-            cell += mult * ((block & mask) == mask)
-        table += np.bincount(cell, minlength=cells)
-        if by_vertex:
+    table = np.zeros(cells + 1, dtype=np.int64)
+    per_vertex = np.zeros((n, cells + 1), dtype=np.int64) if by_vertex else None
+    if states is None:
+        _count_all(n, masks, mults, width, require, forbid, table, per_vertex)
+    else:
+        _count_support(n, states, require, forbid, table, per_vertex)
+    table = table[:cells].reshape(n + 1, width)
+    return table, per_vertex[:, :cells].reshape(n, n + 1, width) if by_vertex else None
+
+
+def _count_support(n, states, require, forbid, table, per_vertex):
+    """Count listed subsets with no edge to count (x = 0) by size alone."""
+    req, forb = np.uint64(require), np.uint64(forbid)
+    for lo in range(0, len(states), _CHUNK):
+        block = states[lo : lo + _CHUNK]
+        if require or forbid:
+            block = block[((block & req) == req) & ((block & forb) == 0)]
+        cell = np.bitwise_count(block).astype(np.intp)
+        table += np.bincount(cell, minlength=len(table))
+        if per_vertex is not None:
             for v in range(n):
                 held = (block & np.uint64(1 << v)) != 0
-                per_vertex[v] += np.bincount(cell[held], minlength=cells)
-    return table.reshape(n + 1, width), per_vertex.reshape(n, n + 1, width) if by_vertex else None
+                per_vertex[v] += np.bincount(cell[held], minlength=len(table))
+
+
+def _count_all(n, masks, mults, width, require, forbid, table, per_vertex):
+    """Count all 2^N subsets, a block of ``_CHUNK`` at a time, by a subset-sum
+    transform.
+
+    A block holds the subsets S = H + L sharing their high bits H above the
+    low ``b`` bits.  An edge mask m = m_H + m_L lies inside S iff m_H ⊆ H
+    and m_L ⊆ L, so the block's cells are the subset sums over L of one
+    2^b array: ``width`` at each one-bit L (the size), ``|H| * width`` at
+    L = 0, and each mask's multiplicity at m_L when m_H ⊆ H.  The ``b``
+    passes of the transform cost O(b 2^b) per block, whatever the number of
+    masks.  The subsets that ``require`` and ``forbid`` reject are moved to
+    the last cell after counting.
+    """
+    b = min(n, _CHUNK.bit_length() - 1)
+    low = (1 << b) - 1
+    rejected = len(table) - 1
+    singletons = 1 << np.arange(b)
+    mask_low = (masks & np.uint64(low)).astype(np.intp)
+    mask_high = (masks >> np.uint64(b)).astype(np.int64)
+    req_low, req_high, forb_high = require & low, require >> b, forbid >> b
+    drop = None  # the low parts L that require and forbid reject
+    if req_low or forbid & low:
+        subset = np.arange(1 << b)
+        drop = ((subset & req_low) != req_low) | ((subset & forbid) != 0)
+    cell = np.empty(1 << b, dtype=np.int64)
+    half = np.empty(len(cell) // 2, dtype=np.int64)
+    for high in range(1 << (n - b)):
+        if high & req_high != req_high or high & forb_high:
+            continue  # every subset of the block is rejected
+        cell.fill(0)
+        cell[singletons] = width
+        cell[0] = high.bit_count() * width
+        inside = (mask_high | high) == high
+        np.add.at(cell, mask_low[inside], mults[inside])
+        _subset_sums(cell, b)
+        if drop is not None:
+            cell[drop] = rejected
+        counts = np.bincount(cell, minlength=len(table))
+        table += counts
+        if per_vertex is not None:
+            for v in range(b):  # the subsets holding low vertex v
+                np.copyto(half.reshape(-1, 1 << v), cell.reshape(-1, 2, 1 << v)[:, 1])
+                per_vertex[v] += np.bincount(half, minlength=len(table))
+            for v in range(b, n):  # high vertex v is in every subset of the block or none
+                if high >> (v - b) & 1:
+                    per_vertex[v] += counts
+
+
+def _subset_sums(x, bits):
+    """In place, x[S] becomes the sum of x[T] over every T ⊆ S, for the
+    2^bits indices S of x: one pass per bit adds each x[S] without the bit
+    into x[S] with it (Yates)."""
+    for j in range(bits):
+        run = 1 << j
+        rows = x.reshape(-1, 2 * run)  # each row: runs without bit j, then with it
+        if run < 16:  # short runs: a strided column at a time is faster
+            for r in range(run):
+                rows[:, run + r] += rows[:, r]
+        else:
+            rows[:, run:] += rows[:, :run]
 
 
 def _weigh(counts, p, zeta):

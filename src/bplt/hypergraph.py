@@ -113,11 +113,8 @@ class Multihypergraph:
 
     def degrees(self):
         """Vertex degrees with multiplicity, as a list of length num_vertices."""
-        deg = [0] * self.num_vertices
-        for e in self.edges:
-            for u in e:
-                deg[u] += 1
-        return deg
+        flat = np.fromiter(itertools.chain.from_iterable(self.edges), np.int64)
+        return np.bincount(flat, minlength=self.num_vertices).tolist()
 
     def incident_edge_ids(self):
         """For each vertex, the sorted list of ids of edges containing it."""
@@ -283,23 +280,26 @@ def is_linear_hypertree(graph):
     Equivalently (for edges of size >= 2) the vertex/edge incidence graph is
     a tree spanning all vertices.  Edges of size one may repeat with
     multiplicity, and empty edges are ignored; parallel copies of a larger
-    edge always fail linearity.
+    edge always fail linearity.  The incidence graph is checked to be
+    connected with one edge fewer than nodes, in time linear in the graph:
+    two edges sharing two vertices would close a cycle in it, so linearity
+    needs no check of its own.
     """
     big = [e for e in graph.edges if len(e) >= 2]
-    for e, f in itertools.combinations(big, 2):
-        if len(set(e) & set(f)) > 1:
-            return False
     n = graph.num_vertices
     if n == 0:
         return True
     if sum(len(e) - 1 for e in big) != n - 1:
         return False
-    # connectivity over size->=2 edges
+    # connectivity over size->=2 edges, each edge opened once
     incidence = _incidence(n, big)
-    seen = {0}
+    seen, opened = {0}, [False] * len(big)
     queue = deque([0])
     while queue:
         for i in incidence[queue.popleft()]:
+            if opened[i]:
+                continue
+            opened[i] = True
             for w in big[i]:
                 if w not in seen:
                     seen.add(w)

@@ -1,7 +1,9 @@
 """Shared pure-python oracles, deliberately independent of the package's
 vectorised implementations."""
 
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +64,69 @@ def naive_lower_tail(graph, p, threshold):
             k = bin(s).count("1")
             prob += p**k * (1.0 - p) ** (n - k)
     return prob
+
+
+def loop_tables(n, states, masks, mults, require=0, forbid=0, by_vertex=False):
+    """``bplt.gibbs._tables`` by one numpy pass per edge mask over each block
+    of listed subsets, with the ``require``/``forbid`` filter applied before
+    counting: the reference for its subset-sum transform, whose integer
+    tables must equal these."""
+    chunk = 1 << 16
+    if states is None:
+        states = np.arange(1 << n, dtype=np.uint64)
+    req, forb = np.uint64(require), np.uint64(forbid)
+    width = int(mults.sum()) + 1
+    cells = (n + 1) * width
+    table = np.zeros(cells, dtype=np.int64)
+    per_vertex = np.zeros((n, cells), dtype=np.int64) if by_vertex else None
+    for lo in range(0, len(states), chunk):
+        block = states[lo : lo + chunk]
+        block = block[((block & req) == req) & ((block & forb) == 0)]
+        cell = np.bitwise_count(block).astype(np.intp) * width
+        for mask, mult in zip(masks, mults):
+            cell += mult * ((block & mask) == mask)
+        table += np.bincount(cell, minlength=cells)
+        if by_vertex:
+            for v in range(n):
+                held = (block & np.uint64(1 << v)) != 0
+                per_vertex[v] += np.bincount(cell[held], minlength=cells)
+    return table.reshape(n + 1, width), per_vertex.reshape(n, n + 1, width) if by_vertex else None
+
+
+def loop_degrees(graph):
+    """Vertex degrees with multiplicity by a loop over the edges: the
+    reference for ``Multihypergraph.degrees``."""
+    deg = [0] * graph.num_vertices
+    for e in graph.edges:
+        for u in e:
+            deg[u] += 1
+    return deg
+
+
+def all_pairs_is_linear_hypertree(graph):
+    """``bplt.hypergraph.is_linear_hypertree`` with linearity checked first on
+    every pair of edges of size >= 2: the reference for its linear-time
+    incidence-tree check."""
+    big = [e for e in graph.edges if len(e) >= 2]
+    for e, f in itertools.combinations(big, 2):
+        if len(set(e) & set(f)) > 1:
+            return False
+    n = graph.num_vertices
+    if n == 0:
+        return True
+    if sum(len(e) - 1 for e in big) != n - 1:
+        return False
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for e in big:
+            if u in e:
+                for w in e:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+    return len(seen) == n
 
 
 @dataclass(frozen=True)

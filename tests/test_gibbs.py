@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bplt import gibbs
 from bplt.errors import SizeGuardError
@@ -19,7 +22,7 @@ from bplt.gibbs import (
 from bplt.hypergraph import Multihypergraph
 from bplt.progressions import ap_hypergraph
 
-from conftest import loop_heat_bath, naive_log_z, naive_lower_tail, naive_marginal
+from conftest import loop_heat_bath, loop_tables, naive_log_z, naive_lower_tail, naive_marginal
 
 TRIPLE = Multihypergraph(3, [[0, 1, 2]])
 
@@ -405,3 +408,79 @@ def _oracle_outputs(g, params, p):
     if g.num_edges:
         out["p_zero"] = lower_tail_exact(g, p, 0)
     return out
+
+
+def _assert_tables_match(graph, edge_free=False, require=(), forbid=()):
+    """``_tables`` equals the per-mask loop, as integers, on one listing."""
+    n = graph.num_vertices
+    listing = gibbs._listing(graph, edge_free, True, require, forbid)
+    for by_vertex in (False, True):
+        got = gibbs._tables(n, *listing, by_vertex=by_vertex)
+        want = loop_tables(n, *listing, by_vertex=by_vertex)
+        assert np.array_equal(got[0], want[0])
+        if by_vertex:
+            assert np.array_equal(got[1], want[1])
+        else:
+            assert got[1] is None
+
+
+@st.composite
+def _restricted_graphs(draw, max_vertices=9, max_edges=8):
+    """A multihypergraph with empty, unit and repeated edges, plus disjoint
+    vertex sets to require and to forbid."""
+    n = draw(st.integers(0, max_vertices))
+    vertex_sets = st.sets(st.integers(0, n - 1), max_size=min(n, 4)) if n else st.just(set())
+    edges = draw(st.lists(vertex_sets, max_size=max_edges))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    require = draw(vertex_sets)
+    forbid = draw(vertex_sets) - require
+    return Multihypergraph(n, edges), sorted(require), sorted(forbid)
+
+
+class TestSubsetSumKernel:
+    """The transform-based 2^N count against the per-mask loop it replaced."""
+
+    def test_hardcore_instances(self, rng):
+        for g in _hardcore_instances(rng):
+            _assert_tables_match(g)
+            _assert_tables_match(g, edge_free=True)
+
+    @pytest.mark.parametrize("graph", [
+        Multihypergraph(0, []),
+        Multihypergraph(0, [[], []]),
+        Multihypergraph(1, []),
+        Multihypergraph(1, [[0], [0], []]),
+        Multihypergraph(2, []),
+        Multihypergraph(2, [[0, 1], [0, 1], [1], []]),
+        Multihypergraph(5, [[], [2], [2], [0, 3], [0, 3], [1, 3, 4], [0, 1, 2, 3, 4]]),
+    ], ids=repr)
+    def test_empty_unit_and_repeated_edges(self, graph):
+        _assert_tables_match(graph)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 1 << 3])
+    def test_blocks_with_high_bits(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(gibbs, "_CHUNK", chunk)
+        for _ in range(30):
+            g = random_multihypergraph(rng, max_vertices=9, max_edges=10, allow_empty=True)
+            _assert_tables_match(g)
+            _assert_tables_match(g, require=(0,), forbid=(g.num_vertices - 1,))
+
+    @pytest.mark.parametrize("chunk", [1 << 3, 1 << 16])
+    def test_identity_restrictions(self, rng, monkeypatch, chunk):
+        # the listings of verify_identities: subsets holding v, subsets
+        # avoiding v, and supersets of e in the graph without e
+        monkeypatch.setattr(gibbs, "_CHUNK", chunk)
+        for _ in range(25):
+            g = random_multihypergraph(rng, max_vertices=9, max_edges=8, allow_empty=True)
+            for v in range(g.num_vertices):
+                _assert_tables_match(g, require=(v,))
+                _assert_tables_match(g, forbid=(v,))
+            for e in set(g.edges):
+                _assert_tables_match(g.remove_edges([e]), require=e)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_restricted_graphs(), st.integers(0, 5))
+    def test_matches_loop(self, case, chunk_bits):
+        g, require, forbid = case
+        with mock.patch.object(gibbs, "_CHUNK", 1 << chunk_bits):
+            _assert_tables_match(g, require=require, forbid=forbid)

@@ -17,7 +17,7 @@ from bplt.hypergraph import (
     write_hypergraph,
 )
 
-from conftest import enumerate_saws
+from conftest import all_pairs_is_linear_hypertree, enumerate_saws, loop_degrees
 
 
 @st.composite
@@ -186,6 +186,19 @@ class TestOperators:
     def test_degree_sum(self, g):
         assert sum(g.degrees()) == sum(len(e) for e in g.edges)
 
+    @settings(max_examples=100, deadline=None)
+    @given(multihypergraphs(max_vertices=10, max_edges=12, max_size=4))
+    def test_degrees_match_loop(self, g):
+        # empty and unit edges included; the same list of Python ints
+        deg = g.degrees()
+        assert deg == loop_degrees(g)
+        assert all(type(d) is int for d in deg)
+
+    def test_degrees_of_edgeless_graphs(self):
+        assert Multihypergraph(0, []).degrees() == []
+        assert Multihypergraph(0, [[], []]).degrees() == []
+        assert Multihypergraph(3, [[]]).degrees() == [0, 0, 0]
+
 
 class TestDegreeStats:
     def test_single_edge(self):
@@ -287,6 +300,23 @@ class TestLinearHypertree:
         for _ in range(30):
             t = random_linear_hypertree(rng, int(rng.integers(1, 15)))
             assert is_linear_hypertree(t)
+
+    def test_matches_all_pairs_check(self, rng):
+        # hypertrees, then copies with one edge moved, grown, shrunk or doubled
+        for _ in range(60):
+            t = random_linear_hypertree(rng, int(rng.integers(1, 30)), max_edge_size=4)
+            graphs = [t]
+            for i, e in enumerate(t.edges):
+                others = list(t.edges[:i] + t.edges[i + 1 :])
+                outside = [u for u in range(t.num_vertices) if u not in e]
+                if outside:
+                    w = int(rng.choice(outside))
+                    graphs.append(Multihypergraph(t.num_vertices, others + [e[1:] + (w,)]))
+                    graphs.append(Multihypergraph(t.num_vertices, others + [e + (w,)]))
+                graphs.append(Multihypergraph(t.num_vertices, others + [e[1:]]))
+                graphs.append(Multihypergraph(t.num_vertices, others + [e, e]))
+            for g in graphs:
+                assert is_linear_hypertree(g) == all_pairs_is_linear_hypertree(g), g
 
     def test_matches_saw_uniqueness_definition(self, rng):
         # cross-check the incidence-tree criterion against literal SAW counting
