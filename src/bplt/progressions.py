@@ -17,18 +17,35 @@ run over blocks of steps at once, at most ``CELLS`` products per block, on
 shifted views of f zero-padded once; the padding makes every product past a
 point's last whole step exactly 0, and each point still adds its steps in
 order, so the blocks give the same floats as one step at a time.
+
+Everything in a band integral that depends only on the grid, not on f, is a
+band plan: the whole steps R(t) and the tail weights, each block's view
+starts and strides into the padded profile, the indices of the last whole
+step and the interpolation positions of the tail end.  ``_band_plan`` builds
+it once per key (M, offsets, a, b) and keeps the last few in a bounded
+cache, so every application on one grid, the k operator bands and the
+``kap_rate_bethe`` edge band alike, reuses it.  Its arrays are read-only
+and its buffers are made per call, so concurrent calls share nothing they
+write.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .bp import BPParams, _check_admissible, _coupling_integral, _iterate, bp_fixed_point
+from .bp import (
+    BPParams,
+    _check_admissible,
+    _coupling_integral,
+    _default_delta,
+    _iterate,
+    bp_fixed_point,
+)
 from .errors import DomainError, SizeGuardError
 from .gibbs import ModelParams, glauber_marginals, summarize
 from .hypergraph import Multihypergraph
@@ -48,6 +65,7 @@ __all__ = [
 ]
 
 CELLS = 1 << 15  # entries per block of band-integral steps, about 256 KB
+_ITEM = np.dtype(float).itemsize  # bytes per profile value, for the block views
 
 
 def _sum_of_nearer_sides(k, left, right):
@@ -109,10 +127,54 @@ def _check_grid(k, c, zeta, grid_size):
         raise ValueError(f"grid_size={grid_size} must be at least 2k = {2 * k}")
 
 
-def _band_integral(f, offsets, a, b):
+@functools.lru_cache(maxsize=16)
+def _band_plan(m, offsets, a, b):
+    """The grid-only part of ``_band_integral`` on the grid of size m, for
+    a tuple of offsets and the divisors a, b: built once per key and shared
+    by every call with that key, so it holds no buffer and its arrays are
+    read-only.
+
+    A tuple (h, reach, cells, blocks, grid, full_at, end_at, tail): the
+    step 1/M; the zeros padded on each side of f; the floats of the largest
+    block buffer; per block (lo, hi, (rows, width), views), views holding a
+    (byte offset, strides) pair into the padded f per offset; the points
+    j/M; the indices j + i R(t) of the last whole step and the positions
+    t + i w(t) of the tail end, one row per offset; and half the tail
+    length, (w(t) - R(t)/M) / 2.
+    """
+    h = 1.0 / m
+    j = np.arange(m + 1)
+    grid = j * h
+    sides = [(room, d) for room, d in ((j, a), (m - j, b)) if d > 0]
+    r_full = np.min([room // d for room, d in sides], axis=0)
+    w = np.min([room / (d * m) for room, d in sides], axis=0)
+    r_max = int(r_full.max())
+    reach = r_max * max(abs(i) for i in offsets)
+    block = max(1, CELLS // (m + 1))
+    blocks = []
+    for r0 in range(1, r_max + 1, block):
+        rows = min(block, r_max + 1 - r0)
+        lo, hi = a * r0, m - b * r0
+        # row q of offset i's view is the padded f shifted by i (r0 + q)
+        views = tuple(((reach + i * r0 + lo) * _ITEM, (i * _ITEM, _ITEM)) for i in offsets)
+        blocks.append((lo, hi, (rows, hi + 1 - lo), views))
+    cells = max(((rows + 1) * width for _, _, (rows, width), _ in blocks), default=0)
+    arrays = (
+        grid,
+        np.array([j + i * r_full for i in offsets]),
+        np.array([grid + i * w for i in offsets]),
+        0.5 * (w - r_full * h),
+    )
+    for x in arrays:
+        x.flags.writeable = False
+    return (h, reach, cells, tuple(blocks), *arrays)
+
+
+def _band_integral(f, offsets, a, b, g_0=None):
     """Per grid point t=j/M, the integral over s in [0, w(t)] of
     prod_i f(t + offsets[i] * s), where w(t) = min(t/a, (1-t)/b) and a zero
-    divisor means that side is unconstrained.
+    divisor means that side is unconstrained.  ``g_0`` is the product at
+    s = 0, f to the number of offsets, if the caller has it.
 
     The R(t) = floor(M w(t)) whole steps use the composite trapezoid rule
     with on-grid integer shifts; the fractional tail [R(t)/M, w(t)] uses
@@ -126,48 +188,42 @@ def _band_integral(f, offsets, a, b):
     of a C-contiguous array in order, so each point sums g_0, g_1, ...,
     g_R(t) left to right, as one step at a time does.  (numpy sums a single
     column pairwise, but a block one point wide is the last step alone.)
+
+    What depends only on (M, offsets, a, b) comes from the cached, read-only
+    ``_band_plan``: R(t), the tail weights, the blocks' view starts and
+    strides, and the index and interpolation positions of the end terms.  A
+    call only pads f into its own buffer, multiplies and sums the views and
+    adds the end corrections.
     """
-    m = len(f) - 1
-    h = 1.0 / m
-    j = np.arange(m + 1)
-    grid = j * h
-    sides = [(room, d) for room, d in ((j, a), (m - j, b)) if d > 0]
-    r_full = np.min([room // d for room, d in sides], axis=0)
-    w = np.min([room / (d * m) for room, d in sides], axis=0)
+    h, reach, cells, blocks, grid, full_at, end_at, tail = _band_plan(
+        len(f) - 1, tuple(offsets), a, b
+    )
+    if g_0 is None:
+        g_0 = math.prod(f for _ in offsets)
     # sum of g_r = prod_i f(t + offsets[i] r/M) over r = 0..R(t)
-    g_0 = math.prod(f for _ in offsets)
     total = g_0.copy()
-    r_max = int(r_full.max())
-    reach = r_max * max(abs(i) for i in offsets)
-    # row s of windows is f shifted by s - reach, zero outside [0, M]
-    padded = np.zeros(m + 1 + 2 * reach)
-    padded[reach : reach + m + 1] = f
-    windows = sliding_window_view(padded, m + 1)
-    block = max(1, CELLS // (m + 1))
-    scratch = np.empty((block + 1) * (m + 1))
-    for r0 in range(1, r_max + 1, block):
-        rows = min(block, r_max + 1 - r0)
-        lo, hi = a * r0, m - b * r0
-        buf = scratch[: (rows + 1) * (hi + 1 - lo)].reshape(rows + 1, hi + 1 - lo)
+    padded = np.zeros(len(f) + 2 * reach)
+    padded[reach : reach + len(f)] = f
+    scratch = np.empty(cells)
+    for lo, hi, (rows, width), views in blocks:
+        buf = scratch[: (rows + 1) * width].reshape(rows + 1, width)
         buf[0] = total[lo : hi + 1]
-        shifted = [
-            windows[reach + i * r0 :: i][:rows, lo : hi + 1] if i else f[lo : hi + 1]
-            for i in offsets
-        ]
+        shifted = [np.ndarray((rows, width), float, padded, at, steps) for at, steps in views]
         np.multiply(shifted[0], shifted[1], out=buf[1:])
         for factor in shifted[2:]:
             buf[1:] *= factor
         buf.sum(axis=0, out=total[lo : hi + 1])
-    g_full = math.prod(f[j + i * r_full] for i in offsets)
-    g_end = math.prod(np.interp(grid + i * w, grid, f) for i in offsets)
-    return h * (total - 0.5 * (g_0 + g_full)) + 0.5 * (w - r_full * h) * (g_full + g_end)
+    g_full = math.prod(f[full_at])
+    g_end = math.prod(np.interp(end_at, grid, f))
+    return h * (total - 0.5 * (g_0 + g_full)) + tail * (g_full + g_end)
 
 
 def _grid_apply(f, c, coeff, k):
+    g_0 = math.prod(f for _ in range(k - 1))  # every band has k - 1 offsets
     total = np.zeros(len(f))
     for ell in range(1, k + 1):
-        offsets = [i for i in range(-(ell - 1), k - ell + 1) if i != 0]
-        total += _band_integral(f, offsets, ell - 1, k - ell)
+        offsets = tuple(i for i in range(1 - ell, k - ell + 1) if i)
+        total += _band_integral(f, offsets, ell - 1, k - ell, g_0)
     return c * np.exp(-coeff * total)
 
 
@@ -256,7 +312,7 @@ def kap_rate_bethe(k, c, grid_size=2000, tol=1e-12):
     """
     x = phi_fixed_point(k, c, tol=tol, grid_size=grid_size)
     h = 1.0 / grid_size
-    inner = _band_integral(x, list(range(k)), 0, k - 1)
+    inner = _band_integral(x, tuple(range(k)), 0, k - 1)
     edge_term = _trapz(inner, h)
     entropy = _trapz(x * (np.log(x / c) - 1.0), h)
     return -edge_term - entropy - c
@@ -338,7 +394,7 @@ def discrete_profile_gap(k, n, c, zeta=1.0, tol=1e-10, grid_tol=1e-12):
     (gap, bp_vector, grid_values)."""
     _check_grid(k, c, zeta, n)
     graph = ap_hypergraph(k, n)
-    delta = max(graph.degrees())
+    delta = _default_delta(graph, k)
     bp_vec = bp_fixed_point(graph, BPParams(k, c, zeta, delta), tol=tol)
     alpha = float(degree_coefficient(k))
     grid_fp = _grid_fixed_point(c, zeta / alpha, k, n, grid_tol, 10_000)

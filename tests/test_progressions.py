@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 
 from bplt import gibbs, progressions
+from bplt.bp import _default_delta
 from bplt.errors import DomainError
 from bplt.progressions import (
     _band_integral,
+    _band_plan,
     ap_degree,
     ap_hypergraph,
     degree_coefficient,
@@ -83,6 +86,8 @@ class TestApHypergraph:
                 deg = g.degrees()
                 for t in range(1, n + 1):
                     assert deg[t - 1] == ap_degree(k, n, t)
+                # the Delta that discrete_profile_gap scales by
+                assert _default_delta(g, k) == max(deg)
 
     def test_pair_degree_bounded(self):
         from bplt.hypergraph import degree_stats
@@ -141,8 +146,10 @@ class TestFunctionalApply:
     def test_band_integral_scratch_is_bounded(self, rng):
         # k = 3 at M = 4000 takes up to 2000 steps: the whole (R, M)
         # rectangle of products would be about 64 MB, the blocks stay O(M)
+        # the band plans are built inside the bound too
         m = 4000
         f = rng.uniform(0.1, 1.2, m + 1)
+        _band_plan.cache_clear()
         tracemalloc.start()
         try:
             for offsets, a, b in (([1, 2], 0, 2), ([-1, 1], 1, 1), ([0, 1, 2], 0, 2)):
@@ -151,6 +158,56 @@ class TestFunctionalApply:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_band_plan_is_read_only(self):
+        *_, grid, full_at, end_at, tail = _band_plan(200, (-1, 1), 1, 1)
+        for values in (grid, full_at, end_at, tail):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_band_plan_reused_across_profiles(self, k, rng):
+        # a freshly built plan and the same plan shared by a second profile
+        # both give the per-step loop bit for bit
+        bands = [
+            (tuple(i for i in range(1 - ell, k - ell + 1) if i), ell - 1, k - ell)
+            for ell in range(1, k + 1)
+        ]
+        for m in (2 * k, 500, 2000):
+            _band_plan.cache_clear()
+            for f in rng.uniform(0.1, 1.2, (2, m + 1)):
+                for offsets, a, b in [*bands, (tuple(range(k)), 0, k - 1)]:
+                    got = _band_integral(f, offsets, a, b)
+                    assert np.array_equal(got, loop_band_integral(f, offsets, a, b))
+            assert _band_plan.cache_info().hits == len(bands) + 1
+
+    def test_concurrent_applications_share_plans(self, rng):
+        # threads on one grid share the plans, not the buffers: each returns
+        # what it returns alone, with the plans built in the race
+        m, workers, reps = 500, 4, 10
+        profiles = rng.uniform(0.2, 0.9, (workers, m + 1))
+        alone = [phi_apply(3, 0.9, f) for f in profiles]
+        _band_plan.cache_clear()
+        start = threading.Barrier(workers)
+        results = [None] * workers
+
+        def run(slot):
+            start.wait()
+            results[slot] = [phi_apply(3, 0.9, profiles[slot]) for _ in range(reps)]
+
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for want, got in zip(alone, results):
+            assert all(np.array_equal(out, want) for out in got)
 
     def test_trapezoid_against_dense_reference(self, rng):
         # independent slow evaluation of the band integral on a smooth input
