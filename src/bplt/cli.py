@@ -127,9 +127,7 @@ def _pattern_graph(name):
 
     if name.startswith("@"):
         graph = _read_graph(name[1:])
-        if any(len(e) != 2 for e in graph.edges):
-            raise ValueError("pattern file must contain a 2-uniform graph")
-        return SimpleGraph(graph.num_vertices, tuple(graph.edges))
+        return SimpleGraph(graph.num_vertices, graph.edges)
     return named_graph(name)
 
 
@@ -257,13 +255,13 @@ def _cmd_kap_profile(args):
 
 
 def _cmd_bp_solve(args):
-    from .bp import BPParams, bethe_free_energy, bp_fixed_point, solve_zeta
+    from .bp import BPParams, _default_delta, bethe_free_energy, bp_fixed_point, solve_zeta
 
     graph = _read_graph(args.file)
     k = graph.uniformity() if args.k is None else args.k
     if k is None:
         raise ValueError("graph is not uniform; pass --k explicitly")
-    delta = max([1, *graph.degrees()]) if args.delta is None else args.delta
+    delta = _default_delta(graph, k) if args.delta is None else args.delta
     if args.zeta is None and args.eta is None:
         raise ValueError("pass either --zeta or --eta")
     if args.zeta is not None:

@@ -35,7 +35,7 @@ def random_multihypergraph(
             edges.append(edges[int(rng.integers(len(edges)))])
             continue
         size = int(rng.integers(min_size, min(max_edge_size, n) + 1))
-        edges.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
+        edges.append(tuple(rng.choice(n, size=size, replace=False).tolist()))
     return Multihypergraph(n, edges)
 
 

@@ -102,13 +102,9 @@ def _mask(vertices):
 
 def _edge_masks(graph):
     """Distinct edge bitmasks with multiplicities (empty edge has mask 0)."""
-    counts = {}
-    for e in graph.edges:
-        mask = _mask(e)
-        counts[mask] = counts.get(mask, 0) + 1
-    masks = np.array(sorted(counts), dtype=np.uint64)
-    mults = np.array([counts[int(m)] for m in masks], dtype=np.int64)
-    return masks, mults
+    counts = {_mask(e): m for e, m in graph.edge_multiplicities().items()}
+    masks = sorted(counts)
+    return np.array(masks, dtype=np.uint64), np.array([counts[m] for m in masks], dtype=np.int64)
 
 
 def _hardcore_support(graph):

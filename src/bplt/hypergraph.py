@@ -6,6 +6,10 @@ identified by their position in :attr:`Multihypergraph.edges` (the "edge
 id"), so self-avoiding walks can tell parallel edges apart.  Empty edges are
 allowed and carry multiplicity like any other edge.
 
+The :class:`Multihypergraph` constructor is the one place where edges are
+canonicalised and checked: the parser, the operators, the builders and
+``rates.SimpleGraph`` hand it raw vertex lists and take its ``edges`` back.
+
 A graph also keeps, built on first use, its edges as one (k, M) integer
 array (``_edge_rows``), the layout the belief-propagation kernels work on;
 every BP call on the same graph reuses it.
@@ -74,16 +78,13 @@ class Multihypergraph:
         num_vertices = int(num_vertices)
         if num_vertices < 0:
             raise ValueError("num_vertices must be non-negative")
-        canon = []
-        for e in edges:
-            t = tuple(sorted(int(u) for u in e))
-            for u in t:
-                if not 0 <= u < num_vertices:
-                    raise ValueError(f"vertex {u} out of range [0, {num_vertices})")
-            if any(t[i] == t[i + 1] for i in range(len(t) - 1)):
+        canon = sorted(tuple(sorted(map(int, e))) for e in edges)
+        for t in canon:
+            if t and not (0 <= t[0] and t[-1] < num_vertices):
+                u = t[0] if t[0] < 0 else t[-1]
+                raise ValueError(f"vertex {u} out of range [0, {num_vertices})")
+            if len(set(t)) < len(t):
                 raise ValueError(f"repeated vertex inside edge {t}")
-            canon.append(t)
-        canon.sort()
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "_rows", None)
@@ -135,9 +136,15 @@ class Multihypergraph:
 
     # -- modification operators -------------------------------------------
 
-    def _index_map(self, removed):
+    def _index_map(self, vertices):
+        """The checked vertex set to remove and the map sending each
+        surviving old vertex index to its new dense index."""
+        removed = frozenset(map(int, vertices))
+        for v in removed:
+            if not 0 <= v < self.num_vertices:
+                raise ValueError(f"vertex {v} out of range")
         keep = [v for v in range(self.num_vertices) if v not in removed]
-        return {old: new for new, old in enumerate(keep)}
+        return removed, {old: new for new, old in enumerate(keep)}
 
     def remove_vertices(self, vertices):
         """Delete a vertex set and every edge meeting it.
@@ -145,11 +152,7 @@ class Multihypergraph:
         Returns ``(graph, index_map)`` where ``index_map`` sends surviving
         old vertex indices to their new dense indices.
         """
-        removed = frozenset(int(v) for v in vertices)
-        for v in removed:
-            if not 0 <= v < self.num_vertices:
-                raise ValueError(f"vertex {v} out of range")
-        imap = self._index_map(removed)
+        removed, imap = self._index_map(vertices)
         new_edges = [
             tuple(imap[u] for u in e)
             for e in self.edges
@@ -164,11 +167,7 @@ class Multihypergraph:
         each edge keeps only its surviving endpoints and may shrink to the
         empty edge.  Returns ``(graph, index_map)``.
         """
-        removed = frozenset(int(v) for v in vertices)
-        for v in removed:
-            if not 0 <= v < self.num_vertices:
-                raise ValueError(f"vertex {v} out of range")
-        imap = self._index_map(removed)
+        removed, imap = self._index_map(vertices)
         new_edges = [tuple(imap[u] for u in e if u not in removed) for e in self.edges]
         return Multihypergraph(len(imap), new_edges), imap
 
@@ -176,21 +175,15 @@ class Multihypergraph:
         """Delete a sub-multiset of edges (given as vertex lists).
 
         Raises ValueError if the argument is not a sub-multiset of the edge
-        multiset.  Vertices are unchanged.
+        multiset, or if the constructor refuses one of its edges.  Vertices
+        are unchanged.
         """
-        to_remove = Counter(tuple(sorted(int(u) for u in e)) for e in edge_lists)
+        drop = Multihypergraph(self.num_vertices, edge_lists).edge_multiplicities()
         have = self.edge_multiplicities()
-        for e, m in to_remove.items():
+        for e, m in drop.items():
             if have[e] < m:
                 raise ValueError(f"edge {e} with multiplicity {m} is not present")
-        remaining = []
-        seen = Counter()
-        for e in self.edges:
-            if seen[e] < to_remove.get(e, 0):
-                seen[e] += 1
-            else:
-                remaining.append(e)
-        return Multihypergraph(self.num_vertices, remaining)
+        return Multihypergraph(self.num_vertices, (have - drop).elements())
 
 
 @dataclass(frozen=True)
@@ -321,34 +314,19 @@ def parse_hypergraph(text):
 
     Each edge line is a space-separated vertex list; a blank line is the
     empty edge.  ``#`` starts a comment; lines that are comments only are
-    skipped entirely.
+    skipped entirely, as are blank lines before the header.  Lines after
+    the M-th edge line are ignored.
     """
-    lines = []
-    for raw in text.splitlines():
-        if "#" in raw:
-            stripped = raw.split("#", 1)[0]
-            if not stripped.strip():
-                continue  # pure comment line
-            lines.append(stripped)
-        else:
-            lines.append(raw)
-    it = iter(lines)
-    header = None
-    for line in it:
-        if line.strip():
-            header = line
-            break
+    split = (raw.partition("#") for raw in text.splitlines())
+    lines = (body for body, hash_mark, _ in split if not hash_mark or body.strip())
+    header = next((line for line in lines if line.strip()), None)
     if header is None:
         raise ValueError("empty hypergraph file")
     parts = header.split()
     if len(parts) != 2:
         raise ValueError(f"expected header 'N M', got {header!r}")
     n, m = int(parts[0]), int(parts[1])
-    edges = []
-    for line in it:
-        if len(edges) == m:
-            break
-        edges.append(tuple(int(tok) for tok in line.split()))
+    edges = [tuple(map(int, line.split())) for line in itertools.islice(lines, max(m, 0))]
     if len(edges) != m:
         raise ValueError(f"expected {m} edge lines, found {len(edges)}")
     return Multihypergraph(n, edges)

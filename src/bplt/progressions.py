@@ -97,12 +97,11 @@ def ap_hypergraph(k, n):
         raise DomainError("k must be >= 3")
     if n < k:
         raise DomainError("n must be at least k")
-    edges = []
-    d = 1
-    while (k - 1) * d <= n - 1:
-        for a in range(n - (k - 1) * d):
-            edges.append(tuple(a + i * d for i in range(k)))
-        d += 1
+    edges = [
+        tuple(range(a, a + k * d, d))
+        for d in range(1, (n - 1) // (k - 1) + 1)
+        for a in range(n - (k - 1) * d)
+    ]
     return Multihypergraph(n, edges)
 
 

@@ -45,19 +45,12 @@ class SimpleGraph:
     edges: tuple
 
     def __post_init__(self):
-        seen = set()
-        canon = []
-        for e in self.edges:
-            u, v = sorted(e)
-            if u == v:
-                raise ValueError("loops are not allowed")
-            if not 0 <= u < self.num_vertices or not 0 <= v < self.num_vertices:
-                raise ValueError("edge endpoint out of range")
-            if (u, v) in seen:
-                raise ValueError("multi-edges are not allowed")
-            seen.add((u, v))
-            canon.append((u, v))
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        edges = Multihypergraph(self.num_vertices, self.edges).edges
+        if any(len(e) != 2 for e in edges):
+            raise ValueError("a simple graph's edges must be vertex pairs")
+        if len(set(edges)) < len(edges):
+            raise ValueError("multi-edges are not allowed")
+        object.__setattr__(self, "edges", edges)
 
     @property
     def num_edges(self):
@@ -286,17 +279,13 @@ def subgraph_hypergraph(graph, n):
     if n < h:
         raise DomainError("n must be at least the pattern's vertex count")
     pair_id = {}
-    for i, pair in enumerate(itertools.combinations(range(n), 2)):
-        pair_id[pair] = i
-    copies = set()
-    for combo in itertools.combinations(range(n), h):
-        for perm in itertools.permutations(combo):
-            image = frozenset(
-                pair_id[(min(perm[u], perm[v]), max(perm[u], perm[v]))]
-                for u, v in graph.edges
-            )
-            copies.add(image)
-    return Multihypergraph(n * (n - 1) // 2, [tuple(sorted(cp)) for cp in copies])
+    for i, (u, v) in enumerate(itertools.combinations(range(n), 2)):
+        pair_id[u, v] = pair_id[v, u] = i
+    copies = {
+        frozenset(pair_id[perm[u], perm[v]] for u, v in graph.edges)
+        for perm in itertools.permutations(range(n), h)
+    }
+    return Multihypergraph(n * (n - 1) // 2, copies)
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ class LabeledHypertree:
         return _incidence(self.num_nodes, self.edge_nodes)
 
     def as_multihypergraph(self):
-        return Multihypergraph(self.num_nodes, [tuple(m) for m in self.edge_nodes])
+        return Multihypergraph(self.num_nodes, self.edge_nodes)
 
 
 def _walk_tree(edges_src, incidence, start, vrank, erank, depth_limit, max_nodes):

@@ -3,7 +3,7 @@ vectorised implementations."""
 
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +101,54 @@ def loop_degrees(graph):
         for u in e:
             deg[u] += 1
     return deg
+
+
+def canonical_edges(edges):
+    """An edge list in the canonical form of ``Multihypergraph.edges``, built
+    without its constructor: each edge a sorted tuple, the list sorted."""
+    return tuple(sorted(tuple(sorted(e)) for e in edges))
+
+
+def loop_ap_edges(k, n):
+    """The canonical edges of ``bplt.progressions.ap_hypergraph(k, n)``, one
+    progression a + i d at a time: the reference for its builder."""
+    edges = []
+    d = 1
+    while (k - 1) * d <= n - 1:
+        for a in range(n - (k - 1) * d):
+            edges.append(tuple(a + i * d for i in range(k)))
+        d += 1
+    return canonical_edges(edges)
+
+
+def loop_subgraph_edges(pattern, n):
+    """The canonical edges of ``bplt.rates.subgraph_hypergraph(pattern, n)``:
+    every ordered placement of the pattern's vertices on a vertex subset of
+    K_n, each copy the set of ids of the K_n pairs it covers."""
+    pair_id = {pair: i for i, pair in enumerate(itertools.combinations(range(n), 2))}
+    copies = set()
+    for combo in itertools.combinations(range(n), pattern.num_vertices):
+        for perm in itertools.permutations(combo):
+            copies.add(frozenset(
+                pair_id[(min(perm[u], perm[v]), max(perm[u], perm[v]))]
+                for u, v in pattern.edges
+            ))
+    return canonical_edges(copies)
+
+
+def loop_remove_edges(graph, edge_lists):
+    """The canonical edges of ``graph.remove_edges(edge_lists)``, dropping
+    one listed copy at a time in a pass over ``graph.edges``: the reference
+    for its multiset difference."""
+    to_remove = Counter(tuple(sorted(e)) for e in edge_lists)
+    seen = Counter()
+    remaining = []
+    for e in graph.edges:
+        if seen[e] < to_remove[e]:
+            seen[e] += 1
+        else:
+            remaining.append(e)
+    return canonical_edges(remaining)
 
 
 def all_pairs_is_linear_hypertree(graph):

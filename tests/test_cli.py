@@ -136,6 +136,14 @@ class TestSubgraphCommand:
         )
         assert code == 2 and "2-balanced" in err
 
+    @pytest.mark.parametrize("text", ["3 2\n0 1\n0 1 2\n", "3 2\n0 1\n0 0\n", "3 2\n0 1\n0 1\n"])
+    def test_pattern_file_not_simple_graph_exits_2(self, capsys, tmp_path, text):
+        # a non-pair, a loop or a multi-edge in the pattern file is refused
+        path = tmp_path / "bad.hg"
+        path.write_text(text)
+        code, out, err = run(capsys, "rate-subgraph", "--subgraph", f"@{path}", "--c", "0.5")
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestBpSolve:
     def test_triangle_fixed_point(self, capsys, triangle_file):
@@ -177,10 +185,17 @@ class TestBpSolve:
             assert code == 2 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_non_integer_token_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.hg"
+        path.write_text("3 1\n0 1 x\n")
+        code, out, err = run(capsys, "bp-solve", "--file", str(path), "--c", "0.8", "--zeta", "1")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     @pytest.mark.parametrize("mode", [("--zeta", "0.7"), ("--eta", "0.2")])
     def test_one_edge_array_one_solve(self, capsys, monkeypatch, tmp_path, mode):
         # the command builds the graph's edge array once and solves once:
-        # log Z is the printed Bethe free energy rescaled, not a second solve
+        # log Z is the printed Bethe free energy rescaled, not a second solve,
+        # and the default Delta is read off that array, not from degrees()
         import bplt.bp
 
         bowtie = tmp_path / "bowtie.hg"  # two triangles at one vertex: Delta = 2
@@ -192,10 +207,16 @@ class TestBpSolve:
             arrays.append(builder(graph, k))
             return arrays[-1]
 
+        def refused(graph):
+            raise AssertionError("degrees() called")
+
         monkeypatch.setattr(bplt.bp, "_edge_rows", recorded)
-        code, _, err = run(capsys, "bp-solve", "--file", str(bowtie), "--c", "0.8", *mode)
+        monkeypatch.setattr(Multihypergraph, "degrees", refused)
+        code, out, err = run(capsys, "bp-solve", "--file", str(bowtie), "--c", "0.8", *mode)
         assert code == 0
         assert arrays and len({id(rows) for rows in arrays}) == 1
+        echo = dict(item.split("=", 1) for item in out.splitlines()[0].split()[1:])
+        assert echo["delta"] == "2"
         scalars = dict(line.split(",") for line in err.strip().splitlines())
         bethe = float(scalars["bethe_free_energy"])
         assert float(scalars["log_z_bp"]) == 2 ** (-1 / 2) * bethe

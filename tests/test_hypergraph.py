@@ -17,7 +17,12 @@ from bplt.hypergraph import (
     write_hypergraph,
 )
 
-from conftest import all_pairs_is_linear_hypertree, enumerate_saws, loop_degrees
+from conftest import (
+    all_pairs_is_linear_hypertree,
+    enumerate_saws,
+    loop_degrees,
+    loop_remove_edges,
+)
 
 
 @st.composite
@@ -47,9 +52,10 @@ class TestConstruction:
         assert g.edge_multiplicities()[(0, 1)] == 2
 
     def test_out_of_range(self):
-        # the BP kernel's gather relies on this check: it clips, not checks
-        for edge in ([0, 2], [-1, 1]):
-            with pytest.raises(ValueError, match="out of range"):
+        # the BP kernel's gather relies on this check: it clips, not checks;
+        # an unsorted edge is named by its offending vertex at either end
+        for edge, vertex in (([0, 2], 2), ([-1, 1], -1), ([5, 0], 5), ([1, -3], -3)):
+            with pytest.raises(ValueError, match=rf"^vertex {vertex} out of range \[0, 2\)$"):
                 Multihypergraph(2, [edge])
 
     def test_repeated_vertex(self):
@@ -151,6 +157,12 @@ class TestOperators:
         g = Multihypergraph(2, [[0, 1]])
         assert g.remove_edges([]) == g
 
+    def test_remove_edges_out_of_range(self):
+        # an edge that cannot be in the graph is refused by the constructor
+        g = Multihypergraph(2, [[0, 1]])
+        with pytest.raises(ValueError, match=r"vertex 2 out of range \[0, 2\)"):
+            g.remove_edges([[2, 0]])
+
     def test_remove_edges_not_submultiset(self):
         g = Multihypergraph(2, [[0, 1]])
         with pytest.raises(ValueError):
@@ -169,6 +181,17 @@ class TestOperators:
         )
         assert sorted(h.edges) == naive
         assert imap == {v: survivors.index(v) for v in survivors}
+
+    @settings(max_examples=60, deadline=None)
+    @given(multihypergraphs(), st.data())
+    def test_remove_edges_matches_loop(self, g, data):
+        # a sub-multiset of the edges, in any order and with any vertex order
+        taken = data.draw(st.lists(st.booleans(), min_size=g.num_edges, max_size=g.num_edges))
+        drop = [data.draw(st.permutations(e)) for e, t in zip(g.edges, taken) if t]
+        drop = data.draw(st.permutations(drop))
+        h = g.remove_edges(drop)
+        assert h.num_vertices == g.num_vertices
+        assert h.edges == loop_remove_edges(g, drop)
 
     @settings(max_examples=60, deadline=None)
     @given(multihypergraphs(), st.data())
@@ -347,6 +370,52 @@ class TestTextFormat:
         text = "# a triangle plus an empty edge\n3 2\n0 1 2  # the triangle\n\n"
         g = parse_hypergraph(text)
         assert g.edges == ((), (0, 1, 2))
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n   # and another\n"])
+    def test_empty_file(self, text):
+        with pytest.raises(ValueError, match="^empty hypergraph file$"):
+            parse_hypergraph(text)
+
+    @pytest.mark.parametrize("header", ["3", "3 1 2", "3 # 1"])
+    def test_header_not_two_tokens(self, header):
+        with pytest.raises(ValueError, match="expected header 'N M'"):
+            parse_hypergraph(header + "\n0 1 2\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 2\n0 1 2\n", "expected 2 edge lines, found 1"),
+            ("3 2\n# no edges, only comments\n", "expected 2 edge lines, found 0"),
+            ("3 -1\n", "expected -1 edge lines, found 0"),
+            ("3 -1\n0 1\n", r"expected -1 edge lines, found \d+"),
+        ],
+    )
+    def test_too_few_edge_lines(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_hypergraph(text)
+
+    def test_whitespace_comment_line_skipped(self):
+        g = parse_hypergraph("3 2\n0 1\n   \t# a comment after blanks\n1 2\n")
+        assert g.edges == ((0, 1), (1, 2))
+
+    def test_blank_lines_before_header_skipped(self):
+        g = parse_hypergraph("\n   \n3 1\n0 2\n")
+        assert g.num_vertices == 3 and g.edges == ((0, 2),)
+
+    def test_blank_line_after_header_is_an_empty_edge(self):
+        g = parse_hypergraph("3 2\n\n0 2\n")
+        assert g.edges == ((), (0, 2))
+        assert parse_hypergraph("3 1\n  \n").edges == ((),)
+
+    def test_lines_after_the_last_edge_ignored(self):
+        g = parse_hypergraph("3 1\n2 0\n0 1 2\nnot an edge\n")
+        assert g.edges == ((0, 2),)
+        assert parse_hypergraph("3 0\nanything\n").edges == ()
+
+    @pytest.mark.parametrize("text", ["3 1\n0 x\n", "3 1\n0 1.0\n", "3 one\n0 1\n"])
+    def test_non_integer_token(self, text):
+        with pytest.raises(ValueError):
+            parse_hypergraph(text)
 
     @settings(max_examples=50, deadline=None)
     @given(multihypergraphs())

@@ -27,7 +27,13 @@ from bplt.progressions import (
     phi_fixed_point,
     phi_threshold,
 )
-from conftest import fixed_point_gap, log_gap, loop_band_integral, naive_band_integral
+from conftest import (
+    fixed_point_gap,
+    log_gap,
+    loop_ap_edges,
+    loop_band_integral,
+    naive_band_integral,
+)
 
 
 def _headed(value):
@@ -78,6 +84,15 @@ class TestApHypergraph:
         g = ap_hypergraph(3, 5)
         assert g.num_vertices == 5
         assert sorted(g.edges) == [(0, 1, 2), (0, 2, 4), (1, 2, 3), (2, 3, 4)]
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_matches_loop(self, k):
+        # the same edges tuple, in the same order, as the progression loop
+        for n in (k, k + 1, 2 * k - 1, 2 * k, 13, 31):
+            g = ap_hypergraph(k, n)
+            assert g.num_vertices == n
+            assert g.edges == loop_ap_edges(k, n)
+            assert {type(u) for e in g.edges for u in e} == {int}
 
     def test_degree_formula_exact(self):
         for k in (3, 4, 5):

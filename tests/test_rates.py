@@ -20,9 +20,12 @@ from bplt.rates import (
     subgraph_rate,
 )
 
+from conftest import loop_subgraph_edges
+
 K3 = named_graph("K3")
 K4 = named_graph("K4")
 C4 = named_graph("C4")
+C5 = named_graph("C5")
 
 
 def brute_aut(graph):
@@ -71,10 +74,18 @@ class TestSimpleGraph:
         assert named_graph("P3").num_edges == 3
 
     def test_no_loops_or_multi(self):
-        with pytest.raises(ValueError):
-            SimpleGraph(2, ((0, 0),))
-        with pytest.raises(ValueError):
-            SimpleGraph(2, ((0, 1), (1, 0)))
+        # loops, multi-edges, edges that are not pairs, and vertices out of range
+        for edges in (
+            ((0, 0),), ((0, 1), (2, 2)), ((0, 1), (1, 0)), ((1, 2), (0, 1), (2, 1)),
+            ((0, 1, 2),), ((0,),), ((),), ((0, 3),), ((-1, 2),),
+        ):
+            with pytest.raises(ValueError):
+                SimpleGraph(3, edges)
+
+    def test_edges_canonical(self):
+        g = SimpleGraph(4, ((3, 2), (1, 0), [2, 0]))
+        assert g.edges == ((0, 1), (0, 2), (2, 3))
+        assert g.degrees() == [2, 1, 2, 1]
 
 
 class TestProfile:
@@ -138,6 +149,16 @@ class TestSubgraphHypergraph:
     def test_k3_n4(self):
         g = subgraph_hypergraph(K3, 4)
         assert g.num_vertices == 6 and g.num_edges == 4
+
+    @pytest.mark.parametrize(
+        "pattern, sizes", [(K3, (3, 4, 7, 9)), (K4, (4, 5, 7)), (C5, (5, 6, 8))]
+    )
+    def test_matches_loop(self, pattern, sizes):
+        # the same edges tuple, in the same order, as the placement loop
+        for n in sizes:
+            g = subgraph_hypergraph(pattern, n)
+            assert g.num_vertices == n * (n - 1) // 2
+            assert g.edges == loop_subgraph_edges(pattern, n)
 
     def test_regularity(self):
         for n in (5, 6, 7, 8):
