@@ -5,8 +5,9 @@ Each subcommand accepts only the flags it reads.  Scalar results print as
 rate commands, ``--sweep`` tables) go to ``--out`` when given, stdout
 otherwise, always with a comment line naming the formula and echoing the
 full parameter set so runs are auditable.  Floats use 17 significant
-digits and all seeds default to 0, so repeated runs with the same config
-are byte-identical.
+digits, and the two sampling commands (``mc-estimate``, ``weitz-verify``)
+take ``--seed`` (default 0), so repeated runs with the same config are
+byte-identical.
 
 Exit codes: 0 success, 2 validation/domain error, 3 numerical
 non-convergence (with the residual reported).
@@ -17,6 +18,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+
+import numpy as np
+
+from . import gibbs
+from .bp import BPParams, _default_delta, bethe_free_energy, bp_fixed_point, solve_zeta
+from .errors import ConvergenceError, DomainError, SizeGuardError
+from .hypergraph import parse_hypergraph
+from .progressions import kap_rate, kap_rate_bethe, phi_fixed_point
+from .rates import (
+    SimpleGraph,
+    named_graph,
+    rate_gnm,
+    rate_gnp,
+    rpartite_bound_gnm,
+    rpartite_bound_gnp,
+    subgraph_rate,
+)
+from .weitz import build_weitz_tree, tree_root_marginal
 
 
 def _fmt(x):
@@ -50,8 +70,6 @@ plt.savefig({csv!r} + ".png", dpi=150)
 
 
 def _emit_table(args, formula, params_echo, columns, rows):
-    if args.plot_script and not args.out:
-        raise ValueError("--plot-script needs --out so the script can find the CSV")
     echo = " ".join(f"{k}={_fmt(v)}" for k, v in params_echo.items())
     lines = [f"# formula={formula} {echo}", ",".join(columns)]
     for row in rows:
@@ -65,6 +83,14 @@ def _emit_table(args, formula, params_echo, columns, rows):
     if args.plot_script:
         with open(args.plot_script, "w") as fh:
             fh.write(_PLOT_TEMPLATE.format(csv=args.out, x=columns[0], y=columns[1]))
+
+
+def _emit_table_and_scalars(args, formula, params_echo, columns, rows, scalars):
+    """The table as ``_emit_table`` writes it, then the scalar block: to
+    stdout after a table sent to ``--out``, else to stderr, so that stdout
+    holds only the table."""
+    _emit_table(args, formula, params_echo, columns, rows)
+    _emit_scalars(scalars, args.json, stream=sys.stdout if args.out else sys.stderr)
 
 
 def _parse_sweep(raw):
@@ -88,7 +114,10 @@ def _parse(parser, commands, required, argv):
     not a flag of the subcommand is rejected.  ``required`` maps a
     subcommand's parser to the flags it cannot run without; they are
     checked after the merge, so that the config can supply them (argparse
-    checks ``required=True`` flags before any default applies).
+    checks ``required=True`` flags before any default applies).  So is a
+    table flag that has no table to write: ``--out`` or ``--plot-script``
+    on a rate command without ``--sweep``, or ``--plot-script`` without
+    ``--out``; it is refused before any command solves or enumerates.
     """
     args = parser.parse_args(argv)
     command = commands[args.command]
@@ -112,19 +141,19 @@ def _parse(parser, commands, required, argv):
     ]
     if missing:
         command.error(f"the following arguments are required: {', '.join(missing)}")
+    if "sweep" in args and not args.sweep and (args.out or args.plot_script):
+        raise ValueError("--out and --plot-script write the --sweep table; pass --sweep")
+    if getattr(args, "plot_script", None) and not args.out:
+        raise ValueError("--plot-script needs --out so the script can find the CSV")
     return args
 
 
 def _read_graph(path):
-    from .hypergraph import parse_hypergraph
-
     with open(path) as fh:
         return parse_hypergraph(fh.read())
 
 
 def _pattern_graph(name):
-    from .rates import SimpleGraph, named_graph
-
     if name.startswith("@"):
         graph = _read_graph(name[1:])
         return SimpleGraph(graph.num_vertices, graph.edges)
@@ -136,15 +165,11 @@ def _run_rate(args, lead, formula, columns, echo, scalars):
 
     With ``--sweep`` the lead parameter runs over the sweep points, each
     giving a row of the lead value, the ``columns`` entries of
-    ``scalars(value)`` and a status, with ``echo`` and the seed in the
-    comment line.  Otherwise the lead parameter's flag is required and
-    ``scalars(value)`` is printed as the scalar block.
+    ``scalars(value)`` and a status, with ``echo`` in the comment line.
+    Otherwise the lead parameter's flag is required and ``scalars(value)``
+    is printed as the scalar block.
     """
-    from .errors import DomainError
-
     if not args.sweep:
-        if args.out or args.plot_script:
-            raise ValueError("--out and --plot-script write the --sweep table; pass --sweep")
         value = getattr(args, lead)
         if value is None:
             raise ValueError(f"pass --{lead} (or --sweep to scan it)")
@@ -159,13 +184,11 @@ def _run_rate(args, lead, formula, columns, echo, scalars):
             rows.append((v, *[None] * len(columns), "out-of-domain"))
     if all(r[-1] != "ok" for r in rows):
         raise DomainError("no sweep point lies inside the admissible range")
-    _emit_table(args, formula, {**echo, "seed": args.seed}, [lead, *columns, "status"], rows)
+    _emit_table(args, formula, echo, [lead, *columns, "status"], rows)
     return 0
 
 
 def _cmd_rate_gnp(args):
-    from .rates import rate_gnp
-
     return _run_rate(
         args, "c", "gnp-lower-tail-rate", ["rate"], {"k": args.k, "eta": args.eta},
         lambda c: {"k": args.k, "c": c, "eta": args.eta, "rate": rate_gnp(args.k, c, args.eta)},
@@ -173,8 +196,6 @@ def _cmd_rate_gnp(args):
 
 
 def _cmd_rate_gnm(args):
-    from .rates import rate_gnm
-
     return _run_rate(
         args, "b", "gnm-lower-tail-rate", ["rate"], {"k": args.k, "eta": args.eta},
         lambda b: {"k": args.k, "b": b, "eta": args.eta, "rate": rate_gnm(args.k, b, args.eta)},
@@ -182,12 +203,6 @@ def _cmd_rate_gnm(args):
 
 
 def _cmd_rate_subgraph(args):
-    from .rates import (
-        rpartite_bound_gnm,
-        rpartite_bound_gnp,
-        subgraph_rate,
-    )
-
     pattern = _pattern_graph(args.subgraph)
     bound = rpartite_bound_gnp if args.model == "gnp" else rpartite_bound_gnm
 
@@ -217,8 +232,6 @@ def _cmd_rate_subgraph(args):
 
 
 def _cmd_rate_kap(args):
-    from .progressions import kap_rate, kap_rate_bethe
-
     if args.check_quadrature and args.sweep:
         raise ValueError("--check-quadrature checks a scalar rate; drop it or --sweep")
 
@@ -235,28 +248,20 @@ def _cmd_rate_kap(args):
 
 
 def _cmd_kap_profile(args):
-    from .progressions import phi_fixed_point
-
-    profile = phi_fixed_point(args.k, args.c, grid_size=args.grid_size)
-    rows = [(i / args.grid_size, float(v)) for i, v in enumerate(profile)]
-    echo = {"k": args.k, "c": args.c, "grid_size": args.grid_size, "seed": args.seed}
-    _emit_table(args, "ap-conditional-density-profile", echo, ["t", "x_star"], rows)
-    _emit_scalars(
-        {
-            "k": args.k,
-            "c": args.c,
-            "endpoint": float(profile[0]),
-            "center": float(profile[args.grid_size // 2]),
-        },
-        args.json,
-        stream=sys.stderr if not args.out else sys.stdout,
+    n = args.grid_size
+    profile = phi_fixed_point(args.k, args.c, grid_size=n)
+    rows = [(i / n, float(v)) for i, v in enumerate(profile)]
+    echo = {"k": args.k, "c": args.c, "grid_size": n}
+    scalars = {
+        "k": args.k, "c": args.c, "endpoint": float(profile[0]), "center": float(profile[n // 2])
+    }
+    _emit_table_and_scalars(
+        args, "ap-conditional-density-profile", echo, ["t", "x_star"], rows, scalars
     )
     return 0
 
 
 def _cmd_bp_solve(args):
-    from .bp import BPParams, _default_delta, bethe_free_energy, bp_fixed_point, solve_zeta
-
     graph = _read_graph(args.file)
     k = graph.uniformity() if args.k is None else args.k
     if k is None:
@@ -264,71 +269,44 @@ def _cmd_bp_solve(args):
     delta = _default_delta(graph, k) if args.delta is None else args.delta
     if args.zeta is None and args.eta is None:
         raise ValueError("pass either --zeta or --eta")
+    if args.zeta is not None and args.eta is not None:
+        raise ValueError("pass exactly one of --zeta or --eta")
     if args.zeta is not None:
         zeta = args.zeta
-        params = BPParams(k, args.c, zeta, delta)
-        x = bp_fixed_point(graph, params, tol=args.tol)
+        x = bp_fixed_point(graph, BPParams(k, args.c, zeta, delta), tol=args.tol)
     else:
-        zeta, x = solve_zeta(graph, k, args.c, args.eta, delta=delta)
-        params = BPParams(k, args.c, zeta, delta)
+        zeta, x = solve_zeta(graph, k, args.c, args.eta, delta=delta, fp_tol=args.tol)
+    params = BPParams(k, args.c, zeta, delta)
     bethe = bethe_free_energy(graph, params, x)
     marginal_scale = delta ** (-1.0 / (k - 1))  # also the activity scale of log Z
     rows = [(v, float(x[v]), float(x[v]) * marginal_scale) for v in range(len(x))]
     echo = {"file": args.file, "k": k, "c": args.c, "zeta": zeta, "delta": delta}
-    _emit_table(args, "bp-fixed-point", echo, ["vertex", "x_star", "marginal"], rows)
-    _emit_scalars(
-        {
-            "bethe_free_energy": bethe,
-            "log_z_bp": marginal_scale * bethe,
-            "zeta": zeta,
-            "delta_contraction": params.margin,
-        },
-        args.json,
-        stream=sys.stderr if not args.out else sys.stdout,
+    scalars = {
+        "bethe_free_energy": bethe,
+        "log_z_bp": marginal_scale * bethe,
+        "zeta": zeta,
+        "delta_contraction": params.margin,
+    }
+    _emit_table_and_scalars(
+        args, "bp-fixed-point", echo, ["vertex", "x_star", "marginal"], rows, scalars
     )
     return 0
 
 
-def _worst(residuals):
-    """Largest residual, 0.0 for none; NaN if any residual is NaN."""
-    import numpy as np
-
-    return float(np.max([0.0, *residuals]))
-
-
 def _cmd_exact_check(args):
-    from .gibbs import ModelParams, _check_guard, _edge_residual, _vertex_residuals, summarize
-
     graph = _read_graph(args.file)
-    params = ModelParams(args.lam, args.zeta)
-    checks = graph.num_vertices and graph.num_edges
-    if checks:
-        _check_guard(graph, args.unsafe_size)
-    summary = summarize(graph, params, unsafe_size=args.unsafe_size)
-    by_vertex, by_edge = [], []
-    if checks:
-        # the two splits and the conditional residual depend on v only,
-        # edge deletion on e and Z(G) only
-        by_vertex = [_vertex_residuals(graph, params, v) for v in range(graph.num_vertices)]
-        by_edge = [
-            _edge_residual(graph, params, e, summary.log_z) for e in range(graph.num_edges)
-        ]
-    occupied, unoccupied, conditional = list(zip(*by_vertex)) or [(), (), ()]
-    worst = {
-        "occupied_split": _worst(occupied),
-        "unoccupied_split": _worst(unoccupied),
-        "edge_deletion": _worst(by_edge),
-        "conditional": _worst(conditional),
-    }
-    if args.out or args.plot_script:
+    summary, worst = gibbs._identity_check(
+        graph, gibbs.ModelParams(args.lam, args.zeta), args.unsafe_size
+    )
+    if args.out:
         rows = [(v, float(m)) for v, m in enumerate(summary.marginals)]
         echo = {"file": args.file, "lam": args.lam, "zeta": args.zeta}
         _emit_table(args, "exact-gibbs-summary", echo, ["vertex", "marginal"], rows)
-    top = _worst(worst.values())
+    top = worst.max()
     ok = top < args.tol
     _emit_scalars(
         {
-            **worst,
+            **asdict(worst),
             "tolerance": args.tol,
             "pass": ok,
             "log_z": summary.log_z,
@@ -340,33 +318,24 @@ def _cmd_exact_check(args):
         args.json,
     )
     if not ok:
-        from .errors import ConvergenceError
-
         raise ConvergenceError(f"identity residual {top:.3e} above {args.tol}", residual=top)
     return 0
 
 
 def _cmd_mc_estimate(args):
-    from .gibbs import lower_tail_exact, mc_lower_tail
-
     graph = _read_graph(args.file)
-    est, err = mc_lower_tail(graph, args.p, args.eta, args.samples, args.seed)
+    est, err = gibbs.mc_lower_tail(graph, args.p, args.eta, args.samples, args.seed)
     scalars = {"estimate": est, "stderr": err, "samples": args.samples, "seed": args.seed}
     if graph.num_vertices <= 22:
         mean_edges = sum(args.p ** len(e) for e in graph.edges)
-        scalars["exact"] = lower_tail_exact(graph, args.p, int(args.eta * mean_edges))
+        scalars["exact"] = gibbs.lower_tail_exact(graph, args.p, int(args.eta * mean_edges))
     _emit_scalars(scalars, args.json)
     return 0
 
 
 def _cmd_weitz_verify(args):
-    import numpy as np
-
-    from .gibbs import ModelParams, summarize
-    from .weitz import build_weitz_tree, tree_root_marginal
-
     graph = _read_graph(args.file)
-    params = ModelParams(args.lam, args.zeta)
+    params = gibbs.ModelParams(args.lam, args.zeta)
     rng = np.random.default_rng(args.seed)
 
     def orders():
@@ -376,13 +345,11 @@ def _cmd_weitz_verify(args):
     vertices = [args.vertex] if args.vertex is not None else range(graph.num_vertices)
     # the trees check the vertex before the one enumeration runs
     roots = [tree_root_marginal(build_weitz_tree(graph, v, *orders()), params) for v in vertices]
-    exact = summarize(graph, params, unsafe_size=args.unsafe_size).marginals
+    exact = gibbs.summarize(graph, params, unsafe_size=args.unsafe_size).marginals
     worst = max(abs(float(exact[v]) - r) for v, r in zip(vertices, roots))
     ok = worst < args.tol
     _emit_scalars({"max_residual": worst, "tolerance": args.tol, "pass": ok}, args.json)
     if not ok:
-        from .errors import ConvergenceError
-
         raise ConvergenceError(f"marginal-equality residual {worst:.3e}", residual=worst)
     return 0
 
@@ -419,7 +386,7 @@ def _build_parser():
             )
         return p
 
-    rate = {"out": True, "seed": True, "sweep": True}
+    rate = {"out": True, "sweep": True}
     p = command("rate-gnp", "binomial-model lower-tail rate", _cmd_rate_gnp, **rate)
     need(p, "--k", type=int)
     p.add_argument("--c", type=float)
@@ -450,8 +417,7 @@ def _build_parser():
     )
 
     p = command(
-        "kap-profile", "conditional density profile curve", _cmd_kap_profile,
-        out=True, seed=True,
+        "kap-profile", "conditional density profile curve", _cmd_kap_profile, out=True
     )
     need(p, "--k", type=int)
     need(p, "--c", type=float)
@@ -464,7 +430,7 @@ def _build_parser():
     p.add_argument("--zeta", type=float)
     p.add_argument("--eta", type=float)
     p.add_argument("--delta", type=int)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-13)
 
     p = command(
         "exact-check", "partition-function identity suite", _cmd_exact_check, out=True
@@ -497,8 +463,6 @@ def _build_parser():
 def main(argv=None):
     parser, commands, required = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    from .errors import ConvergenceError, DomainError, SizeGuardError
-
     try:
         args = _parse(parser, commands, required, argv)
         return args.func(args)

@@ -399,6 +399,24 @@ def verify_identities(graph, params, v, edge_id, unsafe_size=False):
     return IdentityResiduals(r_occ, r_unocc, _edge_residual(graph, params, edge_id, log_z), r_cond)
 
 
+def _identity_check(graph, params, unsafe_size):
+    """The summary of ``graph`` and each identity residual's largest value
+    over all (v, e) pairs: 0.0 when there are no pairs, NaN if any residual
+    is NaN.  Each vertex's three residuals and each edge's deletion residual
+    are computed once, not once per pair as ``verify_identities`` would."""
+    checks = graph.num_vertices and graph.num_edges
+    if checks:
+        _check_guard(graph, unsafe_size)
+    summary = summarize(graph, params, unsafe_size=unsafe_size)
+    if not checks:
+        return summary, IdentityResiduals(0.0, 0.0, 0.0, 0.0)
+    by_vertex = [_vertex_residuals(graph, params, v) for v in range(graph.num_vertices)]
+    by_edge = [_edge_residual(graph, params, e, summary.log_z) for e in range(graph.num_edges)]
+    occupied, unoccupied, conditional = zip(*by_vertex)
+    worst = (float(np.max(r)) for r in (occupied, unoccupied, by_edge, conditional))
+    return summary, IdentityResiduals(*worst)
+
+
 def _vertex_residuals(graph, params, v):
     """The occupied split, unoccupied split and conditional residual at v,
     none of which depends on the edge.  The caller checks the size guard."""

@@ -58,7 +58,8 @@ class LabeledHypertree:
     ``edge_nodes[i]`` lists the members of tree edge i with the top node
     (the one closest to the root) first.  ``node_labels`` are source
     vertices, ``edge_labels`` source edge ids; parallel size-1 edges are
-    stored as separate entries.  The root is node 0.
+    stored as separate entries.  The root is node 0, and nodes are numbered
+    breadth-first, so every child's id exceeds its parent's.
     """
 
     node_labels: tuple
@@ -205,13 +206,15 @@ def tree_ratio(tree, params):
     """Root occupation odds by the bottom-up recursion.
 
     Each child edge contributes a factor 1 - zeta * prod of child odds
-    ratios; a size-1 edge contributes the bare penalty 1 - zeta.
+    ratios; a size-1 edge contributes the bare penalty 1 - zeta.  Children
+    have larger ids than their parents, so a reverse sweep meets every child
+    before its parent.
     """
     lam, zeta = params.lam, params.zeta
     n = tree.num_nodes
     ratios = [0.0] * n
     tops = tree.child_edge_ids()
-    for w in sorted(range(n), key=lambda i: -tree.depths[i]):
+    for w in reversed(range(n)):
         r = lam
         for te in tops[w]:
             q = 1.0

@@ -300,6 +300,24 @@ def naive_weitz_tree(graph, vertex, vertex_order=None, edge_order=None, depth_li
     )
 
 
+def depth_sorted_tree_ratio(tree, params):
+    """``bplt.weitz.tree_ratio`` with the nodes visited deepest first, the
+    order that does not rely on breadth-first node ids."""
+    lam, zeta = params.lam, params.zeta
+    n = tree.num_nodes
+    ratios = [0.0] * n
+    tops = tree.child_edge_ids()
+    for w in sorted(range(n), key=lambda i: -tree.depths[i]):
+        r = lam
+        for te in tops[w]:
+            q = 1.0
+            for u in tree.edge_nodes[te][1:]:
+                q *= ratios[u] / (1.0 + ratios[u])
+            r *= 1.0 - zeta * q
+        ratios[w] = r
+    return ratios[tree.root]
+
+
 def naive_bp_apply(graph, params, x):
     """The message operator by a loop over edges: each member of an edge adds
     the product of the other members, by ``math.prod``, to its sum."""

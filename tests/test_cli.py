@@ -67,17 +67,32 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
-    def test_byte_identical_runs(self, capsys, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        for path in (a, b):
-            code = main(
-                ["kap-profile", "--k", "3", "--c", "0.8", "--grid-size", "64",
-                 "--out", str(path)]
-            )
+    # per command: a full argv, "FILE" standing for the triangle's file and
+    # "OUT" for the --out path
+    RUNS = {
+        "rate-gnp": ["--k", "3", "--eta", "0", "--sweep", "0.2:1.3:4"],
+        "rate-gnm": ["--k", "3", "--sweep", "0.2:0.8:3", "--out", "OUT"],
+        "rate-subgraph": ["--subgraph", "C5", "--sweep", "0.2:0.8:3"],
+        "rate-kap": ["--k", "3", "--c", "0.5", "--grid-size", "60", "--json"],
+        "kap-profile": ["--k", "3", "--c", "0.8", "--grid-size", "64", "--out", "OUT"],
+        "bp-solve": ["--file", "FILE", "--c", "0.8", "--eta", "0.2"],
+        "exact-check": ["--file", "FILE", "--lambda", "1", "--zeta", "0.5", "--out", "OUT"],
+        "mc-estimate": ["--file", "FILE", "--p", "0.5", "--samples", "2000"],
+        "weitz-verify": ["--file", "FILE", "--zeta", "0.6"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_byte_identical_runs(self, capsys, tmp_path, triangle_file, command):
+        path = tmp_path / "out.csv"
+        subs = {"FILE": triangle_file, "OUT": str(path)}
+        argv = [command, *(subs.get(a, a) for a in self.RUNS[command])]
+        runs = []
+        for _ in range(2):
+            code, out, err = run(capsys, *argv)
             assert code == 0
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
+            runs.append((out, err, path.read_bytes() if path.exists() else None))
+            path.unlink(missing_ok=True)
+        assert runs[0] == runs[1]
 
 
 class TestRateKap:
@@ -191,6 +206,38 @@ class TestBpSolve:
         code, out, err = run(capsys, "bp-solve", "--file", str(path), "--c", "0.8", "--zeta", "1")
         assert code == 2 and out == "" and err.startswith("error:")
 
+    def test_zeta_and_eta_refused(self, capsys, tmp_path, triangle_file):
+        # the pair is refused whether --zeta comes from a flag or a config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"zeta": 1.0}))
+        for source in (["--zeta", "1"], ["--config", str(cfg)]):
+            code, out, err = run(
+                capsys, "bp-solve", "--file", triangle_file, "--c", "0.8", "--eta", "0.2",
+                *source,
+            )
+            assert code == 2 and out == ""
+            assert err == "error: pass exactly one of --zeta or --eta\n"
+
+    @pytest.mark.parametrize("mode", [("--zeta", "0.7"), ("--eta", "0.2")])
+    def test_tol_reaches_the_solver(self, capsys, monkeypatch, triangle_file, mode):
+        import bplt.cli
+
+        tols = []
+        for name, key in (("bp_fixed_point", "tol"), ("solve_zeta", "fp_tol")):
+            solver = getattr(bplt.cli, name)
+
+            def recorded(*args, _solver=solver, _key=key, **kwargs):
+                tols.append(kwargs[_key])
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(bplt.cli, name, recorded)
+        for argv, want in (([], 1e-13), (["--tol", "1e-9"], 1e-9)):
+            tols.clear()
+            code, _, _ = run(
+                capsys, "bp-solve", "--file", triangle_file, "--c", "0.8", *mode, *argv
+            )
+            assert code == 0 and tols == [want]
+
     @pytest.mark.parametrize("mode", [("--zeta", "0.7"), ("--eta", "0.2")])
     def test_one_edge_array_one_solve(self, capsys, monkeypatch, tmp_path, mode):
         # the command builds the graph's edge array once and solves once:
@@ -265,6 +312,28 @@ class TestPlotScript:
             "--plot-script", str(tmp_path / "p.py"),
         )
         assert code == 2 and "--out" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kap-profile", "--k", "3", "--c", "0.8"],
+            ["rate-kap", "--k", "3", "--sweep", "0.2:0.8:3"],
+            ["bp-solve", "--file", "g.hg", "--c", "0.9", "--zeta", "1"],
+            ["exact-check", "--file", "g.hg", "--lambda", "1", "--zeta", "1"],
+        ],
+    )
+    def test_needs_out_refused_before_any_work(self, capsys, monkeypatch, tmp_path, argv):
+        import bplt.cli
+
+        def refused(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("_read_graph", "phi_fixed_point", "kap_rate_bethe"):
+            monkeypatch.setattr(bplt.cli, name, refused)
+        script = tmp_path / "p.py"
+        code, out, err = run(capsys, *argv, "--plot-script", str(script))
+        assert code == 2 and out == "" and not script.exists()
+        assert err == "error: --plot-script needs --out so the script can find the CSV\n"
 
 
 class TestMcEstimate:
@@ -395,6 +464,10 @@ class TestRequiredFromConfig:
 
 class TestFlagSurface:
     BASE = {
+        "rate-gnp": ["--k", "3", "--c", "0.5"],
+        "rate-gnm": ["--k", "3", "--b", "0.5"],
+        "rate-subgraph": ["--subgraph", "K3", "--c", "0.5"],
+        "rate-kap": ["--k", "3", "--c", "0.5"],
         "kap-profile": ["--k", "3", "--c", "0.8"],
         "bp-solve": ["--file", "g.hg", "--c", "0.9", "--zeta", "1"],
         "exact-check": ["--file", "g.hg", "--lambda", "1", "--zeta", "1"],
@@ -417,6 +490,11 @@ class TestFlagSurface:
             ("weitz-verify", "--plot-script"),
             ("bp-solve", "--seed"),
             ("exact-check", "--seed"),
+            ("rate-gnp", "--seed"),
+            ("rate-gnm", "--seed"),
+            ("rate-subgraph", "--seed"),
+            ("rate-kap", "--seed"),
+            ("kap-profile", "--seed"),
         ],
     )
     def test_unread_flag_rejected(self, capsys, command, flag):

@@ -21,7 +21,7 @@ from bplt.weitz import (
     weitz_equality_residual,
 )
 
-from conftest import enumerate_saws, naive_marginal, naive_weitz_tree
+from conftest import depth_sorted_tree_ratio, enumerate_saws, naive_marginal, naive_weitz_tree
 
 
 def _root_paths(tree):
@@ -214,6 +214,19 @@ class TestTreeRatio:
         assert tree_ratio(t, ModelParams(lam, 1.0)) == pytest.approx(
             lam / (1 + lam), rel=1e-14
         )
+
+    def test_matches_depth_sorted_loop(self, rng):
+        # the reverse sweep over node ids is bit-identical to visiting the
+        # nodes deepest first, on pruned trees and on plain walk trees
+        for _ in range(150):
+            g = random_multihypergraph(
+                rng, max_vertices=7, max_edges=7, max_edge_size=4,
+                allow_empty=True, multi_edge_prob=0.3,
+            )
+            v = int(rng.integers(g.num_vertices))
+            params = ModelParams(float(rng.uniform(0.05, 3.0)), float(rng.uniform(0, 1)))
+            for t in (build_weitz_tree(g, v), build_saw_tree(g, v)):
+                assert tree_ratio(t, params) == depth_sorted_tree_ratio(t, params)
 
     def test_matches_enumeration_on_hypertrees(self, rng):
         for _ in range(40):
