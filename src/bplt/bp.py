@@ -67,6 +67,7 @@ __all__ = [
 
 _BRANCH_POINT = -1.0 / math.e
 _ANDERSON_DEPTH = 5  # differences kept by the mixing in _iterate
+_MAX_APPLICATIONS = 10_000  # operator applications allowed to one _iterate call
 _ROOT_MAX_ITER = 200  # evaluations allowed to _root
 _ROOT_RTOL = 4 * np.finfo(float).eps  # relative bracket width at which _root stops
 _PREDICT_ORDER = 6  # solved points the warm-start predictor interpolates through
@@ -175,8 +176,8 @@ class BPParams:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
         if not 0 <= self.zeta <= 1:
             raise ValueError("zeta must lie in [0, 1]")
         if self.delta < 1:
@@ -262,7 +263,7 @@ def bp_apply(graph, params, x):
     return _apply(x, edges, _workspace(edges), params.c, params.zeta, params.delta)
 
 
-def _iterate(apply, x, tol, max_iter, what):
+def _iterate(apply, x, tol, what):
     """Anderson-mixed iteration towards a fixed point of ``apply`` from ``x``.
 
     Type-II Anderson mixing (Walker and Ni, SIAM J. Numer. Anal. 49, 2011)
@@ -282,9 +283,10 @@ def _iterate(apply, x, tol, max_iter, what):
 
     Returns the first point whose log-sup residual
     ``max |log apply(x) - log x|`` is below ``tol``; ``what`` names the
-    caller in the error raised when ``max_iter`` applications do not get
-    there, or at once when a residual is not finite (an entry underflowed
-    to 0, or became NaN) at any point but a mixed one, which is dropped.
+    caller in the error raised when ``_MAX_APPLICATIONS`` applications (read
+    at call time) do not get there, or at once when a residual is not
+    finite (an entry underflowed to 0, or became NaN) at any point but a
+    mixed one, which is dropped.
     """
     u = np.log(x)
     d_f = np.empty((_ANDERSON_DEPTH, len(u)))  # ring of residual differences
@@ -293,7 +295,8 @@ def _iterate(apply, x, tol, max_iter, what):
     added = 0  # differences added since the history was last cleared
     start = None  # (g, f, residual) at the point the last step started from
     residual = math.inf
-    for step in range(1, max_iter + 1):
+    cap = _MAX_APPLICATIONS
+    for step in range(1, cap + 1):
         g = np.log(apply(x))
         f = g - u
         residual = float(np.max(np.abs(f)))
@@ -322,13 +325,13 @@ def _iterate(apply, x, tol, max_iter, what):
             start = (g, f, residual)
         x = np.exp(u)
     raise ConvergenceError(
-        f"{what}: no fixed point after {max_iter} iterations",
+        f"{what}: no fixed point after {cap} iterations",
         residual=residual,
-        iterations=max_iter,
+        iterations=cap,
     )
 
 
-def bp_fixed_point(graph, params, tol=1e-12, max_iter=100_000):
+def bp_fixed_point(graph, params, tol=1e-12):
     """Unique fixed point, by Anderson-mixed iteration from the constant vector c.
 
     Requires the contraction certificate ``zeta (k-1) c^(k-1) < e``, which
@@ -351,7 +354,6 @@ def bp_fixed_point(graph, params, tol=1e-12, max_iter=100_000):
         lambda v: _apply(v, edges, work, params.c, params.zeta, params.delta),
         x,
         tol,
-        max_iter,
         "bp_fixed_point",
     )
 
@@ -431,9 +433,7 @@ def solve_zeta_regular(k, c, eta, tol=1e-15):
     return float(zeta), ok
 
 
-def solve_zeta(
-    graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_tol=1e-13, max_iter=100_000
-):
+def solve_zeta(graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_tol=1e-13):
     """Penalty zeta for which the fixed point achieves the lower-tail target.
 
     Finds zeta in (0, 1-eta] with
@@ -453,7 +453,7 @@ def solve_zeta(
     params = BPParams(k, c, 1.0, _default_delta(graph, k) if delta is None else delta)
 
     if eta == 0.0:
-        return 1.0, bp_fixed_point(graph, params, fp_tol, max_iter)
+        return 1.0, bp_fixed_point(graph, params, fp_tol)
 
     if not graph.num_edges:
         raise DomainError("solve_zeta needs at least one edge")
@@ -470,7 +470,7 @@ def solve_zeta(
     def residual(z):
         x = _start(_predict(solved, z, n), c)
         at[:] = z, _iterate(
-            lambda v: _apply(v, edges, work, c, z, params.delta), x, fp_tol, max_iter, "solve_zeta"
+            lambda v: _apply(v, edges, work, c, z, params.delta), x, fp_tol, "solve_zeta"
         )
         solved.append((z, np.log(at[1])))
         return (1.0 - z) * _edge_sum(at[1], edges, work) - target
@@ -519,7 +519,7 @@ def _start(u, prior):
     return np.exp(np.fmin(np.fmax(u, _LOG_TINY), math.log(prior)))
 
 
-def _coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, max_iter, what):
+def _coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, what):
     """Integral over t in (0, c] of mass(x*(t))/t, x*(t) the fixed point of
     ``apply_at(t, .)`` on vectors of ``size`` entries.
 
@@ -528,7 +528,8 @@ def _coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, max_iter,
     mass of the all-ones vector.  Each node's solve starts from ``t`` times
     the exponential of ``log(x*/t)`` predicted (``_predict``) from the last
     ``_PREDICT_ORDER`` nodes, clipped to at most t (``_start``); the first
-    node starts from the constant t.
+    node starts from the constant t.  Every solve runs under ``_iterate``'s
+    application cap, and ``what`` names the caller in its errors.
     """
     if not quad_nodes >= 1:
         raise ValueError(f"quad_nodes must be >= 1 (got {quad_nodes})")
@@ -541,20 +542,13 @@ def _coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, max_iter,
     for t, w in zip(ts, ws):
         t = float(t)
         x = _start(math.log(t) + _predict(solved, t, size), t)
-        x = _iterate(lambda v: apply_at(t, v), x, tol, max_iter, what)
+        x = _iterate(lambda v: apply_at(t, v), x, tol, what)
         solved.append((t, np.log(x / t)))
         total += w * mass(x) / t
     return total
 
 
-def bp_log_partition(
-    graph,
-    params,
-    method="bethe",
-    quad_nodes=64,
-    fp_tol=1e-13,
-    max_iter=100_000,
-):
+def bp_log_partition(graph, params, method="bethe", quad_nodes=64, fp_tol=1e-13):
     """BP estimate of log Z at activity c * delta^(-1/(k-1)).
 
     ``method='bethe'`` evaluates the Bethe free energy at the fixed point
@@ -570,7 +564,7 @@ def bp_log_partition(
     scale = params.delta ** (-1.0 / (k - 1))
     _check_uniqueness(params)
     if method == "bethe":
-        x = bp_fixed_point(graph, params, fp_tol, max_iter)
+        x = bp_fixed_point(graph, params, fp_tol)
         return scale * bethe_free_energy(graph, params, x)
     edges = _edge_rows(graph, k)
     work = _workspace(edges)
@@ -578,7 +572,7 @@ def bp_log_partition(
     total = _coupling_integral(
         lambda t, v: _apply(v, edges, work, t, params.zeta, params.delta),
         lambda x: float(x.sum()),
-        n, n, c, quad_nodes, fp_tol, max_iter, "bp_log_partition integral",
+        n, n, c, quad_nodes, fp_tol, "bp_log_partition integral",
     )
     return scale * total
 

@@ -236,13 +236,11 @@ def phi_apply(k, c, f, zeta=1.0):
     return _grid_apply(f, c, zeta, k)
 
 
-def _grid_fixed_point(c, coeff, k, grid_size, tol, max_iter):
+def _grid_fixed_point(c, coeff, k, grid_size, tol):
     """Fixed point of the grid operator with prefactor ``coeff``, from the
     constant c.  The caller checks the inputs and the certificate."""
     f = np.full(grid_size + 1, float(c))
-    return _iterate(
-        lambda g: _grid_apply(g, c, coeff, k), f, tol, max_iter, "grid fixed point"
-    )
+    return _iterate(lambda g: _grid_apply(g, c, coeff, k), f, tol, "grid fixed point")
 
 
 def phi_threshold(k):
@@ -253,9 +251,7 @@ def phi_threshold(k):
     return (math.e / ((k - 1) * alpha)) ** (1.0 / (k - 1))
 
 
-def phi_fixed_point(
-    k, c, tol=1e-12, grid_size=2000, method="scaled", max_iter=10_000, zeta=1.0
-):
+def phi_fixed_point(k, c, tol=1e-12, grid_size=2000, method="scaled", zeta=1.0):
     """Fixed point of the profile operator with edge penalty zeta.
 
     The contraction certificate admits c < phi_threshold(k) zeta^(-1/(k-1)),
@@ -269,12 +265,12 @@ def phi_fixed_point(
     bound = phi_threshold(k) * zeta ** (-1.0 / (k - 1)) if zeta > 0 else math.inf
     _check_admissible(c, bound, f" at zeta={zeta}")
     if method == "direct":
-        return _grid_fixed_point(c, zeta, k, grid_size, tol, max_iter)
+        return _grid_fixed_point(c, zeta, k, grid_size, tol)
     if method != "scaled":
         raise ValueError("method must be 'scaled' or 'direct'")
     alpha = float(degree_coefficient(k))
     gamma = alpha ** (1.0 / (k - 1))
-    scaled = _grid_fixed_point(gamma * c, zeta / alpha, k, grid_size, tol, max_iter)
+    scaled = _grid_fixed_point(gamma * c, zeta / alpha, k, grid_size, tol)
     return scaled / gamma
 
 
@@ -282,7 +278,7 @@ def _trapz(values, h):
     return h * (values.sum() - 0.5 * (values[0] + values[-1]))
 
 
-def kap_rate(k, c, quad_nodes=64, grid_size=800, tol=1e-11, max_iter=10_000):
+def kap_rate(k, c, quad_nodes=64, grid_size=800, tol=1e-11):
     """Non-existence rate via the family of profile fixed points:
     integral over t in (0, c] of (1/t) * integral of the fixed point at
     parameter t, minus c.
@@ -297,7 +293,7 @@ def kap_rate(k, c, quad_nodes=64, grid_size=800, tol=1e-11, max_iter=10_000):
     h = 1.0 / grid_size
     total = _coupling_integral(
         lambda t, g: _grid_apply(g, t, 1.0, k), lambda f: _trapz(f, h),
-        grid_size + 1, 1, c, quad_nodes, tol, max_iter, "kap_rate",
+        grid_size + 1, 1, c, quad_nodes, tol, "kap_rate",
     )
     return total - c
 
@@ -396,6 +392,6 @@ def discrete_profile_gap(k, n, c, zeta=1.0, tol=1e-10, grid_tol=1e-12):
     delta = _default_delta(graph, k)
     bp_vec = bp_fixed_point(graph, BPParams(k, c, zeta, delta), tol=tol)
     alpha = float(degree_coefficient(k))
-    grid_fp = _grid_fixed_point(c, zeta / alpha, k, n, grid_tol, 10_000)
+    grid_fp = _grid_fixed_point(c, zeta / alpha, k, n, grid_tol)
     gap = float(np.max(np.abs(bp_vec - grid_fp[1:])))
     return gap, bp_vec, grid_fp

@@ -238,20 +238,12 @@ def subgraph_profile(graph):
                 best_proper = ratio
     m2 = full if best_proper is None else max(full, best_proper)
     strict = best_proper is None or best_proper < full
-    strict = strict and m2 == full
     return SubgraphProfile(
         m2=m2,
         strictly_2_balanced=strict,
         aut=_automorphism_count(graph),
         chromatic_number=_chromatic_number(graph),
     )
-
-
-def _falling_factorial(n, j):
-    out = 1
-    for i in range(j):
-        out *= n - i
-    return out
 
 
 def copies_per_edge(graph, n):
@@ -264,7 +256,7 @@ def copies_per_edge(graph, n):
     if n < h:
         raise DomainError("n must be at least the pattern's vertex count")
     aut = _automorphism_count(graph)
-    numerator = 2 * k * _falling_factorial(n - 2, h - 2)
+    numerator = 2 * k * math.perm(n - 2, h - 2)
     if numerator % aut:
         raise ArithmeticError(
             f"copy count {numerator} not divisible by aut={aut}; automorphism bug?"

@@ -48,7 +48,7 @@ __all__ = [
     "structure_report",
 ]
 
-DEFAULT_NODE_CAP = 1_000_000
+_NODE_CAP = 1_000_000  # nodes a walk tree may have
 
 
 @dataclass(frozen=True)
@@ -94,50 +94,52 @@ class LabeledHypertree:
         return Multihypergraph(self.num_nodes, self.edge_nodes)
 
 
-def _walk_tree(edges_src, incidence, start, vrank, erank, depth_limit, max_nodes):
+def _walk_tree(edges_src, incidence, start, vrank, erank, depth_limit):
     """The walk tree from ``start``, pruned as it grows unless ``vrank`` is None.
 
-    Each queued node carries, next to the vertices and edge ids its walk has
-    used, the labels that its ancestors' first operations occupy below it
-    and the edge labels that their second operations delete at or below it.
-    An occupied child is never created and a deleted edge never added, so
-    only the root component is built, already in breadth-first order.  With
-    ``depth_limit``, only edges lying fully within that depth are kept.
+    Each queued node carries two blocked sets: the vertices that may not
+    join it as children, which are those on its walk and the labels its
+    ancestors' first operations occupy below it, and the edge ids that may
+    not be added at it, which are those on its walk and the labels their
+    second operations delete at or below it.  An occupied child is never
+    created and a deleted edge never added, so only the root component is
+    built, already in breadth-first order.  With ``depth_limit``, only
+    edges lying fully within that depth are kept.  A tree that would pass
+    ``_NODE_CAP`` nodes raises ``SizeGuardError``.
     """
     if depth_limit is not None and depth_limit < 0:
         raise ValueError("depth_limit must be >= 0")
     labels, parents, parent_edges, depths = [start], [-1], [-1], [0]
     edge_nodes, edge_labels = [], []
-    empty = frozenset()
-    queue = deque([(0, frozenset((start,)), empty, empty, empty)])
+    queue = deque([(0, frozenset((start,)), frozenset())])
     while queue:
-        w, visited, used, occupied, deleted = queue.popleft()
+        w, blocked_v, blocked_e = queue.popleft()
         x, d = labels[w], depths[w]
         if vrank is not None and w:
             pe_label = edge_labels[parent_edges[w]]
             my_rank, pe_rank = vrank[x], erank[pe_label]
-            occupied = occupied | {u for u in edges_src[pe_label] if vrank[u] < my_rank}
-            deleted = deleted | {
+            blocked_v = blocked_v | {u for u in edges_src[pe_label] if vrank[u] < my_rank}
+            blocked_e = blocked_e | {
                 f for f in incidence[labels[parents[w]]] if erank[f] < pe_rank
             }
         frontier = depth_limit is not None and d >= depth_limit
         for eid in incidence[x]:
-            if eid in used or eid in deleted:
+            if eid in blocked_e:
                 continue
-            kids = [u for u in edges_src[eid] if u not in visited and u not in occupied]
+            kids = [u for u in edges_src[eid] if u not in blocked_v]
             if kids and frontier:
                 continue
             members = [w]
             for u in kids:
                 c = len(labels)
-                if c >= max_nodes:
-                    raise SizeGuardError(f"walk tree exceeded the {max_nodes}-node cap")
+                if c >= _NODE_CAP:
+                    raise SizeGuardError(f"walk tree exceeded the {_NODE_CAP}-node cap")
                 labels.append(u)
                 parents.append(w)
                 parent_edges.append(len(edge_nodes))
                 depths.append(d + 1)
                 members.append(c)
-                queue.append((c, visited | {u}, used | {eid}, occupied, deleted))
+                queue.append((c, blocked_v | {u}, blocked_e | {eid}))
             edge_nodes.append(tuple(members))
             edge_labels.append(eid)
     return LabeledHypertree(
@@ -167,7 +169,7 @@ def _check_ranks(order, count, what):
     return rank
 
 
-def build_saw_tree(graph, vertex, depth_limit=None, max_nodes=DEFAULT_NODE_CAP):
+def build_saw_tree(graph, vertex, depth_limit=None):
     """The tree of self-avoiding walks from ``vertex``.
 
     With ``depth_limit``, only edges lying fully within that depth are kept:
@@ -176,17 +178,10 @@ def build_saw_tree(graph, vertex, depth_limit=None, max_nodes=DEFAULT_NODE_CAP):
     """
     _check_vertex(graph, vertex)
     incidence = graph.incident_edge_ids()
-    return _walk_tree(graph.edges, incidence, vertex, None, None, depth_limit, max_nodes)
+    return _walk_tree(graph.edges, incidence, vertex, None, None, depth_limit)
 
 
-def build_weitz_tree(
-    graph,
-    vertex,
-    vertex_order=None,
-    edge_order=None,
-    depth_limit=None,
-    max_nodes=DEFAULT_NODE_CAP,
-):
+def build_weitz_tree(graph, vertex, vertex_order=None, edge_order=None, depth_limit=None):
     """The pruned walk tree whose root marginal equals the marginal of
     ``vertex`` in ``graph`` for every activity and penalty.
 
@@ -199,7 +194,7 @@ def build_weitz_tree(
     vrank = _check_ranks(vertex_order, graph.num_vertices, "vertex")
     erank = _check_ranks(edge_order, graph.num_edges, "edge")
     incidence = graph.incident_edge_ids()
-    return _walk_tree(graph.edges, incidence, vertex, vrank, erank, depth_limit, max_nodes)
+    return _walk_tree(graph.edges, incidence, vertex, vrank, erank, depth_limit)
 
 
 def tree_ratio(tree, params):
@@ -231,13 +226,7 @@ def tree_root_marginal(tree, params):
 
 
 def weitz_equality_residual(
-    graph,
-    vertex,
-    params,
-    vertex_order=None,
-    edge_order=None,
-    max_nodes=DEFAULT_NODE_CAP,
-    unsafe_size=False,
+    graph, vertex, params, vertex_order=None, edge_order=None, unsafe_size=False
 ):
     """|exact marginal of vertex - pruned-tree root marginal|.
 
@@ -246,21 +235,11 @@ def weitz_equality_residual(
     """
     _check_vertex(graph, vertex)
     exact = summarize(graph, params, unsafe_size=unsafe_size).marginals[vertex]
-    tree = build_weitz_tree(
-        graph, vertex, vertex_order, edge_order, max_nodes=max_nodes
-    )
+    tree = build_weitz_tree(graph, vertex, vertex_order, edge_order)
     return abs(float(exact) - tree_root_marginal(tree, params))
 
 
-def structure_report(
-    graph,
-    vertex,
-    contracted=(),
-    depth=2,
-    vertex_order=None,
-    edge_order=None,
-    max_nodes=DEFAULT_NODE_CAP,
-):
+def structure_report(graph, vertex, contracted=(), depth=2, vertex_order=None, edge_order=None):
     """Per-depth diagnostics of the pruned tree of ``graph`` with
     ``contracted`` set occupied.
 
@@ -281,7 +260,7 @@ def structure_report(
     # edge ids stay positional; tree labels are never contracted, so their
     # incident ids here are those of the source graph
     incidence = _incidence(graph.num_vertices, edges_src)
-    tree = _walk_tree(edges_src, incidence, vertex, vrank, erank, depth + 1, max_nodes)
+    tree = _walk_tree(edges_src, incidence, vertex, vrank, erank, depth + 1)
 
     node_edges = tree.node_edge_ids()
     unit_nodes = {

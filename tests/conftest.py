@@ -419,11 +419,13 @@ def loop_heat_bath(graph, params, chains, steps, seed):
     return state
 
 
-def plain_iterate(apply, x, tol, max_iter, what):
-    """Plain iteration ``x <- apply(x)`` with the stopping test and errors of
-    ``bp._iterate``: the reference for its Anderson-mixed iteration."""
+def plain_iterate(apply, x, tol, what):
+    """Plain iteration ``x <- apply(x)`` with the stopping test, application
+    cap and errors of ``bp._iterate``: the reference for its Anderson-mixed
+    iteration."""
     residual = math.inf
-    for step in range(1, max_iter + 1):
+    cap = bplt.bp._MAX_APPLICATIONS
+    for step in range(1, cap + 1):
         y = apply(x)
         residual = float(np.max(np.abs(np.log(y) - np.log(x))))
         if residual < tol:
@@ -431,10 +433,10 @@ def plain_iterate(apply, x, tol, max_iter, what):
         if not math.isfinite(residual):
             raise ConvergenceError(f"{what}: non-finite residual", residual=residual, iterations=step)
         x = y
-    raise ConvergenceError(f"{what}: no fixed point", residual=residual, iterations=max_iter)
+    raise ConvergenceError(f"{what}: no fixed point", residual=residual, iterations=cap)
 
 
-def previous_node_coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, max_iter, what):
+def previous_node_coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, what):
     """``bp._coupling_integral`` with each node's solve started from the
     previous node's fixed point, the first from the constant t: the
     reference for its predicted starts, which must agree with it to within
@@ -449,7 +451,7 @@ def previous_node_coupling_integral(apply_at, mass, size, head, c, quad_nodes, t
     total = head * eps
     for t, w in zip(ts, ws):
         t = float(t)
-        x = bplt.bp._iterate(lambda v: apply_at(t, v), x, tol, max_iter, what)
+        x = bplt.bp._iterate(lambda v: apply_at(t, v), x, tol, what)
         total += w * mass(x) / t
     return total
 
@@ -525,13 +527,13 @@ def count_applications(monkeypatch):
     def run(solve):
         count = 0
 
-        def counted(apply, x, tol, max_iter, what):
+        def counted(apply, x, tol, what):
             def apply_counted(v):
                 nonlocal count
                 count += 1
                 return apply(v)
 
-            return iterate(apply_counted, x, tol, max_iter, what)
+            return iterate(apply_counted, x, tol, what)
 
         return _with_iterate(monkeypatch, counted, solve), count
 

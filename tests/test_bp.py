@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from bplt.generators import random_k_uniform
 from bplt.gibbs import ModelParams, partition_function
 from bplt.hypergraph import Multihypergraph, _edge_rows
 from bplt.progressions import discrete_profile_gap, kap_rate, phi_fixed_point, phi_threshold
-from bplt.rates import named_graph, subgraph_hypergraph
+from bplt.rates import named_graph, rate_gnp, subgraph_hypergraph
 from conftest import (
     fixed_point_gap,
     log_gap,
@@ -135,6 +136,11 @@ class TestApply:
             lower = c * np.exp(-zeta * c**2 * degs / delta)
             assert np.all(out <= c + 1e-15)
             assert np.all(out >= lower - 1e-12)
+
+    def test_infinite_c_refused(self):
+        # an infinite c would give a NaN margin, which no certificate check refuses
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            BPParams(3, math.inf, 0.0, 1)
 
     def test_nonuniform_rejected(self):
         g = Multihypergraph(3, [[0, 1], [0, 1, 2]])
@@ -260,17 +266,18 @@ class TestFixedPoint:
             assert np.all(x <= c + 1e-14)
             assert np.all(x >= c * math.exp(-zeta * c**2) - 1e-10)
 
-    def test_max_iter_reported(self):
+    def test_max_iter_reported(self, monkeypatch):
         # every solver built on the shared iteration reports the same failure
         g = subgraph_hypergraph(named_graph("K3"), 6)
         params = BPParams(3, 0.9, 1.0, max(g.degrees()))
+        monkeypatch.setattr(bplt.bp, "_MAX_APPLICATIONS", 2)
         solvers = [
-            lambda: bp_fixed_point(g, params, max_iter=2),
-            lambda: solve_zeta(g, 3, 0.9, 0.3, max_iter=2),
-            lambda: bp_log_partition(g, params, method="integral", max_iter=2),
-            lambda: phi_fixed_point(3, 0.9, grid_size=60, max_iter=2),
-            lambda: phi_fixed_point(3, 0.9, grid_size=60, max_iter=2, method="direct"),
-            lambda: kap_rate(3, 0.9, quad_nodes=4, grid_size=60, max_iter=2),
+            lambda: bp_fixed_point(g, params),
+            lambda: solve_zeta(g, 3, 0.9, 0.3),
+            lambda: bp_log_partition(g, params, method="integral"),
+            lambda: phi_fixed_point(3, 0.9, grid_size=60),
+            lambda: phi_fixed_point(3, 0.9, grid_size=60, method="direct"),
+            lambda: kap_rate(3, 0.9, quad_nodes=4, grid_size=60),
         ]
         for solve in solvers:
             with pytest.raises(ConvergenceError) as err:
@@ -294,7 +301,7 @@ class TestFixedPoint:
         # vertex 0 lies in 1500 edges and delta=1, so its message underflows to 0
         g = Multihypergraph(3001, [(0, 2 * i + 1, 2 * i + 2) for i in range(1500)])
         with pytest.raises(ConvergenceError, match="underflow") as err:
-            bp_fixed_point(g, BPParams(3, 1.0, 1.0, 1), max_iter=5000)
+            bp_fixed_point(g, BPParams(3, 1.0, 1.0, 1))
         assert not math.isfinite(err.value.residual)
         assert err.value.iterations < 10
 
@@ -389,7 +396,7 @@ class TestMixedIteration:
         for a, b in zip(results(1), results(1.0), strict=True):
             assert np.array_equal(a, b)
 
-    def test_drops_a_mixed_step_that_raises_the_residual(self):
+    def test_drops_a_mixed_step_that_raises_the_residual(self, monkeypatch):
         # x -> exp(G(log x)) with G' in (-0.97, 0.99): plain iteration
         # converges, but from u = 5 the fourth point, a mixed one, raises the
         # residual and mixing on from it overflows
@@ -402,17 +409,19 @@ class TestMixedIteration:
             seen.append(float(np.max(np.abs(g - u))))
             return np.exp(g)
 
-        x = _iterate(apply, np.full(3, math.exp(5.0)), 1e-12, 200, "synthetic")
+        monkeypatch.setattr(bplt.bp, "_MAX_APPLICATIONS", 200)
+        x = _iterate(apply, np.full(3, math.exp(5.0)), 1e-12, "synthetic")
         assert log_gap(apply(x), x) < 1e-12
         assert np.max(np.abs(np.log(x))) < 1e-10  # the fixed point is u = 0
         assert any(r1 > r0 for r0, r1 in zip(seen, seen[1:]))
 
-    def test_uncertified_delta_repro(self):
+    def test_uncertified_delta_repro(self, monkeypatch):
         # delta = 10 < Dmax: plain iteration cycles at residual ~5.5 forever
         g = random_k_uniform(np.random.default_rng(0), 200, 3, 2000)
         assert max(g.degrees()) > 10
         params = BPParams(3, 1.1, 1.0, 10)
-        x = bp_fixed_point(g, params, max_iter=200)
+        monkeypatch.setattr(bplt.bp, "_MAX_APPLICATIONS", 200)
+        x = bp_fixed_point(g, params)
         assert log_gap(bp_apply(g, params, x), x) < 1e-12
 
     def test_application_counts(self, count_applications):
@@ -446,7 +455,8 @@ class TestMixedIteration:
         g = random_k_uniform(np.random.default_rng(seed), n, 3, m)
         params = BPParams(3, c, zeta, delta)
         try:
-            x = bp_fixed_point(g, params, tol=1e-12, max_iter=2000)
+            with unittest.mock.patch.object(bplt.bp, "_MAX_APPLICATIONS", 2000):
+                x = bp_fixed_point(g, params, tol=1e-12)
         except (ConvergenceError, DomainError):
             return
         assert log_gap(bp_apply(g, params, x), x) < 1e-12
@@ -720,13 +730,29 @@ class TestLowerTailRate:
         assert bp_lower_tail_rate(g, 3, 0.9, 0.0) == pytest.approx(want, abs=1e-8)
 
     def test_matches_closed_form_general_eta(self):
-        from bplt.rates import rate_gnp
-
         g = subgraph_hypergraph(named_graph("K3"), 7)
         for c, eta in [(0.8, 0.3), (0.6, 0.1)]:
             assert bp_lower_tail_rate(g, 3, c, eta) == pytest.approx(
                 rate_gnp(3, c, eta), abs=1e-8
             )
+
+    @pytest.mark.parametrize("eta", [0.1, 0.2, 0.3])
+    def test_near_regular(self, eta):
+        # a c between the general and the regular critical densities (twice
+        # the general one where the regular one is infinite) is refused by
+        # default; asserted near-regular, it meets the closed forms
+        g = subgraph_hypergraph(named_graph("K3"), 8)
+        t = thresholds(3, eta)
+        c = 0.5 * (t.c_max_general + t.c_max_regular)
+        if math.isinf(t.c_max_regular):
+            c = 2 * t.c_max_general
+        for solve in (solve_zeta, bp_lower_tail_rate):
+            with pytest.raises(DomainError):
+                solve(g, 3, c, eta)
+        rate = bp_lower_tail_rate(g, 3, c, eta, near_regular=True)
+        assert rate == pytest.approx(rate_gnp(3, c, eta), rel=0, abs=1e-12)
+        zeta, _ = solve_zeta(g, 3, c, eta, near_regular=True)
+        assert zeta == pytest.approx(solve_zeta_regular(3, c, eta)[0], rel=0, abs=1e-9)
 
     def test_rate_monotone_in_eta(self):
         g = subgraph_hypergraph(named_graph("K3"), 6)

@@ -189,6 +189,13 @@ class TestBpSolve:
         )
         assert code == 2
 
+    def test_infinite_c_exits_2(self, capsys, triangle_file):
+        code, out, err = run(
+            capsys, "bp-solve", "--file", triangle_file, "--c", "inf", "--zeta", "0"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: c must be positive and finite\n"
+
     @pytest.mark.parametrize("flag", ["--k", "--delta"])
     def test_zero_exits_2(self, capsys, triangle_file, flag):
         # 0 is refused, not read as "use the graph's uniformity or Dmax",

@@ -1,8 +1,10 @@
 """numpy is the only run-time dependency: no library module imports scipy,
 and a rate run that solves for the penalty loads none of it.  The public
-names of ``bplt`` are pinned, so an export is removed only on purpose."""
+names of ``bplt`` are pinned, so an export is removed only on purpose, and
+none of them takes a per-call iteration or node cap."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -75,3 +77,16 @@ def test_public_names():
         if not n.startswith("_") and not isinstance(getattr(bplt, n), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_caps_are_module_constants():
+    # one application cap (bp._MAX_APPLICATIONS) and one node cap
+    # (weitz._NODE_CAP), read by the engines, instead of keywords
+    engines = [
+        bplt.bp._iterate, bplt.bp._coupling_integral,
+        bplt.progressions._grid_fixed_point, bplt.weitz._walk_tree,
+    ]
+    functions = [f for f in map(bplt.__dict__.get, PUBLIC_NAMES) if inspect.isfunction(f)]
+    for fn in functions + engines:
+        params = set(inspect.signature(fn).parameters)
+        assert not params & {"max_iter", "max_nodes"}, fn.__name__

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import bplt.weitz
 from bplt.errors import SizeGuardError
 from bplt.generators import (
     random_linear_hypertree,
@@ -69,10 +70,11 @@ class TestSawTree:
         t = build_saw_tree(g, 0, depth_limit=2)
         assert max(t.depths) == 2
 
-    def test_node_cap(self):
+    def test_node_cap(self, monkeypatch):
         g = Multihypergraph(6, [[i, j] for i in range(6) for j in range(i + 1, 6)])
+        monkeypatch.setattr(bplt.weitz, "_NODE_CAP", 10)
         with pytest.raises(SizeGuardError):
-            build_saw_tree(g, 0, max_nodes=10)
+            build_saw_tree(g, 0)
 
     def test_negative_depth_limit_rejected(self):
         g = Multihypergraph(2, [[0, 1], [0]])
@@ -170,16 +172,18 @@ class TestWeitzTree:
                 want = naive_weitz_tree(g, v, vo, eo, limit)
                 assert build_weitz_tree(g, v, vo, eo, limit) == want
 
-    def test_node_cap_bounds_the_pruned_tree(self):
+    def test_node_cap_bounds_the_pruned_tree(self, monkeypatch):
         # the walk tree of the complete 3-uniform graph on 5 vertices has
         # 1933 nodes; the cap applies to the 409 that pruning keeps
         g = Multihypergraph(5, itertools.combinations(range(5), 3))
         size = build_weitz_tree(g, 0).num_nodes
+        monkeypatch.setattr(bplt.weitz, "_NODE_CAP", size)
         with pytest.raises(SizeGuardError):
-            build_saw_tree(g, 0, max_nodes=size)
-        assert build_weitz_tree(g, 0, max_nodes=size).num_nodes == size
+            build_saw_tree(g, 0)
+        assert build_weitz_tree(g, 0).num_nodes == size
+        monkeypatch.setattr(bplt.weitz, "_NODE_CAP", size - 1)
         with pytest.raises(SizeGuardError):
-            build_weitz_tree(g, 0, max_nodes=size - 1)
+            build_weitz_tree(g, 0)
 
     def test_output_is_linear_hypertree(self, rng):
         for _ in range(25):
