@@ -21,7 +21,6 @@ from .gibbs import (
     GibbsSummary,
     ModelParams,
     glauber_marginals,
-    glauber_sample,
     lower_tail_exact,
     mc_lower_tail,
     partition_function,
@@ -64,7 +63,6 @@ from .weitz import (
     LabeledHypertree,
     build_saw_tree,
     build_weitz_tree,
-    structure_report,
     tree_ratio,
     tree_root_marginal,
     weitz_equality_residual,

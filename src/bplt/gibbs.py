@@ -39,7 +39,6 @@ __all__ = [
     "summarize",
     "lower_tail_exact",
     "verify_identities",
-    "glauber_sample",
     "glauber_marginals",
     "mc_lower_tail",
 ]
@@ -57,8 +56,8 @@ class ModelParams:
     zeta: float
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise ValueError("lam must be >= 0")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be non-negative and finite")
         if not 0 <= self.zeta <= 1:
             raise ValueError("zeta must lie in [0, 1]")
 
@@ -472,8 +471,14 @@ def _vertex_edge_index(graph):
 
 
 def _heat_bath(graph, params, chains, steps, seed):
-    """(chains, N) states of independent copies of the :func:`glauber_sample`
-    chain after ``steps`` updates; each update draws one uniform per chain."""
+    """(chains, N) states of independent single-site heat-bath chains after
+    ``steps`` updates.
+
+    Every chain starts from the empty set and scans vertices in index order;
+    the update at v occupies it with probability lam*q/(1+lam*q) where
+    q = (1-zeta)^{t(v)} and t(v) counts edges v would complete.  Each update
+    draws one uniform per chain; deterministic given the seed.
+    """
     n = graph.num_vertices
     rng = np.random.default_rng(seed)
     index = _vertex_edge_index(graph)
@@ -489,27 +494,17 @@ def _heat_bath(graph, params, chains, steps, seed):
     return state[:, :n]
 
 
-def glauber_sample(graph, params, steps, seed):
-    """State of the single-site heat-bath chain after ``steps`` updates.
-
-    Starts from the empty set and scans vertices in index order; the update
-    at v occupies it with probability lam*q/(1+lam*q) where
-    q = (1-zeta)^{t(v)} and t(v) counts edges v would complete.
-    Deterministic given the seed.
-    """
-    if steps < graph.num_vertices:
-        raise ValueError("steps must be at least the vertex count")
-    state = _heat_bath(graph, params, 1, steps, seed)[0]
-    return frozenset(np.flatnonzero(state).tolist())
-
-
 def glauber_marginals(graph, params, num_chains, sweeps, seed):
     """Empirical marginals from independent heat-bath chains (one sample each).
 
-    Runs ``num_chains`` replicas of the chain used by :func:`glauber_sample`
-    for ``sweeps`` full scans and averages the final states.  Vectorised
-    across replicas; deterministic given the seed.
+    Runs ``num_chains`` replicas of the single-site heat-bath chain from the
+    empty set for ``sweeps`` full scans in index order and averages the
+    final states.  Vectorised across replicas; deterministic given the seed.
     """
+    if num_chains < 1:
+        raise ValueError("num_chains must be >= 1")
+    if sweeps < 1:
+        raise ValueError("sweeps must be >= 1")
     steps = sweeps * graph.num_vertices
     return _heat_bath(graph, params, num_chains, steps, seed).mean(axis=0)
 

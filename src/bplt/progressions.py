@@ -261,13 +261,13 @@ def phi_fixed_point(k, c, tol=1e-12, grid_size=2000, method="scaled", zeta=1.0):
     divides by gamma (the two operators are conjugate under that scaling).
     Both routes agree to solver tolerance.
     """
+    if method not in ("scaled", "direct"):
+        raise ValueError("method must be 'scaled' or 'direct'")
     _check_grid(k, c, zeta, grid_size)
     bound = phi_threshold(k) * zeta ** (-1.0 / (k - 1)) if zeta > 0 else math.inf
     _check_admissible(c, bound, f" at zeta={zeta}")
     if method == "direct":
         return _grid_fixed_point(c, zeta, k, grid_size, tol)
-    if method != "scaled":
-        raise ValueError("method must be 'scaled' or 'direct'")
     alpha = float(degree_coefficient(k))
     gamma = alpha ** (1.0 / (k - 1))
     scaled = _grid_fixed_point(gamma * c, zeta / alpha, k, grid_size, tol)

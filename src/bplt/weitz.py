@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import SizeGuardError
 from .gibbs import summarize
-from .hypergraph import Multihypergraph, _incidence
+from .hypergraph import Multihypergraph
 
 __all__ = [
     "LabeledHypertree",
@@ -45,7 +45,6 @@ __all__ = [
     "tree_ratio",
     "tree_root_marginal",
     "weitz_equality_residual",
-    "structure_report",
 ]
 
 _NODE_CAP = 1_000_000  # nodes a walk tree may have
@@ -86,16 +85,13 @@ class LabeledHypertree:
             tops[members[0]].append(i)
         return tops
 
-    def node_edge_ids(self):
-        """Per node, all incident tree edges."""
-        return _incidence(self.num_nodes, self.edge_nodes)
-
     def as_multihypergraph(self):
         return Multihypergraph(self.num_nodes, self.edge_nodes)
 
 
-def _walk_tree(edges_src, incidence, start, vrank, erank, depth_limit):
-    """The walk tree from ``start``, pruned as it grows unless ``vrank`` is None.
+def _walk_tree(graph, start, vrank, erank, depth_limit):
+    """The walk tree of ``graph`` from ``start``, pruned as it grows unless
+    ``vrank`` is None.
 
     Each queued node carries two blocked sets: the vertices that may not
     join it as children, which are those on its walk and the labels its
@@ -109,6 +105,7 @@ def _walk_tree(edges_src, incidence, start, vrank, erank, depth_limit):
     """
     if depth_limit is not None and depth_limit < 0:
         raise ValueError("depth_limit must be >= 0")
+    edges, incidence = graph.edges, graph.incident_edge_ids()
     labels, parents, parent_edges, depths = [start], [-1], [-1], [0]
     edge_nodes, edge_labels = [], []
     queue = deque([(0, frozenset((start,)), frozenset())])
@@ -118,7 +115,7 @@ def _walk_tree(edges_src, incidence, start, vrank, erank, depth_limit):
         if vrank is not None and w:
             pe_label = edge_labels[parent_edges[w]]
             my_rank, pe_rank = vrank[x], erank[pe_label]
-            blocked_v = blocked_v | {u for u in edges_src[pe_label] if vrank[u] < my_rank}
+            blocked_v = blocked_v | {u for u in edges[pe_label] if vrank[u] < my_rank}
             blocked_e = blocked_e | {
                 f for f in incidence[labels[parents[w]]] if erank[f] < pe_rank
             }
@@ -126,7 +123,7 @@ def _walk_tree(edges_src, incidence, start, vrank, erank, depth_limit):
         for eid in incidence[x]:
             if eid in blocked_e:
                 continue
-            kids = [u for u in edges_src[eid] if u not in blocked_v]
+            kids = [u for u in edges[eid] if u not in blocked_v]
             if kids and frontier:
                 continue
             members = [w]
@@ -177,8 +174,7 @@ def build_saw_tree(graph, vertex, depth_limit=None):
     limit keeps only its unit edges.
     """
     _check_vertex(graph, vertex)
-    incidence = graph.incident_edge_ids()
-    return _walk_tree(graph.edges, incidence, vertex, None, None, depth_limit)
+    return _walk_tree(graph, vertex, None, None, depth_limit)
 
 
 def build_weitz_tree(graph, vertex, vertex_order=None, edge_order=None, depth_limit=None):
@@ -193,8 +189,7 @@ def build_weitz_tree(graph, vertex, vertex_order=None, edge_order=None, depth_li
     _check_vertex(graph, vertex)
     vrank = _check_ranks(vertex_order, graph.num_vertices, "vertex")
     erank = _check_ranks(edge_order, graph.num_edges, "edge")
-    incidence = graph.incident_edge_ids()
-    return _walk_tree(graph.edges, incidence, vertex, vrank, erank, depth_limit)
+    return _walk_tree(graph, vertex, vrank, erank, depth_limit)
 
 
 def tree_ratio(tree, params):
@@ -237,68 +232,3 @@ def weitz_equality_residual(
     exact = summarize(graph, params, unsafe_size=unsafe_size).marginals[vertex]
     tree = build_weitz_tree(graph, vertex, vertex_order, edge_order)
     return abs(float(exact) - tree_root_marginal(tree, params))
-
-
-def structure_report(graph, vertex, contracted=(), depth=2, vertex_order=None, edge_order=None):
-    """Per-depth diagnostics of the pruned tree of ``graph`` with
-    ``contracted`` set occupied.
-
-    For each depth up to ``depth``: the discrepancy between tree edge labels
-    at a node and the source edges at the node's label, the degree deficit,
-    counts of short (size < k) edges, and neighbours lying in size-1 edges.
-    The tree is built one level deeper than ``depth``, so these rows are exact.
-    """
-    _check_vertex(graph, vertex)
-    u_set = frozenset(int(v) for v in contracted)
-    if not all(0 <= u < graph.num_vertices for u in u_set):
-        raise ValueError("contracted vertex out of range")
-    if vertex in u_set:
-        raise ValueError("the root vertex cannot be contracted")
-    edges_src = [tuple(x for x in e if x not in u_set) for e in graph.edges]
-    vrank = _check_ranks(vertex_order, graph.num_vertices, "vertex")
-    erank = _check_ranks(edge_order, graph.num_edges, "edge")
-    # edge ids stay positional; tree labels are never contracted, so their
-    # incident ids here are those of the source graph
-    incidence = _incidence(graph.num_vertices, edges_src)
-    tree = _walk_tree(edges_src, incidence, vertex, vrank, erank, depth + 1)
-
-    node_edges = tree.node_edge_ids()
-    unit_nodes = {
-        members[0] for members in tree.edge_nodes if len(members) == 1
-    }
-    k = graph.max_edge_size()
-    rows = []
-    for d in range(depth + 1):
-        nodes = [w for w in range(tree.num_nodes) if tree.depths[w] == d]
-        gaps, deficits, unit_neighbors = [], [], []
-        short_counts = {ell: 0 for ell in range(2, max(k, 2))}
-        unit_edges = 0
-        for w in nodes:
-            labels_here = {tree.edge_labels[te] for te in node_edges[w]}
-            src = incidence[tree.node_labels[w]]
-            gaps.append(len(labels_here.symmetric_difference(src)))
-            deficits.append(len(src) - len(node_edges[w]))
-            neigh = set()
-            for te in node_edges[w]:
-                size = len(tree.edge_nodes[te])
-                if size == 1:
-                    unit_edges += 1
-                elif 2 <= size < k:
-                    short_counts[size] += 1
-                neigh.update(tree.edge_nodes[te])
-            neigh.discard(w)
-            unit_neighbors.append(len(neigh & unit_nodes))
-        rows.append(
-            {
-                "depth": d,
-                "nodes": len(nodes),
-                "max_label_gap": max(gaps, default=0),
-                "mean_label_gap": sum(gaps) / len(gaps) if gaps else 0.0,
-                "max_degree_deficit": max(deficits, default=0),
-                "short_edge_counts": short_counts,
-                "unit_edge_count": unit_edges,
-                "max_unit_neighbors": max(unit_neighbors, default=0),
-            }
-        )
-    return rows
-

@@ -299,6 +299,13 @@ class TestExactCheck:
         assert lines[1] == "vertex,marginal"
         assert float(lines[2].split(",")[1]) == pytest.approx(3 / 7, rel=1e-14)
 
+    def test_infinite_lam_exits_2(self, capsys, triangle_file):
+        code, out, err = run(
+            capsys, "exact-check", "--file", triangle_file, "--lam", "inf", "--zeta", "1"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: lam must be non-negative and finite\n"
+
 
 class TestPlotScript:
     def test_script_emitted(self, capsys, tmp_path):
@@ -398,6 +405,11 @@ class TestWeitzVerify:
         )
         assert code == 2 and "vertex out of range" in err
         assert summarize_calls == []
+
+    def test_infinite_lam_exits_2(self, capsys, triangle_file):
+        code, out, err = run(capsys, "weitz-verify", "--file", triangle_file, "--lam", "inf")
+        assert code == 2 and out == ""
+        assert err == "error: lam must be non-negative and finite\n"
 
 
 class TestConfig:

@@ -1,12 +1,15 @@
 """numpy is the only run-time dependency: no library module imports scipy,
 and a rate run that solves for the penalty loads none of it.  The public
-names of ``bplt`` are pinned, so an export is removed only on purpose, and
-none of them takes a per-call iteration or node cap."""
+names of ``bplt`` are pinned, so an export is removed only on purpose; every
+name a submodule's ``__all__`` lists is defined there; and no public name
+takes a per-call iteration or node cap."""
 
 import ast
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -58,12 +61,12 @@ PUBLIC_NAMES = [
     "ap_degree", "ap_hypergraph", "bethe_free_energy", "bp_apply", "bp_fixed_point",
     "bp_log_partition", "bp_lower_tail_rate", "build_saw_tree", "build_weitz_tree",
     "contraction_margin", "copies_per_edge", "degree_coefficient", "degree_stats",
-    "discrete_profile_gap", "glauber_marginals", "glauber_sample",
-    "is_linear_hypertree", "kap_marginal_check", "kap_rate",
+    "discrete_profile_gap", "glauber_marginals", "is_linear_hypertree",
+    "kap_marginal_check", "kap_rate",
     "kap_rate_bethe", "lambert_w0", "lower_tail_exact", "mc_lower_tail", "named_graph",
     "parse_hypergraph", "partition_function", "phi_apply", "phi_fixed_point",
     "phi_threshold", "rate_gnm", "rate_gnp", "regular_fixed_point", "relabel_vertices",
-    "solve_zeta", "solve_zeta_regular", "structure_report", "subgraph_hypergraph",
+    "solve_zeta", "solve_zeta_regular", "subgraph_hypergraph",
     "subgraph_profile", "subgraph_rate", "summarize", "thresholds", "tree_ratio",
     "tree_root_marginal", "verify_identities", "weitz_equality_residual",
     "write_hypergraph",
@@ -77,6 +80,16 @@ def test_public_names():
         if not n.startswith("_") and not isinstance(getattr(bplt, n), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_every_export_is_defined():
+    # a name left in __all__ after its removal breaks `from bplt.<module> import *`
+    names = [m.name for m in pkgutil.iter_modules(bplt.__path__)]
+    modules = [importlib.import_module(f"bplt.{name}") for name in names]
+    exporting = [m for m in modules if hasattr(m, "__all__")]
+    assert exporting
+    for module in exporting:
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
 
 
 def test_caps_are_module_constants():

@@ -12,7 +12,6 @@ from bplt.generators import random_k_uniform, random_multihypergraph
 from bplt.gibbs import (
     ModelParams,
     glauber_marginals,
-    glauber_sample,
     lower_tail_exact,
     mc_lower_tail,
     partition_function,
@@ -251,23 +250,28 @@ class TestSamplers:
 
     def test_glauber_hard_constraint(self):
         g = Multihypergraph(2, [[0, 1]])
-        state = glauber_sample(g, ModelParams(50.0, 1.0), steps=500, seed=3)
-        assert state != frozenset({0, 1})
+        chains = gibbs._heat_bath(g, ModelParams(50.0, 1.0), 1, 500, 3)
+        assert not chains.all(axis=1).any()
 
     def test_glauber_deterministic(self):
         g = Multihypergraph(3, [[0, 1, 2]])
-        a = glauber_sample(g, ModelParams(1.0, 0.8), steps=60, seed=11)
-        b = glauber_sample(g, ModelParams(1.0, 0.8), steps=60, seed=11)
-        assert a == b
+        a = glauber_marginals(g, ModelParams(1.0, 0.8), num_chains=1, sweeps=20, seed=11)
+        b = glauber_marginals(g, ModelParams(1.0, 0.8), num_chains=1, sweeps=20, seed=11)
+        assert np.array_equal(a, b)
 
     def test_glauber_one_chain_is_the_sample(self):
-        # one replica of glauber_marginals runs the chain of glauber_sample
+        # one replica of glauber_marginals is one _heat_bath chain
         g = Multihypergraph(6, [[0, 1, 2], [2, 3], [3, 4, 5], [1, 4], [5], [2, 3]])
         params = ModelParams(1.3, 0.6)
         for sweeps, seed in [(1, 0), (3, 7), (10, 42)]:
             marg = glauber_marginals(g, params, num_chains=1, sweeps=sweeps, seed=seed)
-            state = glauber_sample(g, params, steps=sweeps * 6, seed=seed)
-            assert marg.tolist() == [float(v in state) for v in range(6)]
+            state = gibbs._heat_bath(g, params, 1, sweeps * 6, seed)[0]
+            assert marg.tolist() == state.astype(float).tolist()
+
+    @pytest.mark.parametrize("num_chains, sweeps, name", [(0, 3, "num_chains"), (2, 0, "sweeps")])
+    def test_glauber_needs_a_chain_and_a_sweep(self, num_chains, sweeps, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            glauber_marginals(TRIPLE, ModelParams(1.0, 0.5), num_chains, sweeps, seed=0)
 
     def test_glauber_matches_exact(self, rng):
         g = Multihypergraph(5, [[0, 1, 2], [2, 3], [3, 4]])

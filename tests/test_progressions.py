@@ -306,6 +306,12 @@ class TestFixedPoints:
         with pytest.raises(DomainError):
             phi_fixed_point(3, 1.5, grid_size=200, method="direct")
 
+    def test_unknown_method_refused_first(self):
+        # the method is checked before the grid and the certificate
+        for c, grid_size in [(1.0, 60), (100.0, 60), (1.0, 5)]:
+            with pytest.raises(ValueError, match="method must be 'scaled' or 'direct'"):
+                phi_fixed_point(3, c, grid_size=grid_size, method="bogus")
+
     def test_phi_routes_agree(self):
         # the certificate admits c < phi_threshold(k) zeta^(-1/(k-1)); at
         # zeta = 0.5 the last k = 4 case lies above the zeta = 1 bound
@@ -452,6 +458,10 @@ class TestMarginalCheck:
             3, 1.0, 14, mode="mc", grid_size=300, chains=12_000, sweeps=40, seed=4
         )
         assert np.max(np.abs(exact.scaled - mc.scaled)) < 0.15
+
+    def test_mc_mode_needs_a_chain(self):
+        with pytest.raises(ValueError, match="num_chains must be >= 1"):
+            kap_marginal_check(3, 1.0, 14, mode="mc", grid_size=300, chains=0)
 
 
 def test_diagnostics_script_runs():

@@ -6,17 +6,12 @@ import pytest
 
 import bplt.weitz
 from bplt.errors import SizeGuardError
-from bplt.generators import (
-    random_linear_hypertree,
-    random_multihypergraph,
-    three_branch_tree,
-)
+from bplt.generators import random_linear_hypertree, random_multihypergraph
 from bplt.gibbs import ModelParams, summarize
 from bplt.hypergraph import Multihypergraph, is_linear_hypertree
 from bplt.weitz import (
     build_saw_tree,
     build_weitz_tree,
-    structure_report,
     tree_ratio,
     tree_root_marginal,
     weitz_equality_residual,
@@ -206,6 +201,31 @@ class TestWeitzTree:
             if deg:
                 assert max(deg.values()) <= max(g.degrees())
 
+    def test_depth_limited_matches_full_construction(self, rng):
+        # the truncated build must agree with slicing the full tree
+        for _ in range(10):
+            g = random_multihypergraph(rng, max_vertices=6, max_edges=5)
+            v = int(rng.integers(g.num_vertices))
+            full = build_weitz_tree(g, v)
+            sliced = build_weitz_tree(g, v, depth_limit=2)
+            full_nodes = [
+                (full.depths[w], full.node_labels[w])
+                for w in range(full.num_nodes)
+                if full.depths[w] <= 2
+            ]
+            got_nodes = [
+                (sliced.depths[w], sliced.node_labels[w])
+                for w in range(sliced.num_nodes)
+            ]
+            assert sorted(got_nodes) == sorted(full_nodes)
+
+    @pytest.mark.parametrize("vertex", [-1, 4])
+    def test_vertex_out_of_range_rejected(self, vertex):
+        g = Multihypergraph(4, [[0, 1], [1, 2], [2, 3]])
+        for build in (build_saw_tree, build_weitz_tree):
+            with pytest.raises(ValueError, match="vertex out of range"):
+                build(g, vertex)
+
 
 class TestTreeRatio:
     def test_isolated_root(self):
@@ -276,58 +296,3 @@ class TestMarginalEquality:
             values.append(tree_root_marginal(t, params))
         assert np.ptp(values) < 1e-13
         assert abs(values[0] - exact) < 1e-13
-
-
-class TestStructureReport:
-    def test_hypertree_has_no_discrepancy(self):
-        g = three_branch_tree()
-        rows = structure_report(g, 0, depth=2)
-        for row in rows:
-            assert row["max_label_gap"] == 0
-            assert row["max_degree_deficit"] == 0
-            assert row["unit_edge_count"] == 0
-
-    def test_triangle_hypergraph_runs(self):
-        from bplt.rates import named_graph, subgraph_hypergraph
-
-        g = subgraph_hypergraph(named_graph("K3"), 6)
-        rows = structure_report(g, 0, depth=2)
-        assert [row["depth"] for row in rows] == [0, 1, 2]
-        assert rows[0]["nodes"] == 1
-        assert rows[0]["max_label_gap"] == 0  # the root keeps its full degree
-
-    def test_contracted_vertices_change_counts(self):
-        g = Multihypergraph(5, [[0, 1, 2], [1, 2, 3], [1, 4]])
-        rows_plain = structure_report(g, 0, depth=1)
-        rows_u = structure_report(g, 0, contracted={4}, depth=1)
-        assert rows_plain[0]["nodes"] == rows_u[0]["nodes"] == 1
-        # contracting 4 shrinks the edge {1,4} to a unit edge at depth 1
-        assert rows_u[1]["unit_edge_count"] >= 1
-
-    @pytest.mark.parametrize(
-        "vertex, contracted",
-        [(-1, ()), (4, ()), (0, {4}), (0, {-1}), (0, {0})],
-    )
-    def test_rejects_vertices_outside_the_graph(self, vertex, contracted):
-        g = Multihypergraph(4, [[0, 1], [1, 2], [2, 3]])
-        with pytest.raises(ValueError):
-            structure_report(g, vertex, contracted, depth=1)
-
-    def test_depth_limited_matches_full_construction(self, rng):
-        # the truncated build must agree with slicing the full tree
-        for _ in range(10):
-            g = random_multihypergraph(rng, max_vertices=6, max_edges=5)
-            v = int(rng.integers(g.num_vertices))
-            full = build_weitz_tree(g, v)
-            sliced = build_weitz_tree(g, v, depth_limit=2)
-            full_nodes = [
-                (full.depths[w], full.node_labels[w])
-                for w in range(full.num_nodes)
-                if full.depths[w] <= 2
-            ]
-            got_nodes = [
-                (sliced.depths[w], sliced.node_labels[w])
-                for w in range(sliced.num_nodes)
-            ]
-            assert sorted(got_nodes) == sorted(full_nodes)
-
