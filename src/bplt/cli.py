@@ -36,7 +36,7 @@ from .rates import (
     rpartite_bound_gnp,
     subgraph_rate,
 )
-from .weitz import build_weitz_tree, tree_root_marginal
+from .weitz import _check_vertex, build_weitz_tree, tree_root_marginal
 
 
 def _fmt(x):
@@ -342,8 +342,12 @@ def _cmd_weitz_verify(args):
         vertex_order = rng.permutation(graph.num_vertices).tolist()
         return vertex_order, rng.permutation(graph.num_edges).tolist()
 
-    vertices = [args.vertex] if args.vertex is not None else range(graph.num_vertices)
-    # the trees check the vertex before the one enumeration runs
+    if args.vertex is None:
+        vertices = range(graph.num_vertices)
+    else:
+        vertices = [_check_vertex(graph, args.vertex)]
+    # refuse a graph too large to enumerate before growing any tree
+    gibbs._check_guard(graph, args.unsafe_size)
     roots = [tree_root_marginal(build_weitz_tree(graph, v, *orders()), params) for v in vertices]
     exact = gibbs.summarize(graph, params, unsafe_size=args.unsafe_size).marginals
     worst = max(abs(float(exact[v]) - r) for v, r in zip(vertices, roots))

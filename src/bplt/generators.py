@@ -8,7 +8,6 @@ __all__ = [
     "random_multihypergraph",
     "random_k_uniform",
     "random_linear_hypertree",
-    "three_branch_tree",
 ]
 
 
@@ -85,23 +84,3 @@ def random_linear_hypertree(
     if shuffle:
         graph = relabel_vertices(graph, rng.permutation(n).tolist())
     return graph
-
-
-def three_branch_tree():
-    """A 3-uniform linear hypertree: three size-3 edges at a root, each outer
-    vertex carrying two further size-3 edges."""
-    edges = []
-    root = 0
-    nxt = 1
-    mids = []
-    for _ in range(3):
-        a, b = nxt, nxt + 1
-        nxt += 2
-        edges.append((root, a, b))
-        mids.extend([a, b])
-    for v in mids:
-        for _ in range(2):
-            a, b = nxt, nxt + 1
-            nxt += 2
-            edges.append((v, a, b))
-    return Multihypergraph(nxt, edges)

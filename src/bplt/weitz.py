@@ -31,6 +31,7 @@ within it.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -93,37 +94,49 @@ def _walk_tree(graph, start, vrank, erank, depth_limit):
     """The walk tree of ``graph`` from ``start``, pruned as it grows unless
     ``vrank`` is None.
 
-    Each queued node carries two blocked sets: the vertices that may not
-    join it as children, which are those on its walk and the labels its
+    Each queued node carries two bitmasks, Python ints whose bit u marks
+    vertex u and whose bit f marks edge id f: the vertices that may not join
+    it as children, which are those on its walk and the labels its
     ancestors' first operations occupy below it, and the edge ids that may
     not be added at it, which are those on its walk and the labels their
-    second operations delete at or below it.  An occupied child is never
-    created and a deleted edge never added, so only the root component is
-    built, already in breadth-first order.  With ``depth_limit``, only
-    edges lying fully within that depth are kept.  A tree that would pass
-    ``_NODE_CAP`` nodes raises ``SizeGuardError``.
+    second operations delete at or below it.  Siblings are queued with
+    their parent's two masks, shared unchanged; a node taken off the queue
+    ORs in its own label, its parent edge and, when pruning, the labels of
+    its two operations.  A mask is as wide as the largest id it holds, so
+    past about 2 * 10**4 ids a build that runs into the cap holds more
+    memory than a set per node would before it raises.
+
+    An occupied child is never created and a deleted edge never added, so
+    only the root component is built, already in breadth-first order.  With
+    ``depth_limit``, only edges lying fully within that depth are kept.  A
+    tree that would pass ``_NODE_CAP`` nodes raises ``SizeGuardError``.
     """
     if depth_limit is not None and depth_limit < 0:
         raise ValueError("depth_limit must be >= 0")
     edges, incidence = graph.edges, graph.incident_edge_ids()
     labels, parents, parent_edges, depths = [start], [-1], [-1], [0]
     edge_nodes, edge_labels = [], []
-    queue = deque([(0, frozenset((start,)), frozenset())])
+    queue = deque([(0, 0, 0)])
     while queue:
         w, blocked_v, blocked_e = queue.popleft()
         x, d = labels[w], depths[w]
-        if vrank is not None and w:
+        blocked_v |= 1 << x
+        if w:
             pe_label = edge_labels[parent_edges[w]]
-            my_rank, pe_rank = vrank[x], erank[pe_label]
-            blocked_v = blocked_v | {u for u in edges[pe_label] if vrank[u] < my_rank}
-            blocked_e = blocked_e | {
-                f for f in incidence[labels[parents[w]]] if erank[f] < pe_rank
-            }
+            blocked_e |= 1 << pe_label
+            if vrank is not None:
+                my_rank, pe_rank = vrank[x], erank[pe_label]
+                for u in edges[pe_label]:
+                    if vrank[u] < my_rank:
+                        blocked_v |= 1 << u
+                for f in incidence[labels[parents[w]]]:
+                    if erank[f] < pe_rank:
+                        blocked_e |= 1 << f
         frontier = depth_limit is not None and d >= depth_limit
         for eid in incidence[x]:
-            if eid in blocked_e:
+            if blocked_e >> eid & 1:
                 continue
-            kids = [u for u in edges[eid] if u not in blocked_v]
+            kids = [u for u in edges[eid] if not blocked_v >> u & 1]
             if kids and frontier:
                 continue
             members = [w]
@@ -136,7 +149,7 @@ def _walk_tree(graph, start, vrank, erank, depth_limit):
                 parent_edges.append(len(edge_nodes))
                 depths.append(d + 1)
                 members.append(c)
-                queue.append((c, blocked_v | {u}, blocked_e | {eid}))
+                queue.append((c, blocked_v, blocked_e))
             edge_nodes.append(tuple(members))
             edge_labels.append(eid)
     return LabeledHypertree(
@@ -150,16 +163,27 @@ def _walk_tree(graph, start, vrank, erank, depth_limit):
 
 
 def _check_vertex(graph, vertex):
+    """``vertex`` as a Python int, or ValueError unless it is an integer
+    vertex of ``graph``."""
+    try:
+        vertex = operator.index(vertex)
+    except TypeError:
+        raise ValueError("vertex out of range: not an integer") from None
     if not 0 <= vertex < graph.num_vertices:
         raise ValueError("vertex out of range")
+    return vertex
 
 
 def _check_ranks(order, count, what):
     if order is None:
         return list(range(count))
-    order = list(order)
+    message = f"{what} order must be a permutation of range({count})"
+    try:
+        order = [operator.index(item) for item in order]
+    except TypeError:
+        raise ValueError(message) from None
     if sorted(order) != list(range(count)):
-        raise ValueError(f"{what} order must be a permutation of range({count})")
+        raise ValueError(message)
     rank = [0] * count
     for r, item in enumerate(order):
         rank[item] = r
@@ -173,7 +197,7 @@ def build_saw_tree(graph, vertex, depth_limit=None):
     the nodes are the walks of length at most the limit, and a node at the
     limit keeps only its unit edges.
     """
-    _check_vertex(graph, vertex)
+    vertex = _check_vertex(graph, vertex)
     return _walk_tree(graph, vertex, None, None, depth_limit)
 
 
@@ -186,7 +210,7 @@ def build_weitz_tree(graph, vertex, vertex_order=None, edge_order=None, depth_li
     With ``depth_limit`` the result is truncated to edges lying fully
     within that depth (exact as a sub-level of the full construction).
     """
-    _check_vertex(graph, vertex)
+    vertex = _check_vertex(graph, vertex)
     vrank = _check_ranks(vertex_order, graph.num_vertices, "vertex")
     erank = _check_ranks(edge_order, graph.num_edges, "edge")
     return _walk_tree(graph, vertex, vrank, erank, depth_limit)
@@ -228,7 +252,7 @@ def weitz_equality_residual(
     The two sides come from independent computations: subset enumeration on
     the graph versus the tree recursion on the pruned walk tree.
     """
-    _check_vertex(graph, vertex)
+    vertex = _check_vertex(graph, vertex)
     exact = summarize(graph, params, unsafe_size=unsafe_size).marginals[vertex]
     tree = build_weitz_tree(graph, vertex, vertex_order, edge_order)
     return abs(float(exact) - tree_root_marginal(tree, params))

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bplt.cli import main
+from bplt.generators import random_k_uniform
 from bplt.hypergraph import Multihypergraph, write_hypergraph
 
 
@@ -405,6 +407,24 @@ class TestWeitzVerify:
         )
         assert code == 2 and "vertex out of range" in err
         assert summarize_calls == []
+
+    def test_size_guard_before_any_tree(self, capsys, tmp_path, monkeypatch, summarize_calls):
+        # one walk tree of this graph runs into the node cap after seconds
+        import bplt.cli
+
+        built = []
+
+        def refuse(*args):
+            built.append(args)
+            raise AssertionError("a walk tree was built")
+
+        monkeypatch.setattr(bplt.cli, "build_weitz_tree", refuse)
+        path = tmp_path / "big.hg"
+        path.write_text(write_hypergraph(random_k_uniform(np.random.default_rng(2), 30, 3, 30)))
+        code, out, err = run(capsys, "weitz-verify", "--file", str(path), "--lambda", "1")
+        assert code == 2 and out == ""
+        assert "exact enumeration guarded at" in err
+        assert built == [] and summarize_calls == []
 
     def test_infinite_lam_exits_2(self, capsys, triangle_file):
         code, out, err = run(capsys, "weitz-verify", "--file", triangle_file, "--lam", "inf")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bplt.generators import random_linear_hypertree, three_branch_tree
+from bplt.generators import random_linear_hypertree
 import numpy as np
 
 from bplt.hypergraph import (
@@ -299,7 +299,10 @@ class TestSAWs:
 
 class TestLinearHypertree:
     def test_three_branch_tree(self):
-        assert is_linear_hypertree(three_branch_tree())
+        # three size-3 edges at the root, two more at each of their six outer vertices
+        mids = [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
+        outer = [(v, 2 * i + 7, 2 * i + 8) for i, v in enumerate(mids)]
+        assert is_linear_hypertree(Multihypergraph(31, [(0, 1, 2), (0, 3, 4), (0, 5, 6)] + outer))
 
     def test_shared_pair_is_not_linear(self):
         assert not is_linear_hypertree(Multihypergraph(4, [[0, 1, 2], [0, 1, 3]]))

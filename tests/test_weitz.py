@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import bplt.weitz
 from bplt.errors import SizeGuardError
-from bplt.generators import random_linear_hypertree, random_multihypergraph
+from bplt.generators import random_k_uniform, random_linear_hypertree, random_multihypergraph
 from bplt.gibbs import ModelParams, summarize
 from bplt.hypergraph import Multihypergraph, is_linear_hypertree
 from bplt.weitz import (
@@ -219,12 +220,58 @@ class TestWeitzTree:
             ]
             assert sorted(got_nodes) == sorted(full_nodes)
 
-    @pytest.mark.parametrize("vertex", [-1, 4])
+    def test_matches_naive_definition_past_a_machine_word(self, rng):
+        # 70 disjoint padding pairs sort first, so the random graph's vertex
+        # ids start at 140 and its edge ids at 70: every mask bit is high
+        pad = [(2 * i, 2 * i + 1) for i in range(70)]
+        for _ in range(100):
+            small = random_multihypergraph(
+                rng, max_vertices=6, max_edges=6, max_edge_size=4,
+                allow_empty=True, multi_edge_prob=0.3,
+            )
+            shifted = [[u + 140 for u in e] for e in small.edges]
+            g = Multihypergraph(small.num_vertices + 140, pad + shifted)
+            at = g.incident_edge_ids()
+            assert all(f >= 70 for u in range(140, g.num_vertices) for f in at[u])
+            v = 140 + int(rng.integers(small.num_vertices))
+            vo = rng.permutation(g.num_vertices).tolist()
+            eo = rng.permutation(g.num_edges).tolist()
+            for limit in (None, 0, 1, 2, 3):
+                want = naive_weitz_tree(g, v, vo, eo, limit)
+                assert build_weitz_tree(g, v, vo, eo, limit) == want
+
+    def test_numpy_root_past_a_machine_word(self):
+        g = Multihypergraph(80, [[i, (i + 1) % 80] for i in range(80)] + [[3, 70, 71]])
+        for build in (build_saw_tree, build_weitz_tree):
+            for v in (64, 70):
+                t = build(g, np.int64(v))
+                assert t == build(g, v)
+                assert all(type(u) is int for u in t.node_labels)
+
+    def test_depth_one_build_memory(self):
+        # a table of 1 << u over all 20000 vertices would trace about 133 MB
+        g = random_k_uniform(np.random.default_rng(0), 20000, 3, 20000)
+        tracemalloc.start()
+        try:
+            build_saw_tree(g, 0, depth_limit=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 10**6
+
+    @pytest.mark.parametrize("vertex", [-1, 4, 1.5])
     def test_vertex_out_of_range_rejected(self, vertex):
         g = Multihypergraph(4, [[0, 1], [1, 2], [2, 3]])
         for build in (build_saw_tree, build_weitz_tree):
             with pytest.raises(ValueError, match="vertex out of range"):
                 build(g, vertex)
+
+    def test_non_integer_order_rejected(self):
+        g = Multihypergraph(4, [[0, 1], [1, 2], [2, 3]])
+        with pytest.raises(ValueError, match="vertex order must be a permutation"):
+            build_weitz_tree(g, 0, [0, 1, 2, 3.0])
+        with pytest.raises(ValueError, match="edge order must be a permutation"):
+            build_weitz_tree(g, 0, edge_order=[0, 1.0, 2])
 
 
 class TestTreeRatio:
