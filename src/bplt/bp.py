@@ -72,6 +72,7 @@ _ROOT_MAX_ITER = 200  # evaluations allowed to _root
 _ROOT_RTOL = 4 * np.finfo(float).eps  # relative bracket width at which _root stops
 _PREDICT_ORDER = 6  # solved points the warm-start predictor interpolates through
 _LOG_TINY = math.log(np.finfo(float).tiny)  # floor of a predicted start, in log
+_FP_TOL = 1e-13  # log-sup residual of the fixed points behind log Z and the rates
 
 
 def lambert_w0(y):
@@ -299,7 +300,7 @@ def _iterate(apply, x, tol, what):
     for step in range(1, cap + 1):
         g = np.log(apply(x))
         f = g - u
-        residual = float(np.max(np.abs(f)))
+        residual = float(np.max(np.abs(f), initial=0.0))  # an empty vector is a fixed point
         if residual < tol:
             return x
         if added and not residual < start[2]:  # a mixed step that failed, NaN included
@@ -405,7 +406,7 @@ def _root(f, a, b, fa, fb, xtol, rtol, ftol, max_iter):
     )
 
 
-def solve_zeta_regular(k, c, eta, tol=1e-15):
+def solve_zeta_regular(k, c, eta):
     """The unique zeta in [0,1] with (1-zeta) * x(c,zeta)^k = eta * c^k,
     where x is the regular fixed point.
 
@@ -428,12 +429,12 @@ def solve_zeta_regular(k, c, eta, tol=1e-15):
     elif eta == 1.0:
         zeta = 0.0
     else:
-        zeta, _ = _root(g, 0.0, 1.0, 1.0 - eta, -eta, tol, _ROOT_RTOL, 0.0, _ROOT_MAX_ITER)
+        zeta, _ = _root(g, 0.0, 1.0, 1.0 - eta, -eta, 1e-15, _ROOT_RTOL, 0.0, _ROOT_MAX_ITER)
     ok = contraction_margin(k, c, zeta) > 0
     return float(zeta), ok
 
 
-def solve_zeta(graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_tol=1e-13):
+def solve_zeta(graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_tol=_FP_TOL):
     """Penalty zeta for which the fixed point achieves the lower-tail target.
 
     Finds zeta in (0, 1-eta] with
@@ -548,7 +549,7 @@ def _coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, what):
     return total
 
 
-def bp_log_partition(graph, params, method="bethe", quad_nodes=64, fp_tol=1e-13):
+def bp_log_partition(graph, params, method="bethe", quad_nodes=64):
     """BP estimate of log Z at activity c * delta^(-1/(k-1)).
 
     ``method='bethe'`` evaluates the Bethe free energy at the fixed point
@@ -564,7 +565,7 @@ def bp_log_partition(graph, params, method="bethe", quad_nodes=64, fp_tol=1e-13)
     scale = params.delta ** (-1.0 / (k - 1))
     _check_uniqueness(params)
     if method == "bethe":
-        x = bp_fixed_point(graph, params, fp_tol)
+        x = bp_fixed_point(graph, params, _FP_TOL)
         return scale * bethe_free_energy(graph, params, x)
     edges = _edge_rows(graph, k)
     work = _workspace(edges)
@@ -572,21 +573,21 @@ def bp_log_partition(graph, params, method="bethe", quad_nodes=64, fp_tol=1e-13)
     total = _coupling_integral(
         lambda t, v: _apply(v, edges, work, t, params.zeta, params.delta),
         lambda x: float(x.sum()),
-        n, n, c, quad_nodes, fp_tol, "bp_log_partition integral",
+        n, n, c, quad_nodes, _FP_TOL, "bp_log_partition integral",
     )
     return scale * total
 
 
-def bp_lower_tail_rate(graph, k, c, eta, delta=None, near_regular=False, fp_tol=1e-13):
+def bp_lower_tail_rate(graph, k, c, eta, near_regular=False):
     """The BP rate of log P(X <= eta E[X]), normalised by Delta^(1/(k-1))/|V|.
 
     Evaluates ``B(x*)/N - log(1-zeta) * eta * c^k |E| / (N Delta) - c`` at
-    the achieving penalty; for eta = 0 the middle term is absent and
-    zeta = 1.
+    the achieving penalty, Delta the maximum degree (as the certificate
+    assumes); for eta = 0 the middle term is absent and zeta = 1.
     """
     n = graph.num_vertices
-    delta = _default_delta(graph, k) if delta is None else delta
-    zeta, x = solve_zeta(graph, k, c, eta, near_regular=near_regular, delta=delta, fp_tol=fp_tol)
+    delta = _default_delta(graph, k)
+    zeta, x = solve_zeta(graph, k, c, eta, near_regular=near_regular, delta=delta)
     b = bethe_free_energy(graph, BPParams(k, c, zeta, delta), x)
     if eta == 0.0:
         return b / n - c

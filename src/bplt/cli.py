@@ -107,30 +107,41 @@ def _parse_sweep(raw):
 
 
 def _parse(parser, commands, required, argv):
-    """Parse argv, overlaying a ``--config`` JSON file under explicit flags.
+    """Parse argv, overlaying a ``--config`` JSON object under explicit flags.
 
     The config values become defaults of the subcommand's parser, since
-    those override any default set on the top-level parser; a key that is
-    not a flag of the subcommand is rejected.  ``required`` maps a
-    subcommand's parser to the flags it cannot run without; they are
-    checked after the merge, so that the config can supply them (argparse
-    checks ``required=True`` flags before any default applies).  So is a
-    table flag that has no table to write: ``--out`` or ``--plot-script``
-    on a rate command without ``--sweep``, or ``--plot-script`` without
-    ``--out``; it is refused before any command solves or enumerates.
+    those override any default set on the top-level parser.  A key must be
+    a flag of the subcommand; a switch takes true or false, and any other
+    flag a string or number, which argparse parses from ``str(value)`` with
+    the flag's ``type``, as from the command line; ``null`` leaves the flag
+    absent.  ``required`` maps a subcommand's parser to the flags it cannot
+    run without; they are checked after the merge, so the config can supply
+    them (argparse checks ``required=True`` flags before any default
+    applies).  So is a table flag that has no table to write: ``--out`` or
+    ``--plot-script`` on a rate command without ``--sweep``, or
+    ``--plot-script`` without ``--out``; it is refused before any command
+    solves or enumerates.
     """
     args = parser.parse_args(argv)
     command = commands[args.command]
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        flags = set(vars(args)) - {"command", "func", "config"}
+        if not isinstance(cfg, dict):
+            raise ValueError(f"--config must hold a JSON object, not {type(cfg).__name__}")
+        flags = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
         defaults = {}
         for key, value in cfg.items():
-            dest = key.replace("-", "_")
-            if dest not in flags:
+            action = flags.get(key.replace("-", "_"))
+            if action is None:
                 raise ValueError(f"unknown config key {key!r}")
-            defaults[dest] = value
+            if value is None:
+                continue
+            switch = action.nargs == 0  # a store_true flag
+            if switch != isinstance(value, bool) or isinstance(value, (list, dict)):
+                kind = "true or false" if switch else "a string or number"
+                raise ValueError(f"config key {key!r} takes {kind}, got {value!r}")
+            defaults[action.dest] = value if switch else str(value)
         # re-parse so that explicitly passed flags override config values
         command.set_defaults(**defaults)
         args = parser.parse_args(argv)

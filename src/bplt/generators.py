@@ -58,14 +58,13 @@ def random_k_uniform(rng, num_vertices, k, num_edges, allow_multi=False):
     return Multihypergraph(num_vertices, edges)
 
 
-def random_linear_hypertree(
-    rng, num_vertices, max_edge_size=3, unit_edge_prob=0.15, shuffle=True
-):
+def random_linear_hypertree(rng, num_vertices, max_edge_size=3):
     """Grow a random linear hypertree on the requested vertex count.
 
     Each new edge attaches at a single existing vertex and otherwise uses
     fresh vertices, which keeps the construction linear and acyclic.  Unit
-    edges (size 1, possibly repeated) are sprinkled in afterwards.
+    edges are sprinkled in afterwards (one more at a vertex with probability
+    0.15), and the vertices are relabelled by a random permutation.
     """
     if num_vertices < 1:
         raise ValueError("need at least one vertex")
@@ -78,9 +77,6 @@ def random_linear_hypertree(
         edges.append(tuple([anchor] + list(range(n, n + size - 1))))
         n += size - 1
     for v in range(n):
-        while rng.random() < unit_edge_prob:
+        while rng.random() < 0.15:
             edges.append((v,))
-    graph = Multihypergraph(n, edges)
-    if shuffle:
-        graph = relabel_vertices(graph, rng.permutation(n).tolist())
-    return graph
+    return relabel_vertices(Multihypergraph(n, edges), rng.permutation(n).tolist())

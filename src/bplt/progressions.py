@@ -65,6 +65,8 @@ __all__ = [
 ]
 
 CELLS = 1 << 15  # entries per block of band-integral steps, about 256 KB
+_MC_CHAINS = 20_000  # heat-bath replicas of kap_marginal_check's fallback
+_MC_SWEEPS = 60  # sweeps per replica of that fallback
 _ITEM = np.dtype(float).itemsize  # bytes per profile value, for the block views
 
 
@@ -108,8 +110,10 @@ def ap_hypergraph(k, n):
 def ap_degree(k, n, t):
     """Closed-form degree of integer t (1-based) in the AP hypergraph:
     sum over positions i of min(floor((t-1)/(i-1)), floor((n-t)/(k-i)))."""
-    if not 1 <= t <= n:
-        raise ValueError("t must lie in 1..n")
+    if k < 3:
+        raise DomainError("k must be >= 3")
+    if not (isinstance(t, (int, np.integer)) and 1 <= t <= n):
+        raise ValueError(f"t must be an integer in 1..n, got {t!r}")
     return _sum_of_nearer_sides(k, lambda j: (t - 1) // j, lambda j: (n - t) // j)
 
 
@@ -278,7 +282,7 @@ def _trapz(values, h):
     return h * (values.sum() - 0.5 * (values[0] + values[-1]))
 
 
-def kap_rate(k, c, quad_nodes=64, grid_size=800, tol=1e-11):
+def kap_rate(k, c, quad_nodes=64, grid_size=800):
     """Non-existence rate via the family of profile fixed points:
     integral over t in (0, c] of (1/t) * integral of the fixed point at
     parameter t, minus c.
@@ -293,19 +297,19 @@ def kap_rate(k, c, quad_nodes=64, grid_size=800, tol=1e-11):
     h = 1.0 / grid_size
     total = _coupling_integral(
         lambda t, g: _grid_apply(g, t, 1.0, k), lambda f: _trapz(f, h),
-        grid_size + 1, 1, c, quad_nodes, tol, "kap_rate",
+        grid_size + 1, 1, c, quad_nodes, 1e-11, "kap_rate",
     )
     return total - c
 
 
-def kap_rate_bethe(k, c, grid_size=2000, tol=1e-12):
+def kap_rate_bethe(k, c, grid_size=2000):
     """Non-existence rate from the single fixed point at parameter c:
     minus the edge integral, minus the entropy integral, minus c.
 
     The edge integral runs the inner variable over [0, (1-t)/(k-1)] with
     the product of the fixed point at t, t+s, ..., t+(k-1)s.
     """
-    x = phi_fixed_point(k, c, tol=tol, grid_size=grid_size)
+    x = phi_fixed_point(k, c, grid_size=grid_size)
     h = 1.0 / grid_size
     inner = _band_integral(x, tuple(range(k)), 0, k - 1)
     edge_term = _trapz(inner, h)
@@ -335,42 +339,29 @@ class MarginalTable:
         return float(np.mean(np.abs(self.gaps)))
 
 
-def kap_marginal_check(
-    k,
-    c,
-    n,
-    mode="auto",
-    grid_size=2000,
-    chains=20_000,
-    sweeps=60,
-    seed=0,
-):
+def kap_marginal_check(k, c, n, grid_size=2000):
     """Conditional occupation marginals of the AP-free measure at density
     c * n^(-1/(k-1)), against the profile prediction.
 
     Conditioning a p-random set on having no progression is the hard-core
-    measure at lam = p/(1-p).  ``mode="auto"`` computes it exactly whenever
-    :func:`summarize` can, and falls back to heat-bath sampling when
-    :func:`summarize` raises :class:`SizeGuardError`.  Reported as a table,
-    not asserted.
+    measure at lam = p/(1-p), computed exactly whenever :func:`summarize`
+    can (``mode`` "exact"), and otherwise, when it raises
+    :class:`SizeGuardError`, by ``_MC_CHAINS`` heat-bath replicas of
+    ``_MC_SWEEPS`` sweeps from seed 0, read at call time (``mode`` "mc").
+    Reported as a table, not asserted.
     """
-    if mode not in ("auto", "exact", "mc"):
-        raise ValueError("mode must be 'auto', 'exact', or 'mc'")
     graph = ap_hypergraph(k, n)
     p = c * n ** (-1.0 / (k - 1))
     if not p < 1:
         raise DomainError("c n^(-1/(k-1)) must be < 1")
     params = ModelParams(lam=p / (1.0 - p), zeta=1.0)
-    if mode != "mc":
-        try:
-            marginals = summarize(graph, params).marginals
-            mode = "exact"
-        except SizeGuardError:
-            if mode == "exact":
-                raise
-            mode = "mc"
+    try:
+        marginals = summarize(graph, params).marginals
+        mode = "exact"
+    except SizeGuardError:
+        mode = "mc"
     if mode == "mc":
-        marginals = glauber_marginals(graph, params, chains, sweeps, seed)
+        marginals = glauber_marginals(graph, params, _MC_CHAINS, _MC_SWEEPS, 0)
     profile = phi_fixed_point(k, c, grid_size=grid_size)
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     positions = np.arange(1, n + 1)
@@ -379,7 +370,7 @@ def kap_marginal_check(
     return MarginalTable(positions, scaled, predicted, mode)
 
 
-def discrete_profile_gap(k, n, c, zeta=1.0, tol=1e-10, grid_tol=1e-12):
+def discrete_profile_gap(k, n, c, zeta=1.0, tol=1e-10):
     """Sup-norm gap between the finite-hypergraph fixed point on the AP
     hypergraph (scaled by its max degree) and the grid fixed point.
 
@@ -392,6 +383,6 @@ def discrete_profile_gap(k, n, c, zeta=1.0, tol=1e-10, grid_tol=1e-12):
     delta = _default_delta(graph, k)
     bp_vec = bp_fixed_point(graph, BPParams(k, c, zeta, delta), tol=tol)
     alpha = float(degree_coefficient(k))
-    grid_fp = _grid_fixed_point(c, zeta / alpha, k, n, grid_tol)
+    grid_fp = _grid_fixed_point(c, zeta / alpha, k, n, 1e-12)
     gap = float(np.max(np.abs(bp_vec - grid_fp[1:])))
     return gap, bp_vec, grid_fp

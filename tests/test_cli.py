@@ -464,6 +464,46 @@ class TestConfig:
         code, _, err = run(capsys, "rate-gnm", "--k", "3", "--b", "0.5", "--config", str(cfg))
         assert code == 2 and f"unknown config key {key!r}" in err
 
+    @staticmethod
+    def rate_gnp(capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run(capsys, "rate-gnp", "--config", str(path))
+
+    def test_config_value_parsed_as_flag(self, capsys, tmp_path):
+        # argparse's type= sees the value, as it sees --k 2.5
+        with pytest.raises(SystemExit) as exc:
+            self.rate_gnp(capsys, tmp_path, {"k": 2.5, "c": 0.5})
+        assert exc.value.code == 2
+        assert "argument --k: invalid int value: '2.5'" in capsys.readouterr().err
+
+    def test_config_not_an_object(self, capsys, tmp_path):
+        code, out, err = self.rate_gnp(capsys, tmp_path, [1, 2])
+        assert code == 2 and out == ""
+        assert err == "error: --config must hold a JSON object, not list\n"
+
+    def test_config_number_for_string_flag(self, capsys, tmp_path):
+        code, out, err = self.rate_gnp(capsys, tmp_path, {"k": 3, "c": 0.5, "sweep": 5})
+        assert code == 2 and out == ""
+        assert err == "error: --sweep expects lo:hi:steps, got '5'\n"
+
+    @pytest.mark.parametrize(
+        "key,value,kind",
+        [("json", "no", "true or false"), ("k", True, "a string or number"),
+         ("c", [0.5], "a string or number")],
+    )
+    def test_config_value_of_wrong_kind(self, capsys, tmp_path, key, value, kind):
+        cfg = {"k": 3, "c": 0.5, key: value}
+        code, out, err = self.rate_gnp(capsys, tmp_path, cfg)
+        assert code == 2 and out == ""
+        assert err == f"error: config key {key!r} takes {kind}, got {value!r}\n"
+
+    def test_config_null_leaves_flag_absent(self, capsys, tmp_path):
+        cfg = {"k": 3, "c": 0.5, "eta": None, "json": None}
+        assert self.rate_gnp(capsys, tmp_path, cfg) == run(
+            capsys, "rate-gnp", "--k", "3", "--c", "0.5"
+        )
+
 
 class TestRequiredFromConfig:
     # per command: the flags it needs (argparse names), then a full config

@@ -1,8 +1,9 @@
 """numpy is the only run-time dependency: no library module imports scipy,
 and a rate run that solves for the penalty loads none of it.  The public
-names of ``bplt`` are pinned, so an export is removed only on purpose; every
-name a submodule's ``__all__`` lists is defined there; and no public name
-takes a per-call iteration or node cap."""
+names of ``bplt`` and the signatures of its public functions and generators
+are pinned, so an export or an option is added or removed only on purpose;
+every name a submodule's ``__all__`` lists is defined there; and no public
+name takes a per-call iteration or node cap."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ import types
 from pathlib import Path
 
 import bplt
+import bplt.generators
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -80,6 +82,70 @@ def test_public_names():
         if not n.startswith("_") and not isinstance(getattr(bplt, n), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+# str(inspect.signature(f)) of every function in PUBLIC_NAMES and in
+# bplt.generators.__all__
+SIGNATURES = {
+    "ap_degree": "(k, n, t)",
+    "ap_hypergraph": "(k, n)",
+    "bethe_free_energy": "(graph, params, x)",
+    "bp_apply": "(graph, params, x)",
+    "bp_fixed_point": "(graph, params, tol=1e-12)",
+    "bp_log_partition": "(graph, params, method='bethe', quad_nodes=64)",
+    "bp_lower_tail_rate": "(graph, k, c, eta, near_regular=False)",
+    "build_saw_tree": "(graph, vertex, depth_limit=None)",
+    "build_weitz_tree": "(graph, vertex, vertex_order=None, edge_order=None, depth_limit=None)",
+    "contraction_margin": "(k, c, zeta)",
+    "copies_per_edge": "(graph, n)",
+    "degree_coefficient": "(k)",
+    "degree_stats": "(graph, k=None)",
+    "discrete_profile_gap": "(k, n, c, zeta=1.0, tol=1e-10)",
+    "glauber_marginals": "(graph, params, num_chains, sweeps, seed)",
+    "is_linear_hypertree": "(graph)",
+    "kap_marginal_check": "(k, c, n, grid_size=2000)",
+    "kap_rate": "(k, c, quad_nodes=64, grid_size=800)",
+    "kap_rate_bethe": "(k, c, grid_size=2000)",
+    "lambert_w0": "(y)",
+    "lower_tail_exact": "(graph, p, threshold, unsafe_size=False)",
+    "mc_lower_tail": "(graph, p, eta, samples, seed)",
+    "named_graph": "(name)",
+    "parse_hypergraph": "(text)",
+    "partition_function": "(graph, params, unsafe_size=False)",
+    "phi_apply": "(k, c, f, zeta=1.0)",
+    "phi_fixed_point": "(k, c, tol=1e-12, grid_size=2000, method='scaled', zeta=1.0)",
+    "phi_threshold": "(k)",
+    "rate_gnm": "(k, b, eta)",
+    "rate_gnp": "(k, c, eta)",
+    "regular_fixed_point": "(k, c, zeta)",
+    "relabel_vertices": "(graph, perm)",
+    "solve_zeta": "(graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_tol=1e-13)",
+    "solve_zeta_regular": "(k, c, eta)",
+    "subgraph_hypergraph": "(graph, n)",
+    "subgraph_profile": "(graph)",
+    "subgraph_rate": "(graph, c, eta, model='gnp')",
+    "summarize": "(graph, params, unsafe_size=False)",
+    "thresholds": "(k, eta)",
+    "tree_ratio": "(tree, params)",
+    "tree_root_marginal": "(tree, params)",
+    "verify_identities": "(graph, params, v, edge_id, unsafe_size=False)",
+    "weitz_equality_residual": (
+        "(graph, vertex, params, vertex_order=None, edge_order=None, unsafe_size=False)"
+    ),
+    "write_hypergraph": "(graph)",
+    "random_multihypergraph": (
+        "(rng, max_vertices=9, max_edges=8, max_edge_size=3, allow_empty=False,"
+        " multi_edge_prob=0.2)"
+    ),
+    "random_k_uniform": "(rng, num_vertices, k, num_edges, allow_multi=False)",
+    "random_linear_hypertree": "(rng, num_vertices, max_edge_size=3)",
+}
+
+
+def test_public_signatures():
+    functions = {n: getattr(bplt, n) for n in PUBLIC_NAMES if inspect.isfunction(getattr(bplt, n))}
+    functions.update((n, getattr(bplt.generators, n)) for n in bplt.generators.__all__)
+    assert {n: str(inspect.signature(f)) for n, f in functions.items()} == SIGNATURES
 
 
 def test_every_export_is_defined():

@@ -104,6 +104,13 @@ class TestApHypergraph:
                 # the Delta that discrete_profile_gap scales by
                 assert _default_delta(g, k) == max(deg)
 
+    def test_degree_refuses_what_its_siblings_refuse(self):
+        with pytest.raises(DomainError, match="k must be >= 3"):
+            ap_degree(1, 10, 3)
+        with pytest.raises(ValueError, match="t must be an integer in 1..n"):
+            ap_degree(3, 10, 2.5)
+        assert ap_degree(3, 10, np.int64(3)) == ap_degree(3, 10, 3)
+
     def test_pair_degree_bounded(self):
         from bplt.hypergraph import degree_stats
 
@@ -449,19 +456,20 @@ class TestMarginalCheck:
     def test_auto_falls_back_to_mc(self, monkeypatch):
         # support cut off and 27 > EXACT_GUARD: summarize raises SizeGuardError
         monkeypatch.setattr(gibbs, "_SUPPORT_CAP", 1 << 10)
-        table = kap_marginal_check(3, 1.0, 27, grid_size=200, chains=50, sweeps=2)
+        monkeypatch.setattr(progressions, "_MC_CHAINS", 50)
+        monkeypatch.setattr(progressions, "_MC_SWEEPS", 2)
+        table = kap_marginal_check(3, 1.0, 27, grid_size=200)
         assert table.mode == "mc"
 
-    def test_mc_mode_close_to_exact(self):
-        exact = kap_marginal_check(3, 1.0, 14, mode="exact", grid_size=300)
-        mc = kap_marginal_check(
-            3, 1.0, 14, mode="mc", grid_size=300, chains=12_000, sweeps=40, seed=4
-        )
+    def test_mc_mode_close_to_exact(self, monkeypatch):
+        exact = kap_marginal_check(3, 1.0, 14, grid_size=300)
+        assert exact.mode == "exact"
+        # both exact routes cut off at n = 14, so the heat-bath fallback runs
+        monkeypatch.setattr(gibbs, "_SUPPORT_CAP", 1 << 4)
+        monkeypatch.setattr(gibbs, "EXACT_GUARD", 13)
+        mc = kap_marginal_check(3, 1.0, 14, grid_size=300)
+        assert mc.mode == "mc"
         assert np.max(np.abs(exact.scaled - mc.scaled)) < 0.15
-
-    def test_mc_mode_needs_a_chain(self):
-        with pytest.raises(ValueError, match="num_chains must be >= 1"):
-            kap_marginal_check(3, 1.0, 14, mode="mc", grid_size=300, chains=0)
 
 
 def test_diagnostics_script_runs():
