@@ -424,12 +424,8 @@ def solve_zeta_regular(k, c, eta):
     def g(z):
         return (1.0 - z) * (regular_fixed_point(k, c, z) / c) ** k - eta
 
-    if eta == 0.0:
-        zeta = 1.0
-    elif eta == 1.0:
-        zeta = 0.0
-    else:
-        zeta, _ = _root(g, 0.0, 1.0, 1.0 - eta, -eta, 1e-15, _ROOT_RTOL, 0.0, _ROOT_MAX_ITER)
+    # _root checks the ends first: g(1) = -0.0 at eta = 0, g(0) = 0.0 at eta = 1
+    zeta, _ = _root(g, 0.0, 1.0, 1.0 - eta, -eta, 1e-15, _ROOT_RTOL, 0.0, _ROOT_MAX_ITER)
     ok = contraction_margin(k, c, zeta) > 0
     return float(zeta), ok
 

@@ -23,7 +23,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import gibbs
-from .bp import BPParams, _default_delta, bethe_free_energy, bp_fixed_point, solve_zeta
+from .bp import (
+    BPParams, _default_delta, bethe_free_energy, bp_fixed_point, contraction_margin, solve_zeta
+)
 from .errors import ConvergenceError, DomainError, SizeGuardError
 from .hypergraph import parse_hypergraph
 from .progressions import kap_rate, kap_rate_bethe, phi_fixed_point
@@ -106,31 +108,33 @@ def _parse_sweep(raw):
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def _parse(parser, commands, required, argv):
-    """Parse argv, overlaying a ``--config`` JSON object under explicit flags.
+def _parse(parser, commands, argv):
+    """Parse argv with a ``--config`` JSON object spliced in as flags.
 
-    The config values become defaults of the subcommand's parser, since
-    those override any default set on the top-level parser.  A key must be
-    a flag of the subcommand; a switch takes true or false, and any other
-    flag a string or number, which argparse parses from ``str(value)`` with
-    the flag's ``type``, as from the command line; ``null`` leaves the flag
-    absent.  ``required`` maps a subcommand's parser to the flags it cannot
-    run without; they are checked after the merge, so the config can supply
-    them (argparse checks ``required=True`` flags before any default
-    applies).  So is a table flag that has no table to write: ``--out`` or
-    ``--plot-script`` on a rate command without ``--sweep``, or
-    ``--plot-script`` without ``--out``; it is refused before any command
-    solves or enumerates.
+    A key must be a flag of the subcommand; a switch takes true or false,
+    and any other flag a string or number, passed as ``--flag=value`` so
+    that argparse parses ``str(value)`` with the flag's ``type``, as from
+    the command line; ``null`` leaves the flag absent.  The config's flags
+    go before the explicit ones, which win.  No flag may be abbreviated, or
+    ``--conf`` would parse without its file being read.  A table flag with
+    no table to write is refused before any command solves or enumerates:
+    ``--out`` or ``--plot-script`` on a rate command without ``--sweep``,
+    or ``--plot-script`` without ``--out``.
     """
-    args = parser.parse_args(argv)
-    command = commands[args.command]
-    if args.config:
-        with open(args.config) as fh:
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        config = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # the subcommand's parser reports it
+        config = None
+    if config and argv[0] in commands:
+        with open(config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError(f"--config must hold a JSON object, not {type(cfg).__name__}")
+        command = commands[argv[0]]
         flags = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
-        defaults = {}
+        spliced = []
         for key, value in cfg.items():
             action = flags.get(key.replace("-", "_"))
             if action is None:
@@ -141,17 +145,11 @@ def _parse(parser, commands, required, argv):
             if switch != isinstance(value, bool) or isinstance(value, (list, dict)):
                 kind = "true or false" if switch else "a string or number"
                 raise ValueError(f"config key {key!r} takes {kind}, got {value!r}")
-            defaults[action.dest] = value if switch else str(value)
-        # re-parse so that explicitly passed flags override config values
-        command.set_defaults(**defaults)
-        args = parser.parse_args(argv)
-    missing = [
-        "/".join(action.option_strings)
-        for action in required.get(command, ())
-        if getattr(args, action.dest) is None
-    ]
-    if missing:
-        command.error(f"the following arguments are required: {', '.join(missing)}")
+            flag = action.option_strings[0]
+            if value is not False:  # a false switch is its default
+                spliced.append(flag if switch else f"{flag}={value}")
+        argv = [argv[0], *spliced, *argv[1:]]
+    args = parser.parse_args(argv)
     if "sweep" in args and not args.sweep and (args.out or args.plot_script):
         raise ValueError("--out and --plot-script write the --sweep table; pass --sweep")
     if getattr(args, "plot_script", None) and not args.out:
@@ -277,7 +275,8 @@ def _cmd_bp_solve(args):
     k = graph.uniformity() if args.k is None else args.k
     if k is None:
         raise ValueError("graph is not uniform; pass --k explicitly")
-    delta = _default_delta(graph, k) if args.delta is None else args.delta
+    dmax = _default_delta(graph, k)
+    delta = dmax if args.delta is None else args.delta
     if args.zeta is None and args.eta is None:
         raise ValueError("pass either --zeta or --eta")
     if args.zeta is not None and args.eta is not None:
@@ -296,7 +295,8 @@ def _cmd_bp_solve(args):
         "bethe_free_energy": bethe,
         "log_z_bp": marginal_scale * bethe,
         "zeta": zeta,
-        "delta_contraction": params.margin,
+        # the certificate at the caller's delta, whose Dmax/delta scales zeta
+        "delta_contraction": contraction_margin(k, args.c, zeta * (dmax / delta)),
     }
     _emit_table_and_scalars(
         args, "bp-fixed-point", echo, ["vertex", "x_star", "marginal"], rows, scalars
@@ -337,7 +337,7 @@ def _cmd_mc_estimate(args):
     graph = _read_graph(args.file)
     est, err = gibbs.mc_lower_tail(graph, args.p, args.eta, args.samples, args.seed)
     scalars = {"estimate": est, "stderr": err, "samples": args.samples, "seed": args.seed}
-    if graph.num_vertices <= 22:
+    if graph.num_vertices <= gibbs.EXACT_GUARD:
         mean_edges = sum(args.p ** len(e) for e in graph.edges)
         scalars["exact"] = gibbs.lower_tail_exact(graph, args.p, int(args.eta * mean_edges))
     _emit_scalars(scalars, args.json)
@@ -376,15 +376,10 @@ def _build_parser():
         "of k-uniform hypergraphs via belief propagation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    required = {}
-
-    def need(p, *flags, **kwargs):
-        """Add a flag that ``p``'s command cannot run without (see ``_parse``)."""
-        required.setdefault(p, []).append(p.add_argument(*flags, **kwargs))
 
     def command(name, help, func, *, out=False, seed=False, sweep=False):
         """Subparser with the shared flags that ``func`` reads."""
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file; explicit flags win")
         if out:
@@ -403,25 +398,25 @@ def _build_parser():
 
     rate = {"out": True, "sweep": True}
     p = command("rate-gnp", "binomial-model lower-tail rate", _cmd_rate_gnp, **rate)
-    need(p, "--k", type=int)
+    p.add_argument("--k", type=int, required=True)
     p.add_argument("--c", type=float)
     p.add_argument("--eta", type=float, default=0.0)
 
     p = command("rate-gnm", "fixed-size-model lower-tail rate", _cmd_rate_gnm, **rate)
-    need(p, "--k", type=int)
+    p.add_argument("--k", type=int, required=True)
     p.add_argument("--b", type=float)
     p.add_argument("--eta", type=float, default=0.0)
 
     p = command(
         "rate-subgraph", "pattern-avoidance rate for a subgraph", _cmd_rate_subgraph, **rate
     )
-    need(p, "--subgraph", help="K<r>/C<l>/P<l> or @file")
+    p.add_argument("--subgraph", help="K<r>/C<l>/P<l> or @file", required=True)
     p.add_argument("--c", type=float)
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--model", choices=("gnp", "gnm"), default="gnp")
 
     p = command("rate-kap", "k-term progression avoidance rate", _cmd_rate_kap, **rate)
-    need(p, "--k", type=int)
+    p.add_argument("--k", type=int, required=True)
     p.add_argument("--c", type=float)
     p.add_argument("--quad-nodes", type=int, default=64, help="used by --check-quadrature")
     p.add_argument("--grid-size", type=int, default=2000)
@@ -434,14 +429,14 @@ def _build_parser():
     p = command(
         "kap-profile", "conditional density profile curve", _cmd_kap_profile, out=True
     )
-    need(p, "--k", type=int)
-    need(p, "--c", type=float)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--c", type=float, required=True)
     p.add_argument("--grid-size", type=int, default=2000)
 
     p = command("bp-solve", "BP fixed point on a hypergraph file", _cmd_bp_solve, out=True)
-    need(p, "--file")
+    p.add_argument("--file", required=True)
     p.add_argument("--k", type=int)
-    need(p, "--c", type=float)
+    p.add_argument("--c", type=float, required=True)
     p.add_argument("--zeta", type=float)
     p.add_argument("--eta", type=float)
     p.add_argument("--delta", type=int)
@@ -450,36 +445,36 @@ def _build_parser():
     p = command(
         "exact-check", "partition-function identity suite", _cmd_exact_check, out=True
     )
-    need(p, "--file")
-    need(p, "--lam", "--lambda", dest="lam", type=float)
-    need(p, "--zeta", type=float)
+    p.add_argument("--file", required=True)
+    p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--zeta", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--unsafe-size", action="store_true")
 
     p = command("mc-estimate", "Monte Carlo lower-tail estimate", _cmd_mc_estimate, seed=True)
-    need(p, "--file")
-    need(p, "--p", type=float)
+    p.add_argument("--file", required=True)
+    p.add_argument("--p", type=float, required=True)
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=100_000)
 
     p = command(
         "weitz-verify", "marginal equality on a hypergraph file", _cmd_weitz_verify, seed=True
     )
-    need(p, "--file")
+    p.add_argument("--file", required=True)
     p.add_argument("--vertex", type=int)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--zeta", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--unsafe-size", action="store_true")
 
-    return parser, sub.choices, required
+    return parser, sub.choices
 
 
 def main(argv=None):
-    parser, commands, required = _build_parser()
+    parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse(parser, commands, required, argv)
+        args = _parse(parser, commands, argv)
         return args.func(args)
     except ConvergenceError as exc:
         detail = f" (residual {exc.residual:.3e})" if exc.residual is not None else ""

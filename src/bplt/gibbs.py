@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError
+from .hypergraph import _edge_rows, _incidence
 
 __all__ = [
     "ModelParams",
@@ -455,21 +456,6 @@ def _edge_residual(graph, params, edge_id, log_z):
     return abs(math.exp(log_z_minus - log_z) - params.zeta * math.exp(log_in_e - log_z) - 1.0)
 
 
-def _vertex_edge_index(graph):
-    """Per vertex v: a (deg v, kmax - 1) array whose rows list the other
-    vertices of each edge at v, repeated edges once per copy.  Short rows are
-    padded with the sentinel N, a column of the chain state that is always
-    occupied, so a row is fully occupied exactly when its edge is."""
-    n = graph.num_vertices
-    width = max([0] + [len(e) - 1 for e in graph.edges])
-    rows = [[] for _ in range(n)]
-    for e in graph.edges:
-        for u in e:
-            others = [w for w in e if w != u]
-            rows[u].append(others + [n] * (width - len(others)))
-    return [np.array(r, dtype=np.int64).reshape(len(r), width) for r in rows]
-
-
 def _heat_bath(graph, params, chains, steps, seed):
     """(chains, N) states of independent single-site heat-bath chains after
     ``steps`` updates.
@@ -481,9 +467,15 @@ def _heat_bath(graph, params, chains, steps, seed):
     """
     n = graph.num_vertices
     rng = np.random.default_rng(seed)
-    index = _vertex_edge_index(graph)
+    rows, at = _edge_rows(graph), _incidence(n, graph.edges)
+    # per vertex v, the edge table's columns at its edges less v itself: a
+    # (deg v, K - 1) array whose row is fully occupied exactly when occupying
+    # v completes its edge, short edges ending in the always-occupied column N
+    width = max(len(rows) - 1, 0)
+    index = [rows.T[ids] for ids in at]
+    index = [cols[cols != v].reshape(len(cols), width) for v, cols in enumerate(index)]
     # occupation probability lam*q/(1+lam*q), q = (1-zeta)^t, by edge count t
-    q = (1.0 - params.zeta) ** np.arange(max(map(len, index), default=0) + 1)
+    q = (1.0 - params.zeta) ** np.arange(max(map(len, at), default=0) + 1)
     prob = params.lam * q / (1.0 + params.lam * q)
     state = np.zeros((chains, n + 1), dtype=bool)
     state[:, n] = True  # the sentinel column
@@ -525,17 +517,17 @@ def mc_lower_tail(graph, p, eta, samples, seed):
     threshold = eta * mean_edges
     if threshold >= graph.num_edges:
         return 1.0, 0.0
+    rows = _edge_rows(graph)
     rng = np.random.default_rng(seed)
     hits = 0
     done = 0
-    batch = max(1, min(samples, (1 << 22) // max(n, 1)))
-    edge_arrays = [np.array(e, dtype=np.int64) for e in graph.edges]
+    # the draws and the gather of full edges each hold at most 2^22 entries
+    batch = max(1, min(samples, (1 << 22) // max(n, rows.size, 1)))
+    occ = np.ones((batch, n + 1), dtype=bool)  # column N, the sentinel, stays occupied
     while done < samples:
         m = min(batch, samples - done)
-        occ = rng.random((m, n)) < p
-        x = np.zeros(m, dtype=np.int64)
-        for e in edge_arrays:
-            x += occ[:, e].all(axis=1) if len(e) else np.ones(m, dtype=bool)
+        np.less(rng.random((m, n)), p, out=occ[:m, :n])
+        x = occ[:m, rows].all(axis=1).sum(axis=1)
         hits += int((x <= threshold).sum())
         done += m
     est = hits / samples

@@ -10,9 +10,9 @@ The :class:`Multihypergraph` constructor is the one place where edges are
 canonicalised and checked: the parser, the operators, the builders and
 ``rates.SimpleGraph`` hand it raw vertex lists and take its ``edges`` back.
 
-A graph also keeps, built on first use, its edges as one (k, M) integer
-array (``_edge_rows``), the layout the belief-propagation kernels work on;
-every BP call on the same graph reuses it.
+A graph also keeps, built on first use, its edges as one integer table
+(``_edge_rows``), the only array made from them: the BP kernels,
+``degrees`` and the Monte Carlo samplers all work on it.
 """
 
 from __future__ import annotations
@@ -43,9 +43,12 @@ def _incidence(num_vertices, edges):
     return inc
 
 
-def _edge_rows(graph, k):
-    """The edges as one C-contiguous (k, M) int64 array: row j holds slot j
-    of every edge, so the BP kernels work on whole rows.
+def _edge_rows(graph, k=None):
+    """The edges as one C-contiguous (K, M) int64 table, K the largest edge
+    size: row j holds slot j of every edge, and an edge shorter than K ends
+    in the sentinel N, one past the last vertex.  With ``k`` it is refused
+    unless the graph is k-uniform (k rows, no sentinel in the last); an
+    edgeless graph gives (k, 0) for every k.
 
     Built on first use and kept on the graph, which is immutable, so every
     later call returns the same array; callers must not write into it.  It
@@ -53,12 +56,18 @@ def _edge_rows(graph, k):
     ``np.take`` and ``np.bincount`` that reads it.
     """
     rows = graph._rows
-    if rows is None or len(rows) != k:  # an edgeless graph fits every k
-        if not set(map(len, graph.edges)) <= {k}:
-            raise ValueError(f"graph is not {k}-uniform")
+    if rows is None:
+        width = max(map(len, graph.edges), default=0)
+        # (M, K): the slots each edge fills, which leave the sentinel in the rest
+        filled = np.arange(width) < np.fromiter(map(len, graph.edges), np.int64)[:, None]
+        rows = np.full((width, graph.num_edges), graph.num_vertices, dtype=np.int64)
         flat = itertools.chain.from_iterable(graph.edges)
-        rows = np.fromiter(flat, np.int64, count=k * graph.num_edges).reshape(-1, k).T.copy()
+        rows.T[filled] = np.fromiter(flat, np.int64, count=int(filled.sum()))
         object.__setattr__(graph, "_rows", rows)
+    if k is None or not graph.num_edges:  # an edgeless graph fits every k
+        return rows if k is None else rows.reshape(k, 0)
+    if len(rows) != k or graph.num_vertices in rows[-1:]:
+        raise ValueError(f"graph is not {k}-uniform")
     return rows
 
 
@@ -114,8 +123,8 @@ class Multihypergraph:
 
     def degrees(self):
         """Vertex degrees with multiplicity, as a list of length num_vertices."""
-        flat = np.fromiter(itertools.chain.from_iterable(self.edges), np.int64)
-        return np.bincount(flat, minlength=self.num_vertices).tolist()
+        n = self.num_vertices
+        return np.bincount(_edge_rows(self).ravel(), minlength=n + 1)[:n].tolist()
 
     def incident_edge_ids(self):
         """For each vertex, the sorted list of ids of edges containing it."""

@@ -419,6 +419,31 @@ def loop_heat_bath(graph, params, chains, steps, seed):
     return state
 
 
+def loop_mc_lower_tail(graph, p, eta, samples, seed):
+    """``bplt.gibbs.mc_lower_tail`` with the full edges of each batch of
+    samples counted by a loop over the edges, one index array per edge: the
+    reference for its one-gather count over the edge table, which must give
+    the same estimate from the same draws."""
+    n = graph.num_vertices
+    threshold = eta * sum(p ** len(e) for e in graph.edges)
+    if threshold >= graph.num_edges:
+        return 1.0, 0.0
+    rng = np.random.default_rng(seed)
+    hits = done = 0
+    batch = max(1, min(samples, (1 << 22) // max(n, 1)))
+    edge_arrays = [np.array(e, dtype=np.int64) for e in graph.edges]
+    while done < samples:
+        m = min(batch, samples - done)
+        occ = rng.random((m, n)) < p
+        x = np.zeros(m, dtype=np.int64)
+        for e in edge_arrays:
+            x += occ[:, e].all(axis=1) if len(e) else np.ones(m, dtype=bool)
+        hits += int((x <= threshold).sum())
+        done += m
+    est = hits / samples
+    return est, math.sqrt(est * (1.0 - est) / samples)
+
+
 def plain_iterate(apply, x, tol, what):
     """Plain iteration ``x <- apply(x)`` with the stopping test, application
     cap and errors of ``bp._iterate``: the reference for its Anderson-mixed

@@ -278,6 +278,21 @@ class TestBpSolve:
         assert float(scalars["log_z_bp"]) == 2 ** (-1 / 2) * bethe
 
 
+    def test_margin_at_the_callers_delta(self, capsys, tmp_path):
+        # the printed certificate scales zeta by Dmax/delta; at the default
+        # delta (Dmax = 46 here) the ratio is exactly 1
+        path = tmp_path / "random.hg"
+        path.write_text(write_hypergraph(random_k_uniform(np.random.default_rng(0), 200, 3, 2000)))
+        margins = []
+        for delta in ([], ["--delta", "46"], ["--delta", "10"]):
+            code, _, err = run(
+                capsys, "bp-solve", "--file", str(path), "--c", "1.1", "--zeta", "1", *delta
+            )
+            assert code == 0
+            margins.append(dict(line.split(",") for line in err.splitlines())["delta_contraction"])
+        assert margins == ["0.10973175236510935", "0.10973175236510935", "-3.0952339391204964"]
+
+
 class TestExactCheck:
     def test_triangle_passes(self, capsys, triangle_file):
         code, out, _ = run(
@@ -363,6 +378,20 @@ class TestMcEstimate:
         scalars = dict(line.split(",") for line in out.strip().splitlines())
         est, exact = float(scalars["estimate"]), float(scalars["exact"])
         assert abs(est - exact) < 4 * math.sqrt(exact * (1 - exact) / 20000)
+
+
+    @pytest.mark.parametrize("n", [24, 27])
+    def test_exact_up_to_the_oracle_guard(self, capsys, tmp_path, n):
+        from bplt.gibbs import EXACT_GUARD
+
+        path = tmp_path / "path.hg"
+        edges = [[i, i + 1, i + 2] for i in range(0, n - 2, 2)]
+        path.write_text(write_hypergraph(Multihypergraph(n, edges)))
+        code, out, _ = run(
+            capsys, "mc-estimate", "--file", str(path), "--p", "0.5", "--samples", "100"
+        )
+        assert code == 0
+        assert ("exact" in dict(line.split(",") for line in out.splitlines())) == (n <= EXACT_GUARD)
 
 
 class TestWeitzVerify:
@@ -505,6 +534,14 @@ class TestConfig:
         )
 
 
+    # argparse takes "-0.5" but not "-1e-05" as the value of a separate flag
+    @pytest.mark.parametrize("value,flag", [(-0.5, ["--c", "-0.5"]), (-1e-05, ["--c=-1e-05"])])
+    def test_negative_value_refused_as_its_flag(self, capsys, tmp_path, value, flag):
+        from_config = self.rate_gnp(capsys, tmp_path, {"k": 3, "c": value})
+        assert from_config[0] == 2 and from_config[2].startswith(f"error: c={value} outside")
+        assert from_config == run(capsys, "rate-gnp", "--k", "3", *flag)
+
+
 class TestRequiredFromConfig:
     # per command: the flags it needs (argparse names), then a full config
     NEEDS = {
@@ -581,6 +618,21 @@ class TestFlagSurface:
             main([command, *self.BASE[command], flag, self.VALUES[flag]])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate-gnp", "--k", "3", "--c", "0.5", "--et", "0.1"],
+            ["mc-estimate", "--file", "g.hg", "--p", "0.5", "--samp", "10"],
+            ["rate-gnp", "--k", "3", "--c", "0.5", "--conf", "cfg.json"],
+        ],
+    )
+    def test_abbreviated_flag_rejected(self, capsys, argv):
+        # --conf would otherwise parse as --config without its file being read
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--out", "--plot-script"])
     def test_scalar_rate_output_needs_sweep(self, capsys, tmp_path, flag):

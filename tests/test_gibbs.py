@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bplt import gibbs
+from bplt import gibbs, hypergraph
 from bplt.errors import SizeGuardError
 from bplt.generators import random_k_uniform, random_multihypergraph
 from bplt.gibbs import (
@@ -21,7 +21,14 @@ from bplt.gibbs import (
 from bplt.hypergraph import Multihypergraph
 from bplt.progressions import ap_hypergraph
 
-from conftest import loop_heat_bath, loop_tables, naive_log_z, naive_lower_tail, naive_marginal
+from conftest import (
+    loop_heat_bath,
+    loop_mc_lower_tail,
+    loop_tables,
+    naive_log_z,
+    naive_lower_tail,
+    naive_marginal,
+)
 
 TRIPLE = Multihypergraph(3, [[0, 1, 2]])
 
@@ -324,6 +331,39 @@ class TestSamplers:
             est, err = mc_lower_tail(g, p, eta, samples=40_000, seed=int(rng.integers(1 << 30)))
             sigma = max(math.sqrt(exact * (1 - exact) / 40_000), 1e-9)
             assert abs(est - exact) <= 4 * sigma
+
+    def test_mc_matches_edge_loop(self, rng):
+        # hundreds of edges, empty and repeated ones among them, so that the
+        # gather's batches (at most 2^22 booleans) split the samples where
+        # the reference's (2^22 draws) do not
+        cases = [(ap_hypergraph(3, 60), 0.5 / math.sqrt(60), 0.0, 5000)]
+        for _ in range(6):
+            n = int(rng.integers(8, 31))
+            edges = [
+                rng.choice(n, int(rng.integers(1, 5)), replace=False).tolist()
+                for _ in range(int(rng.integers(100, 250)))
+            ]
+            edges += [[], []] + edges[:20]
+            p = float(rng.uniform(0.05, 0.3))
+            cases += [(Multihypergraph(n, edges), p, float(rng.uniform(0.3, 0.9)), s)
+                      for s in (1, 12_345)]
+        for g, p, eta, samples in cases:
+            est, err = mc_lower_tail(g, p, eta, samples, seed=7)
+            assert (est, err) == loop_mc_lower_tail(g, p, eta, samples, seed=7)
+            assert samples == 1 or 0 < est < 1  # a count that can go wrong
+
+    def test_edge_table_flattened_once(self, monkeypatch):
+        # degrees and both samplers read the table the first call built
+        g = Multihypergraph(5, [[0, 1, 2], [2, 3], [3, 4], [], [4], [2, 3]])
+        hypergraph._edge_rows(g)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("edges flattened a second time")
+
+        monkeypatch.setattr(hypergraph.np, "fromiter", refused)
+        assert g.degrees() == [1, 1, 3, 3, 2]
+        glauber_marginals(g, ModelParams(1.0, 0.5), 10, 2, seed=0)
+        mc_lower_tail(g, 0.5, 0.5, 100, seed=0)
 
     def test_mc_small_p_tends_to_one(self):
         g = Multihypergraph(6, [[0, 1, 2], [3, 4, 5]])

@@ -97,9 +97,10 @@ class TestEdgeRows:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_not_uniform_refused(self, k):
-        mixed = Multihypergraph(5, [[0, 1, 2], [3, 4]])
-        with pytest.raises(ValueError, match=f"^graph is not {k}-uniform$"):
-            _edge_rows(mixed, k)
+        # mixed sizes, and edges that are all empty (a table of no rows)
+        for bad in (Multihypergraph(5, [[0, 1, 2], [3, 4]]), Multihypergraph(3, [[], []])):
+            with pytest.raises(ValueError, match=f"^graph is not {k}-uniform$"):
+                _edge_rows(bad, k)
         g = Multihypergraph(5, [[0, 1, 2], [2, 3, 4]])
         _edge_rows(g, 3)
         if k != 3:  # the cached array is no answer for another k
@@ -110,6 +111,17 @@ class TestEdgeRows:
         g = Multihypergraph(3)
         for k in (2, 5, 3, 2):
             assert _edge_rows(g, k).shape == (k, 0)
+        assert _edge_rows(g).shape == (0, 0)
+
+    def test_short_edges_end_in_the_sentinel(self):
+        g = Multihypergraph(5, [[3, 4], [0, 1, 2], [], [2], [3, 4]])
+        rows = _edge_rows(g)
+        assert rows is _edge_rows(g) and rows.dtype == np.int64 and rows.flags.c_contiguous
+        assert rows.T.tolist() == [[5, 5, 5], [0, 1, 2], [2, 5, 5], [3, 4, 5], [3, 4, 5]]
+        assert _edge_rows(Multihypergraph(3, [[], []])).shape == (0, 2)
+        # the table has 3 rows, but its short edges make the graph not 3-uniform
+        with pytest.raises(ValueError, match="^graph is not 3-uniform$"):
+            _edge_rows(g, 3)
 
 
 class TestOperators:
