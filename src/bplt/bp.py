@@ -348,8 +348,6 @@ def bp_fixed_point(graph, params, tol=1e-12):
     edges = _edge_rows(graph, params.k)
     _check_uniqueness(params)
     x = np.full(graph.num_vertices, params.c, dtype=float)  # the kernel gathers into floats
-    if not graph.num_edges:
-        return x
     work = _workspace(edges)
     return _iterate(
         lambda v: _apply(v, edges, work, params.c, params.zeta, params.delta),

@@ -57,21 +57,11 @@ def _emit_scalars(scalars, as_json, stream=None):
             print(f"{key},{_fmt(value)}", file=stream)
 
 
-_PLOT_TEMPLATE = """\
-# render {csv} (written by bplt; x = {x}, y = {y})
-import matplotlib.pyplot as plt
-import numpy as np
-
-data = np.genfromtxt({csv!r}, delimiter=",", names=True, comments="#")
-plt.plot(data[{x!r}], data[{y!r}])
-plt.xlabel({x!r})
-plt.ylabel({y!r})
-plt.tight_layout()
-plt.savefig({csv!r} + ".png", dpi=150)
-"""
-
-
-def _emit_table(args, formula, params_echo, columns, rows):
+def _emit_table(args, formula, params_echo, columns, rows, scalars=None):
+    """The table, to ``--out`` or else stdout, with a comment line naming the
+    formula and echoing the parameters; then any scalar block, to stdout
+    after a table sent to ``--out``, else to stderr, so that stdout holds
+    only the table."""
     echo = " ".join(f"{k}={_fmt(v)}" for k, v in params_echo.items())
     lines = [f"# formula={formula} {echo}", ",".join(columns)]
     for row in rows:
@@ -82,17 +72,8 @@ def _emit_table(args, formula, params_echo, columns, rows):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if args.plot_script:
-        with open(args.plot_script, "w") as fh:
-            fh.write(_PLOT_TEMPLATE.format(csv=args.out, x=columns[0], y=columns[1]))
-
-
-def _emit_table_and_scalars(args, formula, params_echo, columns, rows, scalars):
-    """The table as ``_emit_table`` writes it, then the scalar block: to
-    stdout after a table sent to ``--out``, else to stderr, so that stdout
-    holds only the table."""
-    _emit_table(args, formula, params_echo, columns, rows)
-    _emit_scalars(scalars, args.json, stream=sys.stdout if args.out else sys.stderr)
+    if scalars is not None:
+        _emit_scalars(scalars, args.json, stream=sys.stdout if args.out else sys.stderr)
 
 
 def _parse_sweep(raw):
@@ -116,10 +97,9 @@ def _parse(parser, commands, argv):
     that argparse parses ``str(value)`` with the flag's ``type``, as from
     the command line; ``null`` leaves the flag absent.  The config's flags
     go before the explicit ones, which win.  No flag may be abbreviated, or
-    ``--conf`` would parse without its file being read.  A table flag with
-    no table to write is refused before any command solves or enumerates:
-    ``--out`` or ``--plot-script`` on a rate command without ``--sweep``,
-    or ``--plot-script`` without ``--out``.
+    ``--conf`` would parse without its file being read.  ``--out`` on a
+    rate command without ``--sweep``, which has no table to write, is
+    refused before any work.
     """
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
     pre.add_argument("--config")
@@ -150,10 +130,8 @@ def _parse(parser, commands, argv):
                 spliced.append(flag if switch else f"{flag}={value}")
         argv = [argv[0], *spliced, *argv[1:]]
     args = parser.parse_args(argv)
-    if "sweep" in args and not args.sweep and (args.out or args.plot_script):
-        raise ValueError("--out and --plot-script write the --sweep table; pass --sweep")
-    if getattr(args, "plot_script", None) and not args.out:
-        raise ValueError("--plot-script needs --out so the script can find the CSV")
+    if "sweep" in args and not args.sweep and args.out:
+        raise ValueError("--out writes the --sweep table; pass --sweep")
     return args
 
 
@@ -264,17 +242,15 @@ def _cmd_kap_profile(args):
     scalars = {
         "k": args.k, "c": args.c, "endpoint": float(profile[0]), "center": float(profile[n // 2])
     }
-    _emit_table_and_scalars(
-        args, "ap-conditional-density-profile", echo, ["t", "x_star"], rows, scalars
-    )
+    _emit_table(args, "ap-conditional-density-profile", echo, ["t", "x_star"], rows, scalars)
     return 0
 
 
 def _cmd_bp_solve(args):
     graph = _read_graph(args.file)
-    k = graph.uniformity() if args.k is None else args.k
+    k = graph.uniformity()
     if k is None:
-        raise ValueError("graph is not uniform; pass --k explicitly")
+        raise ValueError("bp-solve needs a uniform graph with at least one edge")
     dmax = _default_delta(graph, k)
     delta = dmax if args.delta is None else args.delta
     if args.zeta is None and args.eta is None:
@@ -298,9 +274,7 @@ def _cmd_bp_solve(args):
         # the certificate at the caller's delta, whose Dmax/delta scales zeta
         "delta_contraction": contraction_margin(k, args.c, zeta * (dmax / delta)),
     }
-    _emit_table_and_scalars(
-        args, "bp-fixed-point", echo, ["vertex", "x_star", "marginal"], rows, scalars
-    )
+    _emit_table(args, "bp-fixed-point", echo, ["vertex", "x_star", "marginal"], rows, scalars)
     return 0
 
 
@@ -338,8 +312,8 @@ def _cmd_mc_estimate(args):
     est, err = gibbs.mc_lower_tail(graph, args.p, args.eta, args.samples, args.seed)
     scalars = {"estimate": est, "stderr": err, "samples": args.samples, "seed": args.seed}
     if graph.num_vertices <= gibbs.EXACT_GUARD:
-        mean_edges = sum(args.p ** len(e) for e in graph.edges)
-        scalars["exact"] = gibbs.lower_tail_exact(graph, args.p, int(args.eta * mean_edges))
+        threshold = int(args.eta * gibbs._mean_edges(graph, args.p))
+        scalars["exact"] = gibbs.lower_tail_exact(graph, args.p, threshold)
     _emit_scalars(scalars, args.json)
     return 0
 
@@ -389,11 +363,6 @@ def _build_parser():
             p.add_argument("--seed", type=int, default=0)
         if sweep:
             p.add_argument("--sweep", help="lo:hi:steps sweep over the lead parameter")
-        if out:
-            p.add_argument(
-                "--plot-script",
-                help="also write a small matplotlib script for the CSV (needs --out)",
-            )
         return p
 
     rate = {"out": True, "sweep": True}
@@ -435,7 +404,6 @@ def _build_parser():
 
     p = command("bp-solve", "BP fixed point on a hypergraph file", _cmd_bp_solve, out=True)
     p.add_argument("--file", required=True)
-    p.add_argument("--k", type=int)
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--zeta", type=float)
     p.add_argument("--eta", type=float)

@@ -501,6 +501,11 @@ def glauber_marginals(graph, params, num_chains, sweeps, seed):
     return _heat_bath(graph, params, num_chains, steps, seed).mean(axis=0)
 
 
+def _mean_edges(graph, p):
+    """E[X] = sum over edges of p^|e|, summed in edge order."""
+    return sum(p ** len(e) for e in graph.edges)
+
+
 def mc_lower_tail(graph, p, eta, samples, seed):
     """Direct sampling estimate of P(X <= eta * E[X]), with binomial stderr.
 
@@ -513,8 +518,7 @@ def mc_lower_tail(graph, p, eta, samples, seed):
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = graph.num_vertices
-    mean_edges = sum(p ** len(e) for e in graph.edges)
-    threshold = eta * mean_edges
+    threshold = eta * _mean_edges(graph, p)
     if threshold >= graph.num_edges:
         return 1.0, 0.0
     rows = _edge_rows(graph)

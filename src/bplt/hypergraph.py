@@ -47,8 +47,8 @@ def _edge_rows(graph, k=None):
     """The edges as one C-contiguous (K, M) int64 table, K the largest edge
     size: row j holds slot j of every edge, and an edge shorter than K ends
     in the sentinel N, one past the last vertex.  With ``k`` it is refused
-    unless the graph is k-uniform (k rows, no sentinel in the last); an
-    edgeless graph gives (k, 0) for every k.
+    unless the graph is k-uniform (k rows, every edge filling all of them);
+    an edgeless graph gives (k, 0) for every k.
 
     Built on first use and kept on the graph, which is immutable, so every
     later call returns the same array; callers must not write into it.  It
@@ -64,9 +64,10 @@ def _edge_rows(graph, k=None):
         flat = itertools.chain.from_iterable(graph.edges)
         rows.T[filled] = np.fromiter(flat, np.int64, count=int(filled.sum()))
         object.__setattr__(graph, "_rows", rows)
+        object.__setattr__(graph, "_uniform", bool(filled.all()))
     if k is None or not graph.num_edges:  # an edgeless graph fits every k
         return rows if k is None else rows.reshape(k, 0)
-    if len(rows) != k or graph.num_vertices in rows[-1:]:
+    if len(rows) != k or not graph._uniform:
         raise ValueError(f"graph is not {k}-uniform")
     return rows
 
@@ -78,10 +79,11 @@ class Multihypergraph:
     the edge list itself is sorted, so equal multihypergraphs compare equal
     and edge ids are reproducible.  Instances are immutable: every operator
     returns a new graph.  The edge array of ``_edge_rows``, cached in
-    ``_rows``, takes no part in equality, hashing or the repr.
+    ``_rows`` with ``_uniform`` (whether every edge has the largest size),
+    takes no part in equality, hashing or the repr.
     """
 
-    __slots__ = ("num_vertices", "edges", "_rows")
+    __slots__ = ("num_vertices", "edges", "_rows", "_uniform")
 
     def __init__(self, num_vertices, edges=()):
         num_vertices = int(num_vertices)
@@ -135,10 +137,8 @@ class Multihypergraph:
 
         An edgeless graph has no witnessed size and also returns None.
         """
-        sizes = {len(e) for e in self.edges}
-        if len(sizes) == 1:
-            return sizes.pop()
-        return None
+        rows = _edge_rows(self)
+        return len(rows) if self._uniform and self.num_edges else None
 
     def max_edge_size(self):
         return max((len(e) for e in self.edges), default=0)
@@ -228,8 +228,7 @@ def degree_stats(graph, k=None):
             raise ValueError("graph has mixed edge sizes; pass k explicitly")
     if k < 2:
         raise ValueError("k must be >= 2")
-    if any(len(e) != k for e in graph.edges):
-        raise ValueError("graph is not k-uniform")
+    _edge_rows(graph, k)
 
     deg = graph.degrees()
     delta = max(deg, default=0)

@@ -103,6 +103,13 @@ def loop_degrees(graph):
     return deg
 
 
+def set_uniformity(graph):
+    """The common edge size by the set of edge sizes, None for an edgeless
+    or mixed graph: the reference for ``Multihypergraph.uniformity``."""
+    sizes = {len(e) for e in graph.edges}
+    return sizes.pop() if len(sizes) == 1 else None
+
+
 def canonical_edges(edges):
     """An edge list in the canonical form of ``Multihypergraph.edges``, built
     without its constructor: each edge a sorted tuple, the list sorted."""

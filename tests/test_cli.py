@@ -198,16 +198,26 @@ class TestBpSolve:
         assert code == 2 and out == ""
         assert err == "error: c must be positive and finite\n"
 
-    @pytest.mark.parametrize("flag", ["--k", "--delta"])
+    @pytest.mark.parametrize("flag", ["--delta"])
     def test_zero_exits_2(self, capsys, triangle_file, flag):
-        # 0 is refused, not read as "use the graph's uniformity or Dmax",
-        # whether zeta is given or solved for
+        # 0 is refused, not read as "use Dmax", whether zeta is given or
+        # solved for
         for mode in (("--zeta", "1"), ("--eta", "0.2")):
             code, out, err = run(
                 capsys, "bp-solve", "--file", triangle_file, "--c", "0.9", *mode, flag, "0"
             )
             assert code == 2 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["4 0\n", "4 2\n0 1 2\n1 3\n"], ids=["edgeless", "mixed"])
+    def test_k_read_from_the_graph(self, capsys, tmp_path, text):
+        # an edgeless or mixed graph has no size to solve at
+        path = tmp_path / "g.hg"
+        path.write_text(text)
+        for mode in (("--zeta", "1"), ("--eta", "0.2")):
+            code, out, err = run(capsys, "bp-solve", "--file", str(path), "--c", "0.8", *mode)
+            assert code == 2 and out == ""
+            assert err == "error: bp-solve needs a uniform graph with at least one edge\n"
 
     def test_non_integer_token_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.hg"
@@ -325,46 +335,63 @@ class TestExactCheck:
 
 
 class TestPlotScript:
-    def test_script_emitted(self, capsys, tmp_path):
-        csv = tmp_path / "profile.csv"
-        script = tmp_path / "plot.py"
-        code = main(
-            ["kap-profile", "--k", "3", "--c", "0.8", "--grid-size", "64",
-             "--out", str(csv), "--plot-script", str(script)]
-        )
-        capsys.readouterr()
-        assert code == 0
-        text = script.read_text()
-        assert "matplotlib" in text and str(csv) in text
-
-    def test_needs_out(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "kap-profile", "--k", "3", "--c", "0.8", "--grid-size", "64",
-            "--plot-script", str(tmp_path / "p.py"),
-        )
-        assert code == 2 and "--out" in err
+    """The tables as a plotting script reads them."""
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["kap-profile", "--k", "3", "--c", "0.8"],
-            ["rate-kap", "--k", "3", "--sweep", "0.2:0.8:3"],
-            ["bp-solve", "--file", "g.hg", "--c", "0.9", "--zeta", "1"],
-            ["exact-check", "--file", "g.hg", "--lambda", "1", "--zeta", "1"],
+            ["rate-gnp", "--k", "3", "--c", "0.5"],
+            ["rate-gnm", "--k", "3", "--b", "0.5"],
+            ["rate-subgraph", "--subgraph", "K3", "--c", "0.5"],
+            ["rate-kap", "--k", "3", "--c", "0.5"],
         ],
     )
     def test_needs_out_refused_before_any_work(self, capsys, monkeypatch, tmp_path, argv):
+        # --out writes the --sweep table; a scalar run has none to write
         import bplt.cli
 
         def refused(*args, **kwargs):
             raise AssertionError("work started")
 
-        for name in ("_read_graph", "phi_fixed_point", "kap_rate_bethe"):
+        for name in ("rate_gnp", "rate_gnm", "subgraph_rate", "kap_rate_bethe"):
             monkeypatch.setattr(bplt.cli, name, refused)
-        script = tmp_path / "p.py"
-        code, out, err = run(capsys, *argv, "--plot-script", str(script))
-        assert code == 2 and out == "" and not script.exists()
-        assert err == "error: --plot-script needs --out so the script can find the CSV\n"
+        path = tmp_path / "t.csv"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err == "error: --out writes the --sweep table; pass --sweep\n"
+
+    # every table the command line writes, "FILE" standing for a graph file
+    TABLES = [
+        ["rate-gnp", "--k", "3", "--eta", "0", "--sweep", "0.2:1.3:4"],
+        ["rate-subgraph", "--subgraph", "C5", "--model", "gnm", "--sweep", "0.2:0.8:3"],
+        ["kap-profile", "--k", "3", "--c", "0.8", "--grid-size", "64"],
+        ["bp-solve", "--file", "FILE", "--c", "0.8", "--eta", "0.2"],
+        ["exact-check", "--file", "FILE", "--lambda", "1", "--zeta", "0.5"],
+    ]
+
+    @pytest.mark.parametrize("argv", TABLES, ids=[argv[0] for argv in TABLES])
+    def test_csv_contract(self, capsys, tmp_path, triangle_file, argv):
+        # line 1 is the formula echo and line 2 the header; every cell but
+        # a status parses as a float, by csv and by genfromtxt past line 1
+        import csv
+
+        path = tmp_path / "t.csv"
+        argv = [triangle_file if a == "FILE" else a for a in argv]
+        code, _, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0
+        with open(path, newline="") as fh:
+            lines = list(csv.reader(fh))
+        assert lines[0][0].startswith("# formula=") and len(lines) > 2
+        header, body = lines[1], lines[2:]
+        numeric = [j for j, name in enumerate(header) if name != "status"]
+        cells = [[float(row[j]) if row[j] else math.nan for j in numeric] for row in body]
+        assert all(len(row) == len(header) for row in body)
+        data = np.genfromtxt(path, delimiter=",", skip_header=1, names=True)
+        assert data.dtype.names == tuple(header)
+        read = [[float(data[header[j]][i]) for j in numeric] for i in range(len(body))]
+        assert np.array_equal(read, cells, equal_nan=True)
+        if header[-1] == "status":  # each sweep ends out of domain, in empty cells
+            assert body[-1][-1] == "out-of-domain" and math.isnan(read[-1][-1])
 
 
 class TestMcEstimate:
@@ -379,6 +406,24 @@ class TestMcEstimate:
         est, exact = float(scalars["estimate"]), float(scalars["exact"])
         assert abs(est - exact) < 4 * math.sqrt(exact * (1 - exact) / 20000)
 
+
+    def test_one_mean_edges_sum(self, capsys, monkeypatch, triangle_file):
+        # the exact reference's threshold and the sampler's come from one sum
+        from bplt import gibbs
+
+        calls = []
+        mean_edges = gibbs._mean_edges
+
+        def counted(graph, p):
+            calls.append(p)
+            return mean_edges(graph, p)
+
+        monkeypatch.setattr(gibbs, "_mean_edges", counted)
+        code, _, _ = run(
+            capsys, "mc-estimate", "--file", triangle_file, "--p", "0.5", "--eta", "0.5",
+            "--samples", "100",
+        )
+        assert code == 0 and calls == [0.5, 0.5]
 
     @pytest.mark.parametrize("n", [24, 27])
     def test_exact_up_to_the_oracle_guard(self, capsys, tmp_path, n):
@@ -590,7 +635,10 @@ class TestFlagSurface:
         "mc-estimate": ["--file", "g.hg", "--p", "0.5"],
         "weitz-verify": ["--file", "g.hg"],
     }
-    VALUES = {"--sweep": "0.1:0.9:5", "--seed": "1", "--out": "x.csv", "--plot-script": "x.py"}
+    VALUES = {
+        "--sweep": "0.1:0.9:5", "--seed": "1", "--out": "x.csv", "--plot-script": "x.py",
+        "--k": "3",
+    }
 
     @pytest.mark.parametrize(
         "command,flag",
@@ -602,8 +650,8 @@ class TestFlagSurface:
             ("weitz-verify", "--sweep"),
             ("mc-estimate", "--out"),
             ("weitz-verify", "--out"),
-            ("mc-estimate", "--plot-script"),
-            ("weitz-verify", "--plot-script"),
+            *((command, "--plot-script") for command in BASE),
+            ("bp-solve", "--k"),
             ("bp-solve", "--seed"),
             ("exact-check", "--seed"),
             ("rate-gnp", "--seed"),
@@ -634,7 +682,7 @@ class TestFlagSurface:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--out", "--plot-script"])
+    @pytest.mark.parametrize("flag", ["--out"])
     def test_scalar_rate_output_needs_sweep(self, capsys, tmp_path, flag):
         path = tmp_path / "g.out"
         code, out, err = run(capsys, "rate-gnp", "--k", "3", "--c", "0.5", flag, str(path))
@@ -643,12 +691,31 @@ class TestFlagSurface:
 
     def test_config_sets_unread_flag(self, capsys, tmp_path, triangle_file):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sweep": "0.1:0.9:5"}))
-        code, _, err = run(
-            capsys, "bp-solve", "--file", triangle_file, "--c", "0.9", "--zeta", "1",
-            "--config", str(cfg),
-        )
-        assert code == 2 and "unknown config key 'sweep'" in err
+        for key, value in (("sweep", "0.1:0.9:5"), ("k", 3), ("plot-script", "p.py")):
+            cfg.write_text(json.dumps({key: value}))
+            code, _, err = run(
+                capsys, "bp-solve", "--file", triangle_file, "--c", "0.9", "--zeta", "1",
+                "--config", str(cfg),
+            )
+            assert code == 2 and f"unknown config key {key!r}" in err
+
+    def test_readme_flag_table(self):
+        # each row of the README's shared-flag table names exactly the
+        # commands whose parser defines its flag
+        import re
+        from pathlib import Path
+
+        from bplt.cli import _build_parser
+
+        commands = _build_parser()[1]
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = [line.split("|")[1:3] for line in readme.splitlines() if line.startswith("| `--")]
+        assert len(rows) == 3
+        for flags, names in rows:
+            named = {name for name in re.findall(r"`([^`]+)`", names) if not name.startswith("-")}
+            for flag in re.findall(r"`(--[^` ]+)", flags):
+                defined = {c for c, p in commands.items() if flag in p._option_string_actions}
+                assert defined == named, flag
 
     def test_check_quadrature_needs_scalar(self, capsys):
         code, _, err = run(

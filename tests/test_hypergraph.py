@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bplt.generators import random_linear_hypertree
+from bplt.generators import random_linear_hypertree, random_multihypergraph
 import numpy as np
 
 from bplt.hypergraph import (
@@ -22,6 +22,7 @@ from conftest import (
     enumerate_saws,
     loop_degrees,
     loop_remove_edges,
+    set_uniformity,
 )
 
 
@@ -91,7 +92,7 @@ class TestEdgeRows:
         _edge_rows(g, 3)
         assert g == h and h == g
         assert (hash(g), repr(g)) == before == (hash(h), repr(h))
-        for name in ("num_vertices", "edges", "_rows"):
+        for name in ("num_vertices", "edges", "_rows", "_uniform"):
             with pytest.raises(AttributeError):
                 setattr(g, name, None)
 
@@ -106,6 +107,30 @@ class TestEdgeRows:
         if k != 3:  # the cached array is no answer for another k
             with pytest.raises(ValueError, match=f"^graph is not {k}-uniform$"):
                 _edge_rows(g, k)
+
+    def test_uniformity_matches_set_of_sizes(self):
+        # empty and repeated edges included; all-empty edges give 0, an
+        # edgeless or mixed graph None, and _edge_rows(g, k) takes exactly
+        # the graph's own size, or any k when there is no edge
+        rng = np.random.default_rng(11)
+        seen = set()
+        for i in range(400):
+            g = random_multihypergraph(
+                rng, max_vertices=6, max_edges=5, max_edge_size=i % 4,
+                allow_empty=i % 4 == 0 or i % 3 == 0, multi_edge_prob=0.4,
+            )
+            want = set_uniformity(g)
+            seen.add(want)
+            fresh = Multihypergraph(g.num_vertices, g.edges)
+            _edge_rows(g)
+            assert g.uniformity() == fresh.uniformity() == want  # table built first, or not
+            for k in (1, 2, 3, 4):
+                if want == k or not g.num_edges:
+                    assert _edge_rows(g, k).shape == (k, g.num_edges)
+                else:
+                    with pytest.raises(ValueError, match=f"^graph is not {k}-uniform$"):
+                        _edge_rows(g, k)
+        assert {None, 0, 1, 2, 3} <= seen
 
     def test_edgeless_every_k(self):
         g = Multihypergraph(3)
@@ -250,7 +275,8 @@ class TestDegreeStats:
         assert r.delta == 0 and r.gamma == 0 and r.delta_min == 0
 
     def test_uniformity_enforced(self):
-        with pytest.raises(ValueError):
+        # the refusal names k, as _edge_rows words it
+        with pytest.raises(ValueError, match="^graph is not 3-uniform$"):
             degree_stats(Multihypergraph(3, [[0, 1], [0, 1, 2]]), 3)
 
     def test_against_direct_count(self, rng):
