@@ -78,10 +78,12 @@ _FP_TOL = 1e-13  # log-sup residual of the fixed points behind log Z and the rat
 def lambert_w0(y):
     """Principal branch of the Lambert W function (inverse of w*e^w).
 
-    Defined for y >= -1/e; solved by Halley iteration from a piecewise
-    initial guess, converging to machine precision.
+    Defined for finite y >= -1/e; solved by Halley iteration from a
+    piecewise initial guess, converging to machine precision.
     """
     y = float(y)
+    if not math.isfinite(y):
+        raise DomainError(f"lambert_w0 requires a finite y, got {y}")
     if y < _BRANCH_POINT:
         if y > _BRANCH_POINT * (1.0 + 1e-14):  # tolerate rounding at the branch point
             return -1.0
@@ -117,8 +119,8 @@ def regular_fixed_point(k, c, zeta):
     """
     if k < 2:
         raise DomainError("k must be >= 2")
-    if not c > 0:
-        raise DomainError("c must be positive")
+    if not 0 < c < math.inf:
+        raise DomainError("c must be positive and finite")
     if not 0 <= zeta <= 1:
         raise DomainError("zeta must lie in [0, 1]")
     if zeta == 0.0:
@@ -284,11 +286,14 @@ def _iterate(apply, x, tol, what):
 
     Returns the first point whose log-sup residual
     ``max |log apply(x) - log x|`` is below ``tol``; ``what`` names the
-    caller in the error raised when ``_MAX_APPLICATIONS`` applications (read
-    at call time) do not get there, or at once when a residual is not
+    caller in the error raised before any application when ``tol`` is not
+    positive, which no residual meets, when ``_MAX_APPLICATIONS`` applications
+    (read at call time) do not get there, or at once when a residual is not
     finite (an entry underflowed to 0, or became NaN) at any point but a
     mixed one, which is dropped.
     """
+    if not tol > 0:
+        raise DomainError(f"{what}: tol must be positive, got {tol}")
     u = np.log(x)
     d_f = np.empty((_ANDERSON_DEPTH, len(u)))  # ring of residual differences
     d_g = np.empty_like(d_f)  # ring of image differences, same slots
@@ -414,8 +419,8 @@ def solve_zeta_regular(k, c, eta):
     """
     if k < 2:
         raise DomainError("k must be >= 2")
-    if not c > 0:
-        raise DomainError("c must be positive")
+    if not 0 < c < math.inf:
+        raise DomainError("c must be positive and finite")
     if not 0 <= eta <= 1:
         raise DomainError("eta must lie in [0, 1]")
 
@@ -438,8 +443,11 @@ def solve_zeta(graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_t
     solved (zeta = 0 among them, where x* = c), clipped to at most c.
     Requires c below the general critical density, or the regular one when
     the caller asserts near-regularity.  eta = 0 returns zeta = 1 directly.
-    ``delta`` defaults to the maximum degree, and below 1 is refused.
+    ``delta`` defaults to the maximum degree, and below 1 is refused, as
+    is a ``tol`` or ``fp_tol`` that is not positive.
     """
+    if not tol > 0:
+        raise DomainError(f"solve_zeta: tol must be positive, got {tol}")
     edges = _edge_rows(graph, k)
     thr = thresholds(k, eta)
     bound = thr.c_max_regular if near_regular else thr.c_max_general

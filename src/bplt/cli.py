@@ -97,9 +97,9 @@ def _parse(parser, commands, argv):
     that argparse parses ``str(value)`` with the flag's ``type``, as from
     the command line; ``null`` leaves the flag absent.  The config's flags
     go before the explicit ones, which win.  No flag may be abbreviated, or
-    ``--conf`` would parse without its file being read.  ``--out`` on a
-    rate command without ``--sweep``, which has no table to write, is
-    refused before any work.
+    ``--conf`` would parse without its file being read.  A rate command's
+    ``--out`` without ``--sweep``, and ``--json`` or ``--check-quadrature``
+    with it, are refused before any work.
     """
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
     pre.add_argument("--config")
@@ -130,8 +130,11 @@ def _parse(parser, commands, argv):
                 spliced.append(flag if switch else f"{flag}={value}")
         argv = [argv[0], *spliced, *argv[1:]]
     args = parser.parse_args(argv)
-    if "sweep" in args and not args.sweep and args.out:
-        raise ValueError("--out writes the --sweep table; pass --sweep")
+    if "sweep" in args:
+        if not args.sweep and args.out:
+            raise ValueError("--out writes the --sweep table; pass --sweep")
+        if args.sweep and (args.json or getattr(args, "check_quadrature", None) is not None):
+            raise ValueError("--json and --check-quadrature print scalar results; drop them or --sweep")
     return args
 
 
@@ -153,14 +156,11 @@ def _run_rate(args, lead, formula, columns, echo, scalars):
     With ``--sweep`` the lead parameter runs over the sweep points, each
     giving a row of the lead value, the ``columns`` entries of
     ``scalars(value)`` and a status, with ``echo`` in the comment line.
-    Otherwise the lead parameter's flag is required and ``scalars(value)``
-    is printed as the scalar block.
+    Otherwise ``scalars(value)`` at the lead parameter's flag, which the
+    parser takes in place of ``--sweep``, is printed as the scalar block.
     """
-    if not args.sweep:
-        value = getattr(args, lead)
-        if value is None:
-            raise ValueError(f"pass --{lead} (or --sweep to scan it)")
-        _emit_scalars(scalars(value), args.json)
+    if args.sweep is None:
+        _emit_scalars(scalars(getattr(args, lead)), args.json)
         return 0
     rows = []
     for v in _parse_sweep(args.sweep):
@@ -219,13 +219,10 @@ def _cmd_rate_subgraph(args):
 
 
 def _cmd_rate_kap(args):
-    if args.check_quadrature and args.sweep:
-        raise ValueError("--check-quadrature checks a scalar rate; drop it or --sweep")
-
     def scalars(c):
         out = {"k": args.k, "c": c, "rate": kap_rate_bethe(args.k, c, args.grid_size)}
-        if args.check_quadrature:
-            out["rate_quadrature"] = kap_rate(args.k, c, args.quad_nodes, args.grid_size)
+        if args.check_quadrature is not None:
+            out["rate_quadrature"] = kap_rate(args.k, c, args.check_quadrature, args.grid_size)
         return out
 
     return _run_rate(
@@ -253,10 +250,6 @@ def _cmd_bp_solve(args):
         raise ValueError("bp-solve needs a uniform graph with at least one edge")
     dmax = _default_delta(graph, k)
     delta = dmax if args.delta is None else args.delta
-    if args.zeta is None and args.eta is None:
-        raise ValueError("pass either --zeta or --eta")
-    if args.zeta is not None and args.eta is not None:
-        raise ValueError("pass exactly one of --zeta or --eta")
     if args.zeta is not None:
         zeta = args.zeta
         x = bp_fixed_point(graph, BPParams(k, args.c, zeta, delta), tol=args.tol)
@@ -351,8 +344,9 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, func, *, out=False, seed=False, sweep=False):
-        """Subparser with the shared flags that ``func`` reads."""
+    def command(name, help, func, *, out=False, seed=False, lead=None):
+        """Subparser with the shared flags that ``func`` reads; a rate command
+        takes exactly one of its ``lead`` flag and ``--sweep``."""
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file; explicit flags win")
@@ -361,38 +355,34 @@ def _build_parser():
         p.add_argument("--json", action="store_true", help="scalar block as JSON")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        if sweep:
-            p.add_argument("--sweep", help="lo:hi:steps sweep over the lead parameter")
+        if lead:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument(f"--{lead}", type=float)
+            group.add_argument("--sweep", help="lo:hi:steps sweep over the lead parameter")
         return p
 
-    rate = {"out": True, "sweep": True}
-    p = command("rate-gnp", "binomial-model lower-tail rate", _cmd_rate_gnp, **rate)
+    p = command("rate-gnp", "binomial-model lower-tail rate", _cmd_rate_gnp, out=True, lead="c")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c", type=float)
     p.add_argument("--eta", type=float, default=0.0)
 
-    p = command("rate-gnm", "fixed-size-model lower-tail rate", _cmd_rate_gnm, **rate)
+    p = command("rate-gnm", "fixed-size-model lower-tail rate", _cmd_rate_gnm, out=True, lead="b")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--b", type=float)
     p.add_argument("--eta", type=float, default=0.0)
 
     p = command(
-        "rate-subgraph", "pattern-avoidance rate for a subgraph", _cmd_rate_subgraph, **rate
+        "rate-subgraph", "pattern-avoidance rate for a subgraph", _cmd_rate_subgraph,
+        out=True, lead="c",
     )
     p.add_argument("--subgraph", help="K<r>/C<l>/P<l> or @file", required=True)
-    p.add_argument("--c", type=float)
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--model", choices=("gnp", "gnm"), default="gnp")
 
-    p = command("rate-kap", "k-term progression avoidance rate", _cmd_rate_kap, **rate)
+    p = command("rate-kap", "k-term progression avoidance rate", _cmd_rate_kap, out=True, lead="c")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c", type=float)
-    p.add_argument("--quad-nodes", type=int, default=64, help="used by --check-quadrature")
     p.add_argument("--grid-size", type=int, default=2000)
     p.add_argument(
-        "--check-quadrature",
-        action="store_true",
-        help="also print the coupling-constant quadrature rate (--quad-nodes solves)",
+        "--check-quadrature", nargs="?", type=int, const=64, metavar="NODES",
+        help="also print the coupling-constant quadrature rate, from NODES solves (64)",
     )
 
     p = command(
@@ -405,8 +395,9 @@ def _build_parser():
     p = command("bp-solve", "BP fixed point on a hypergraph file", _cmd_bp_solve, out=True)
     p.add_argument("--file", required=True)
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--zeta", type=float)
-    p.add_argument("--eta", type=float)
+    pair = p.add_mutually_exclusive_group(required=True)
+    pair.add_argument("--zeta", type=float)
+    pair.add_argument("--eta", type=float)
     p.add_argument("--delta", type=int)
     p.add_argument("--tol", type=float, default=1e-13)
 

@@ -225,7 +225,7 @@ def degree_stats(graph, k=None):
     if k is None:
         k = graph.uniformity()
         if k is None:
-            raise ValueError("graph has mixed edge sizes; pass k explicitly")
+            raise ValueError("graph is edgeless or has mixed edge sizes; pass k explicitly")
     if k < 2:
         raise ValueError("k must be >= 2")
     _edge_rows(graph, k)

@@ -58,6 +58,11 @@ class TestLambertW:
         with pytest.raises(DomainError):
             lambert_w0(-0.5)
 
+    @pytest.mark.parametrize("y", [math.inf, math.nan])
+    def test_non_finite_refused(self, y):
+        with pytest.raises(DomainError, match="finite"):
+            lambert_w0(y)
+
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=-1 / E + 1e-12, max_value=1e12))
     def test_defining_residual(self, y):
@@ -75,6 +80,15 @@ class TestLambertW:
 class TestRegularFixedPoint:
     def test_k2_hardcore(self):
         assert regular_fixed_point(2, 1.0, 1.0) == pytest.approx(OMEGA, abs=1e-15)
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan, 0.0])
+    def test_c_outside_range_refused(self, c):
+        # the closed forms take BPParams's rule 0 < c < inf
+        for solve in (
+            lambda: regular_fixed_point(3, c, 1.0), lambda: solve_zeta_regular(3, c, 0.3)
+        ):
+            with pytest.raises(DomainError, match="^c must be positive and finite$"):
+                solve()
 
     def test_zeta_to_zero_limit(self):
         assert regular_fixed_point(3, 1.4, 1e-12) == pytest.approx(1.4, rel=1e-9)
@@ -284,6 +298,30 @@ class TestFixedPoint:
                 solve()
             assert err.value.residual is not None
             assert err.value.iterations == 2
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tolerance_refused_before_any_application(self, monkeypatch, count_applications, tol):
+        # no residual is below a tol <= 0 or NaN; a solver that let one
+        # through would fail only at the (here lowered) application cap
+        monkeypatch.setattr(bplt.bp, "_MAX_APPLICATIONS", 50)
+        g = subgraph_hypergraph(named_graph("K3"), 6)
+        params = BPParams(3, 0.9, 1.0, max(g.degrees()))
+        solvers = [
+            lambda: bp_fixed_point(g, params, tol=tol),
+            lambda: solve_zeta(g, 3, 0.9, 0.3, tol=tol),
+            lambda: solve_zeta(g, 3, 0.9, 0.3, fp_tol=tol),
+            lambda: solve_zeta(g, 3, 0.9, 0.0, fp_tol=tol),
+            lambda: phi_fixed_point(3, 0.9, tol=tol, grid_size=60),
+            lambda: phi_fixed_point(3, 0.9, tol=tol, grid_size=60, method="direct"),
+            lambda: discrete_profile_gap(3, 30, 1.0, tol=tol),
+        ]
+        for solve in solvers:
+
+            def refused():
+                with pytest.raises(DomainError, match="tol must be positive"):
+                    solve()
+
+            assert count_applications(refused)[1] == 0
 
     def test_quad_nodes_named(self):
         # both coupling-constant integrals refuse an empty rule by name

@@ -41,8 +41,9 @@ class TestRateCommands:
         assert payload["rate"] < 0
 
     def test_missing_parameter(self, capsys):
-        code, _, err = run(capsys, "rate-gnp", "--k", "3")
-        assert code == 2 and "--c" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["rate-gnp", "--k", "3"])
+        assert exc.value.code == 2 and "--c" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -100,8 +101,8 @@ class TestSweep:
 class TestRateKap:
     def test_check_bethe_agreement(self, capsys):
         code, out, _ = run(
-            capsys, "rate-kap", "--k", "3", "--c", "0.5", "--quad-nodes", "24",
-            "--grid-size", "200", "--check-quadrature", "--json",
+            capsys, "rate-kap", "--k", "3", "--c", "0.5",
+            "--grid-size", "200", "--check-quadrature", "24", "--json",
         )
         assert code == 0
         payload = json.loads(out)
@@ -109,13 +110,40 @@ class TestRateKap:
 
     def test_sweep(self, capsys):
         code, out, _ = run(
-            capsys, "rate-kap", "--k", "3", "--quad-nodes", "16",
+            capsys, "rate-kap", "--k", "3",
             "--grid-size", "150", "--sweep", "0.2:0.8:3",
         )
         assert code == 0
         rows = out.strip().splitlines()[2:]
         rates = [float(r.split(",")[1]) for r in rows]
         assert rates[0] > rates[1] > rates[2]
+
+    def test_check_quadrature_nodes(self, capsys, monkeypatch, tmp_path):
+        # the flag's value is the node count, 64 when bare, from a flag or a
+        # config; a config's true gives no count and is refused
+        import bplt.cli
+
+        nodes = []
+        monkeypatch.setattr(bplt.cli, "kap_rate", lambda k, c, n, m: nodes.append(n) or 0.25)
+        base = ["rate-kap", "--k", "3", "--c", "0.5", "--grid-size", "60"]
+        cfg = tmp_path / "cfg.json"
+        for extra, config, want in (
+            (["--check-quadrature"], None, 64),
+            (["--check-quadrature", "24"], None, 24),
+            ([], {"check-quadrature": 24}, 24),
+        ):
+            nodes.clear()
+            if config:
+                cfg.write_text(json.dumps(config))
+                extra = ["--config", str(cfg)]
+            code, out, _ = run(capsys, *base, *extra)
+            assert code == 0 and "rate_quadrature,0.25\n" in out and nodes == [want]
+        for key, value in (("check-quadrature", True), ("quad-nodes", 16)):
+            cfg.write_text(json.dumps({key: value}))
+            code, out, err = run(capsys, *base, "--config", str(cfg))
+            assert code == 2 and out == ""
+            assert err.startswith(("error: config key", "error: unknown config key"))
+            assert repr(key) in err
 
     @pytest.mark.parametrize("command", ["rate-kap", "kap-profile"])
     @pytest.mark.parametrize("size", ["0", "5"])
@@ -198,7 +226,7 @@ class TestBpSolve:
         assert code == 2 and out == ""
         assert err == "error: c must be positive and finite\n"
 
-    @pytest.mark.parametrize("flag", ["--delta"])
+    @pytest.mark.parametrize("flag", ["--delta", "--tol"])
     def test_zero_exits_2(self, capsys, triangle_file, flag):
         # 0 is refused, not read as "use Dmax", whether zeta is given or
         # solved for
@@ -230,12 +258,11 @@ class TestBpSolve:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"zeta": 1.0}))
         for source in (["--zeta", "1"], ["--config", str(cfg)]):
-            code, out, err = run(
-                capsys, "bp-solve", "--file", triangle_file, "--c", "0.8", "--eta", "0.2",
-                *source,
-            )
-            assert code == 2 and out == ""
-            assert err == "error: pass exactly one of --zeta or --eta\n"
+            with pytest.raises(SystemExit) as exc:
+                main(["bp-solve", "--file", triangle_file, "--c", "0.8", "--eta", "0.2", *source])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2 and out == ""
+            assert "--zeta" in err and "--eta" in err and "not allowed with" in err
 
     @pytest.mark.parametrize("mode", [("--zeta", "0.7"), ("--eta", "0.2")])
     def test_tol_reaches_the_solver(self, capsys, monkeypatch, triangle_file, mode):
@@ -557,7 +584,7 @@ class TestConfig:
         assert err == "error: --config must hold a JSON object, not list\n"
 
     def test_config_number_for_string_flag(self, capsys, tmp_path):
-        code, out, err = self.rate_gnp(capsys, tmp_path, {"k": 3, "c": 0.5, "sweep": 5})
+        code, out, err = self.rate_gnp(capsys, tmp_path, {"k": 3, "sweep": 5})
         assert code == 2 and out == ""
         assert err == "error: --sweep expects lo:hi:steps, got '5'\n"
 
@@ -637,7 +664,7 @@ class TestFlagSurface:
     }
     VALUES = {
         "--sweep": "0.1:0.9:5", "--seed": "1", "--out": "x.csv", "--plot-script": "x.py",
-        "--k": "3",
+        "--k": "3", "--quad-nodes": "16",
     }
 
     @pytest.mark.parametrize(
@@ -659,6 +686,7 @@ class TestFlagSurface:
             ("rate-subgraph", "--seed"),
             ("rate-kap", "--seed"),
             ("kap-profile", "--seed"),
+            ("rate-kap", "--quad-nodes"),
         ],
     )
     def test_unread_flag_rejected(self, capsys, command, flag):
@@ -716,6 +744,22 @@ class TestFlagSurface:
             for flag in re.findall(r"`(--[^` ]+)", flags):
                 defined = {c for c, p in commands.items() if flag in p._option_string_actions}
                 assert defined == named, flag
+
+    @pytest.mark.parametrize("command", ["rate-gnp", "rate-gnm", "rate-subgraph", "rate-kap"])
+    def test_lead_and_sweep_exclusive(self, capsys, command):
+        # the lead flag would otherwise be dropped without a word
+        lead = self.BASE[command][-2]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.BASE[command], "--sweep", "0.2:0.4:2"])
+        assert exc.value.code == 2
+        assert f"argument --sweep: not allowed with argument {lead}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rate-gnp", "rate-gnm", "rate-subgraph", "rate-kap"])
+    def test_json_needs_scalar(self, capsys, command):
+        # a sweep prints a table, with no scalar block for --json to format
+        argv = [command, *self.BASE[command][:-2], "--sweep", "0.2:0.4:2", "--json"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "--json" in err
 
     def test_check_quadrature_needs_scalar(self, capsys):
         code, _, err = run(

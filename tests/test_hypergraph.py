@@ -274,6 +274,12 @@ class TestDegreeStats:
         r = degree_stats(Multihypergraph(4, []), 3)
         assert r.delta == 0 and r.gamma == 0 and r.delta_min == 0
 
+    @pytest.mark.parametrize("edges", [[], [[0, 1], [0, 1, 2]]], ids=["edgeless", "mixed"])
+    def test_k_needed_without_one_edge_size(self, edges):
+        # the refusal names both cases that leave no size to read
+        with pytest.raises(ValueError, match="^graph is edgeless or has mixed edge sizes"):
+            degree_stats(Multihypergraph(4, edges))
+
     def test_uniformity_enforced(self):
         # the refusal names k, as _edge_rows words it
         with pytest.raises(ValueError, match="^graph is not 3-uniform$"):
