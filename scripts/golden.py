@@ -23,6 +23,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -91,26 +92,30 @@ def cli_cases():
     from bplt.hypergraph import Multihypergraph, write_hypergraph
 
     out = {}
-    with tempfile.TemporaryDirectory() as scratch, contextlib.chdir(scratch):
-        Path("tri.hg").write_text(write_hypergraph(Multihypergraph(3, [[0, 1, 2]])))
-        for command, argv in sorted(TestSweep.RUNS.items()):
-            subs = {"FILE": "tri.hg", "OUT": "out.csv"}
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main([command, *(subs.get(a, a) for a in argv)])
-            written = Path("out.csv")
-            table = written.read_bytes() if written.exists() else b""
-            written.unlink(missing_ok=True)
-            parts = (str(code).encode(), stdout.getvalue().encode(), stderr.getvalue().encode())
-            out[f"cli {command}"] = _digest(*parts, table)
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)  # the echoed paths are then the relative names below
+        try:
+            Path("tri.hg").write_text(write_hypergraph(Multihypergraph(3, [[0, 1, 2]])))
+            for command, argv in sorted(TestSweep.RUNS.items()):
+                subs = {"FILE": "tri.hg", "OUT": "out.csv"}
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main([command, *(subs.get(a, a) for a in argv)])
+                written = Path("out.csv")
+                table = written.read_bytes() if written.exists() else b""
+                written.unlink(missing_ok=True)
+                streams = (str(code), stdout.getvalue(), stderr.getvalue())
+                out[f"cli {command}"] = _digest(*(text.encode() for text in streams), table)
+        finally:
+            os.chdir(here)
     return out
 
 
 def compute():
     """Every pinned value: a float as ``float.hex``, anything else as a digest."""
-    values = {
-        name: v.hex() if isinstance(v, float) else _digest(v) for name, v in library_cases().items()
-    }
+    pinned = library_cases()
+    values = {name: v.hex() if isinstance(v, float) else _digest(v) for name, v in pinned.items()}
     return {**values, **cli_cases()}
 
 

@@ -131,10 +131,10 @@ def _parse(parser, commands, argv):
         argv = [argv[0], *spliced, *argv[1:]]
     args = parser.parse_args(argv)
     if "sweep" in args:
-        if not args.sweep and args.out:
+        if args.sweep is None and args.out:
             raise ValueError("--out writes the --sweep table; pass --sweep")
         if args.sweep and (args.json or getattr(args, "check_quadrature", None) is not None):
-            raise ValueError("--json and --check-quadrature print scalar results; drop them or --sweep")
+            raise ValueError("--json and --check-quadrature print scalars; drop them or --sweep")
     return args
 
 

@@ -717,6 +717,13 @@ class TestFlagSurface:
         assert code == 2 and "--sweep" in err
         assert out == "" and not path.exists()
 
+    def test_empty_sweep_is_a_sweep(self, capsys, tmp_path):
+        # an empty --sweep is refused as a sweep, not as a missing one
+        path = tmp_path / "g.out"
+        code, out, err = run(capsys, "rate-gnp", "--k", "3", "--sweep", "", "--out", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err == "error: --sweep expects lo:hi:steps, got ''\n"
+
     def test_config_sets_unread_flag(self, capsys, tmp_path, triangle_file):
         cfg = tmp_path / "cfg.json"
         for key, value in (("sweep", "0.1:0.9:5"), ("k", 3), ("plot-script", "p.py")):
