@@ -56,14 +56,38 @@ def library_cases():
     """{name: float or vector} over the pinned routes."""
     from bplt.bp import BPParams, bp_log_partition, bp_lower_tail_rate, solve_zeta
     from bplt.generators import random_k_uniform
-    from bplt.gibbs import ModelParams, lower_tail_exact, mc_lower_tail, partition_function
-    from bplt.progressions import ap_hypergraph, kap_rate, kap_rate_bethe, phi_fixed_point
-    from bplt.rates import named_graph, rate_gnm, rate_gnp, subgraph_hypergraph
+    from bplt.gibbs import (
+        ModelParams,
+        glauber_marginals,
+        lower_tail_exact,
+        mc_lower_tail,
+        partition_function,
+        summarize,
+        verify_identities,
+    )
+    from bplt.hypergraph import Multihypergraph
+    from bplt.progressions import (
+        ap_hypergraph, kap_marginal_check, kap_rate, kap_rate_bethe, phi_fixed_point
+    )
+    from bplt.rates import named_graph, rate_gnm, rate_gnp, subgraph_hypergraph, subgraph_rate
+    from bplt.weitz import build_weitz_tree, tree_root_marginal
 
     random3 = random_k_uniform(np.random.default_rng(3), 400, 3, 1200)
     triangles = subgraph_hypergraph(named_graph("K3"), 7)
     ap30 = ap_hypergraph(3, 30)
     zeta, x = solve_zeta(random3, 3, 1.0, 0.3)
+    # 14 vertices, 20 edges of sizes 1 to 4, two of them repeated: at zeta < 1
+    # and at a tail threshold >= 1 every exact value comes from the 2^N listing
+    multi14 = Multihypergraph(14, [
+        *random_k_uniform(np.random.default_rng(5), 14, 3, 16, allow_multi=True).edges,
+        (0, 1), (0, 1), (2, 5, 7, 9), (13,),
+    ])
+    soft = ModelParams(0.7, 0.5)
+    summary = summarize(multi14, soft)
+    residuals = verify_identities(multi14, soft, 2, 5)
+    walk9 = random_k_uniform(np.random.default_rng(2), 9, 3, 9, allow_multi=True)
+    kap16 = kap_marginal_check(3, 0.9, 16, grid_size=200)
+    assert kap16.mode == "exact"
     return {
         "rate_gnp(3,0.8,0.2)": rate_gnp(3, 0.8, 0.2),
         "rate_gnp(4,0.9,0)": rate_gnp(4, 0.9, 0.0),
@@ -81,6 +105,30 @@ def library_cases():
         "solve_zeta(random3,1.0,0.3).zeta": zeta,
         "solve_zeta(random3,1.0,0.3).x": x,
         "phi_fixed_point(3,0.9,400)": phi_fixed_point(3, 0.9, grid_size=400),
+        "bp_log_partition(triangles7,bethe)": bp_log_partition(
+            triangles, BPParams(3, 0.9, 1.0, max(triangles.degrees())), method="bethe"
+        ),
+        "subgraph_rate(K3,0.9,0.2,gnp)": subgraph_rate(named_graph("K3"), 0.9, 0.2, "gnp").rate,
+        "subgraph_rate(C4,0.5,0.3,gnm)": subgraph_rate(named_graph("C4"), 0.5, 0.3, "gnm").rate,
+        "summarize(multi14,0.7,0.5).log_z": summary.log_z,
+        "summarize(multi14,0.7,0.5).marginals": summary.marginals,
+        "summarize(multi14,0.7,0.5).mean_size": summary.mean_size,
+        "summarize(multi14,0.7,0.5).var_size": summary.var_size,
+        "summarize(multi14,0.7,0.5).mean_edges": summary.mean_edges,
+        "summarize(multi14,0.7,0.5).var_edges": summary.var_edges,
+        "lower_tail_exact(multi14,0.4,3)": lower_tail_exact(multi14, 0.4, 3),
+        **{
+            f"verify_identities(multi14,0.7,0.5,2,5).{name}": value
+            for name, value in vars(residuals).items()
+        },
+        "glauber_marginals(multi14,0.7,0.5,200,10,seed1)": glauber_marginals(
+            multi14, soft, 200, 10, 1
+        ),
+        "tree_root_marginal(weitz(walk9,0),0.7,0.5)": tree_root_marginal(
+            build_weitz_tree(walk9, 0), soft
+        ),
+        "kap_marginal_check(3,0.9,16,200).scaled": kap16.scaled,
+        "kap_marginal_check(3,0.9,16,200).predicted": kap16.predicted,
     }
 
 
