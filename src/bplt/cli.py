@@ -273,9 +273,7 @@ def _cmd_bp_solve(args):
 
 def _cmd_exact_check(args):
     graph = _read_graph(args.file)
-    summary, worst = gibbs._identity_check(
-        graph, gibbs.ModelParams(args.lam, args.zeta), args.unsafe_size
-    )
+    summary, worst = gibbs._identity_check(graph, gibbs.ModelParams(args.lam, args.zeta))
     if args.out:
         rows = [(v, float(m)) for v, m in enumerate(summary.marginals)]
         echo = {"file": args.file, "lam": args.lam, "zeta": args.zeta}
@@ -325,9 +323,9 @@ def _cmd_weitz_verify(args):
     else:
         vertices = [_check_vertex(graph, args.vertex)]
     # refuse a graph too large to enumerate before growing any tree
-    gibbs._check_guard(graph, args.unsafe_size)
+    gibbs._check_guard(graph)
     roots = [tree_root_marginal(build_weitz_tree(graph, v, *orders()), params) for v in vertices]
-    exact = gibbs.summarize(graph, params, unsafe_size=args.unsafe_size).marginals
+    exact = gibbs.summarize(graph, params).marginals
     worst = max(abs(float(exact[v]) - r) for v, r in zip(vertices, roots))
     ok = worst < args.tol
     _emit_scalars({"max_residual": worst, "tolerance": args.tol, "pass": ok}, args.json)
@@ -408,7 +406,6 @@ def _build_parser():
     p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
     p.add_argument("--zeta", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--unsafe-size", action="store_true")
 
     p = command("mc-estimate", "Monte Carlo lower-tail estimate", _cmd_mc_estimate, seed=True)
     p.add_argument("--file", required=True)
@@ -424,7 +421,6 @@ def _build_parser():
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--zeta", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--unsafe-size", action="store_true")
 
     return parser, sub.choices
 

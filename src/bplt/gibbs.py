@@ -85,11 +85,10 @@ class GibbsSummary:
             )
 
 
-def _check_guard(graph, unsafe):
-    if graph.num_vertices > EXACT_GUARD and not unsafe:
+def _check_guard(graph):
+    if graph.num_vertices > EXACT_GUARD:
         raise SizeGuardError(
-            f"exact enumeration guarded at {EXACT_GUARD} vertices "
-            f"(got {graph.num_vertices}); pass unsafe_size=True to override"
+            f"exact enumeration guarded at {EXACT_GUARD} vertices (got {graph.num_vertices})"
         )
 
 
@@ -149,7 +148,7 @@ def _hardcore_support(graph):
     return states[:size]
 
 
-def _listing(graph, edge_free, unsafe_size, require=(), forbid=()):
+def _listing(graph, edge_free, require=(), forbid=()):
     """What to list and count: ``(states, masks, mults, require, forbid)``.
 
     With ``edge_free`` only subsets without a full edge carry weight: the
@@ -163,7 +162,7 @@ def _listing(graph, edge_free, unsafe_size, require=(), forbid=()):
     if states is not None:
         masks, mults = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
     else:
-        _check_guard(graph, unsafe_size)
+        _check_guard(graph)
         masks, mults = _edge_masks(graph)
     return states, masks, mults, _mask(require), _mask(forbid)
 
@@ -289,14 +288,14 @@ def _log_z_from_total(total, num_vertices, lam):
     return math.log(total) + num_vertices * math.log1p(lam)
 
 
-def partition_function(graph, params, unsafe_size=False):
+def partition_function(graph, params):
     """log of sum_S lam^|S| (1-zeta)^{|E(S)|}, edges counted with multiplicity."""
-    return _log_z(graph, params, unsafe_size)
+    return _log_z(graph, params)
 
 
-def _log_z(graph, params, unsafe_size, require=(), forbid=()):
+def _log_z(graph, params, require=(), forbid=()):
     """log Z over the subsets S with require ⊆ S and S ∩ forbid = ∅."""
-    listing = _listing(graph, params.zeta == 1, unsafe_size, require, forbid)
+    listing = _listing(graph, params.zeta == 1, require, forbid)
     table, _ = _tables(graph.num_vertices, *listing)
     return _log_z_from_total(_total(table, params.p, params.zeta), graph.num_vertices, params.lam)
 
@@ -308,10 +307,10 @@ def _moments(weights, tot):
     return mean, float((values - mean) ** 2 @ weights) / tot
 
 
-def summarize(graph, params, unsafe_size=False):
+def summarize(graph, params):
     """Exact marginals, set-size and induced-edge moments."""
     n = graph.num_vertices
-    table, per_vertex = _tables(n, *_listing(graph, params.zeta == 1, unsafe_size), by_vertex=True)
+    table, per_vertex = _tables(n, *_listing(graph, params.zeta == 1), by_vertex=True)
     cells = _weigh(table, params.p, params.zeta)
     by_size = cells.sum(axis=1)
     tot = float(by_size.sum())
@@ -325,7 +324,7 @@ def summarize(graph, params, unsafe_size=False):
     )
 
 
-def lower_tail_exact(graph, p, threshold, unsafe_size=False):
+def lower_tail_exact(graph, p, threshold):
     """Exact P(X <= threshold) for a p-random vertex subset.
 
     X is the number of induced edges counted with multiplicity.  A
@@ -338,7 +337,7 @@ def lower_tail_exact(graph, p, threshold, unsafe_size=False):
         raise ValueError("threshold must not be NaN")
     if threshold >= graph.num_edges:
         return 1.0
-    table, _ = _tables(graph.num_vertices, *_listing(graph, 0 <= threshold < 1, unsafe_size))
+    table, _ = _tables(graph.num_vertices, *_listing(graph, 0 <= threshold < 1))
     kept = np.arange(table.shape[1]) <= threshold  # the edge counts x <= floor(threshold)
     return float(_total(table[:, kept], p, 0.0))
 
@@ -381,7 +380,7 @@ def _rel_from_logs(log_a, log_b):
     return abs(math.expm1(log_a - log_b))
 
 
-def verify_identities(graph, params, v, edge_id, unsafe_size=False):
+def verify_identities(graph, params, v, edge_id):
     """Check the occupied/unoccupied splits, edge deletion, and conditional
     contraction on one instance, each side from an independent enumeration.
 
@@ -389,25 +388,25 @@ def verify_identities(graph, params, v, edge_id, unsafe_size=False):
     the conditional residual is 0.0; the occupied split then checks that
     the contracted side vanishes too.
     """
-    _check_guard(graph, unsafe_size)
+    _check_guard(graph)
     if not 0 <= v < graph.num_vertices:
         raise ValueError("vertex out of range")
     if not 0 <= edge_id < graph.num_edges:
         raise ValueError("edge id out of range")
     r_occ, r_unocc, r_cond = _vertex_residuals(graph, params, v)
-    log_z = partition_function(graph, params, unsafe_size=True)
+    log_z = partition_function(graph, params)
     return IdentityResiduals(r_occ, r_unocc, _edge_residual(graph, params, edge_id, log_z), r_cond)
 
 
-def _identity_check(graph, params, unsafe_size):
+def _identity_check(graph, params):
     """The summary of ``graph`` and each identity residual's largest value
     over all (v, e) pairs: 0.0 when there are no pairs, NaN if any residual
     is NaN.  Each vertex's three residuals and each edge's deletion residual
     are computed once, not once per pair as ``verify_identities`` would."""
     checks = graph.num_vertices and graph.num_edges
     if checks:
-        _check_guard(graph, unsafe_size)
-    summary = summarize(graph, params, unsafe_size=unsafe_size)
+        _check_guard(graph)
+    summary = summarize(graph, params)
     if not checks:
         return summary, IdentityResiduals(0.0, 0.0, 0.0, 0.0)
     by_vertex = [_vertex_residuals(graph, params, v) for v in range(graph.num_vertices)]
@@ -419,38 +418,38 @@ def _identity_check(graph, params, unsafe_size):
 
 def _vertex_residuals(graph, params, v):
     """The occupied split, unoccupied split and conditional residual at v,
-    none of which depends on the edge.  The caller checks the size guard."""
+    none of which depends on the edge."""
     lam, zeta = params.lam, params.zeta
     n = graph.num_vertices
-    _, in_v = _tables(n, *_listing(graph, zeta == 1, True, require=(v,)), by_vertex=True)
+    _, in_v = _tables(n, *_listing(graph, zeta == 1, require=(v,)), by_vertex=True)
     held = _total(in_v, params.p, zeta)  # held[u]: weight of the subsets holding u and v
     log_in_v = _log_z_from_total(held[v], n, lam)
     contracted, cmap = graph.contract_vertices((v,))
     r_cond = 0.0
     if held[v] > 0:  # one listing of the contracted graph gives Z and the conditional
-        summary = summarize(contracted, params, unsafe_size=True)
+        summary = summarize(contracted, params)
         log_z_contracted = summary.log_z
         r_cond = max(
             (float(abs(held[u] / held[v] - summary.marginals[c])) for u, c in cmap.items()),
             default=0.0,
         )
     else:
-        log_z_contracted = partition_function(contracted, params, unsafe_size=True)
+        log_z_contracted = partition_function(contracted, params)
     r_occ = _rel_from_logs(log_in_v, math.log(lam) + log_z_contracted if lam > 0 else -math.inf)
 
-    log_out_v = _log_z(graph, params, True, forbid=(v,))
+    log_out_v = _log_z(graph, params, forbid=(v,))
     deleted, _ = graph.remove_vertices((v,))
-    r_unocc = _rel_from_logs(log_out_v, partition_function(deleted, params, unsafe_size=True))
+    r_unocc = _rel_from_logs(log_out_v, partition_function(deleted, params))
     return r_occ, r_unocc, r_cond
 
 
 def _edge_residual(graph, params, edge_id, log_z):
     """The edge-deletion residual at edge ``edge_id``, given log Z(G), which
-    does not depend on the edge.  The caller checks the size guard."""
+    does not depend on the edge."""
     e = graph.edges[edge_id]
     minus_e = graph.remove_edges([e])
-    log_z_minus = partition_function(minus_e, params, unsafe_size=True)
-    log_in_e = _log_z(minus_e, params, True, require=e)
+    log_z_minus = partition_function(minus_e, params)
+    log_in_e = _log_z(minus_e, params, require=e)
     if log_z == -math.inf and params.zeta == 1 and log_in_e == log_z_minus:
         return 0.0  # both sides vanish: Z(G) = 0 = Z(G - e) - Z(G - e; e inside S)
     return abs(math.exp(log_z_minus - log_z) - params.zeta * math.exp(log_in_e - log_z) - 1.0)

@@ -244,15 +244,13 @@ def tree_root_marginal(tree, params):
     return r / (1.0 + r)
 
 
-def weitz_equality_residual(
-    graph, vertex, params, vertex_order=None, edge_order=None, unsafe_size=False
-):
+def weitz_equality_residual(graph, vertex, params, vertex_order=None, edge_order=None):
     """|exact marginal of vertex - pruned-tree root marginal|.
 
     The two sides come from independent computations: subset enumeration on
     the graph versus the tree recursion on the pruned walk tree.
     """
     vertex = _check_vertex(graph, vertex)
-    exact = summarize(graph, params, unsafe_size=unsafe_size).marginals[vertex]
+    exact = summarize(graph, params).marginals[vertex]
     tree = build_weitz_tree(graph, vertex, vertex_order, edge_order)
     return abs(float(exact) - tree_root_marginal(tree, params))

@@ -107,11 +107,11 @@ SIGNATURES = {
     "kap_rate": "(k, c, quad_nodes=64, grid_size=800)",
     "kap_rate_bethe": "(k, c, grid_size=2000)",
     "lambert_w0": "(y)",
-    "lower_tail_exact": "(graph, p, threshold, unsafe_size=False)",
+    "lower_tail_exact": "(graph, p, threshold)",
     "mc_lower_tail": "(graph, p, eta, samples, seed)",
     "named_graph": "(name)",
     "parse_hypergraph": "(text)",
-    "partition_function": "(graph, params, unsafe_size=False)",
+    "partition_function": "(graph, params)",
     "phi_apply": "(k, c, f, zeta=1.0)",
     "phi_fixed_point": "(k, c, tol=1e-12, grid_size=2000, method='scaled', zeta=1.0)",
     "phi_threshold": "(k)",
@@ -124,14 +124,12 @@ SIGNATURES = {
     "subgraph_hypergraph": "(graph, n)",
     "subgraph_profile": "(graph)",
     "subgraph_rate": "(graph, c, eta, model='gnp')",
-    "summarize": "(graph, params, unsafe_size=False)",
+    "summarize": "(graph, params)",
     "thresholds": "(k, eta)",
     "tree_ratio": "(tree, params)",
     "tree_root_marginal": "(tree, params)",
-    "verify_identities": "(graph, params, v, edge_id, unsafe_size=False)",
-    "weitz_equality_residual": (
-        "(graph, vertex, params, vertex_order=None, edge_order=None, unsafe_size=False)"
-    ),
+    "verify_identities": "(graph, params, v, edge_id)",
+    "weitz_equality_residual": "(graph, vertex, params, vertex_order=None, edge_order=None)",
     "write_hypergraph": "(graph)",
     "random_multihypergraph": (
         "(rng, max_vertices=9, max_edges=8, max_edge_size=3, allow_empty=False,"

@@ -390,8 +390,8 @@ class TestSupportPath:
         for g in _hardcore_instances(rng):
             params = ModelParams(float(rng.uniform(0.05, 3.0)), 1.0)
             p = float(rng.uniform(0.05, 0.95))
-            support, _ = gibbs._tables(g.num_vertices, *gibbs._listing(g, True, False))
-            full, _ = gibbs._tables(g.num_vertices, *gibbs._listing(g, False, False))
+            support, _ = gibbs._tables(g.num_vertices, *gibbs._listing(g, True))
+            full, _ = gibbs._tables(g.num_vertices, *gibbs._listing(g, False))
             assert support.shape == (g.num_vertices + 1, 1)
             assert np.array_equal(support[:, 0], full[:, 0])
 
@@ -457,7 +457,7 @@ def _oracle_outputs(g, params, p):
 def _assert_tables_match(graph, edge_free=False, require=(), forbid=()):
     """``_tables`` equals the per-mask loop, as integers, on one listing."""
     n = graph.num_vertices
-    listing = gibbs._listing(graph, edge_free, True, require, forbid)
+    listing = gibbs._listing(graph, edge_free, require, forbid)
     for by_vertex in (False, True):
         got = gibbs._tables(n, *listing, by_vertex=by_vertex)
         want = loop_tables(n, *listing, by_vertex=by_vertex)
