@@ -73,6 +73,7 @@ _ROOT_RTOL = 4 * np.finfo(float).eps  # relative bracket width at which _root st
 _PREDICT_ORDER = 6  # solved points the warm-start predictor interpolates through
 _LOG_TINY = math.log(np.finfo(float).tiny)  # floor of a predicted start, in log
 _FP_TOL = 1e-13  # log-sup residual of the fixed points behind log Z and the rates
+_ZETA_CAP = 0.99999  # share of the contraction boundary solve_zeta's bracket may reach
 
 
 def lambert_w0(y):
@@ -442,7 +443,8 @@ def solve_zeta(graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_t
     point starts from one interpolated through the last ``_PREDICT_ORDER``
     solved (zeta = 0 among them, where x* = c), clipped to at most c.
     Requires c below the general critical density, or the regular one when
-    the caller asserts near-regularity.  eta = 0 returns zeta = 1 directly.
+    the caller asserts near-regularity; a root past ``_ZETA_CAP`` of the
+    contraction boundary is refused.  eta = 0 returns zeta = 1 directly.
     ``delta`` defaults to the maximum degree, and below 1 is refused, as
     is a ``tol`` or ``fp_tol`` that is not positive.
     """
@@ -478,16 +480,15 @@ def solve_zeta(graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_t
         solved.append((z, np.log(at[1])))
         return (1.0 - z) * _edge_sum(at[1], edges, work) - target
 
-    r_lo = _edge_sum(at[1], edges, work) - target
-    # keep the bracket a little inside the contraction region: the margin
-    # (and hence the iteration speed) vanishes at the critical density
-    zeta_cap = 0.995 * math.e / ((k - 1) * c ** (k - 1))
-    hi = min(1.0 - eta, zeta_cap)
+    r_lo = _edge_sum(at[1], edges, work) - target  # (1 - eta) c^k |E| > 0
+    # the root lies in (0, 1 - eta]; one past the cap, just inside the
+    # contraction region, at whose edge the iteration stalls, is refused
+    hi = min(1.0 - eta, _ZETA_CAP * math.e / ((k - 1) * c ** (k - 1)))
     r_hi = residual(hi)
-    if not abs(r_hi) < tol * scale and (r_lo < 0 or r_hi > 0):
-        raise ConvergenceError(
-            f"zeta root finder bracket failure: residuals {r_lo:.3e}, {r_hi:.3e}",
-            residual=r_hi,
+    if r_hi >= tol * scale:
+        raise DomainError(
+            f"solve_zeta: no root below the zeta cap {hi:.12g} ({_ZETA_CAP} of the "
+            f"contraction boundary e/((k-1) c^(k-1))) at c={c}, eta={eta}"
         )
     zeta, r = _root(residual, 0.0, hi, r_lo, r_hi, 0.0, _ROOT_RTOL, tol * scale, _ROOT_MAX_ITER)
     if not abs(r) < tol * scale:

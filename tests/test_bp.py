@@ -798,6 +798,25 @@ class TestLowerTailRate:
         zeta, _ = solve_zeta(g, 3, c, eta, near_regular=True)
         assert zeta == pytest.approx(solve_zeta_regular(3, c, eta)[0], rel=0, abs=1e-9)
 
+    @pytest.mark.parametrize("c", [1.4838, 1.5678])
+    def test_near_regular_root_near_the_boundary(self, c):
+        # K_7's triangles are 5-regular; at eta = 0.1 these roots sit at 0.931
+        # and 0.9987 of the contraction boundary e/(2 c^2), below the cap of
+        # the zeta bracket
+        g = subgraph_hypergraph(named_graph("K3"), 7)
+        zeta, _ = solve_zeta(g, 3, c, 0.1, near_regular=True)
+        assert zeta == pytest.approx(solve_zeta_regular(3, c, 0.1)[0], rel=0, abs=1e-9)
+        rate = bp_lower_tail_rate(g, 3, c, 0.1, near_regular=True)
+        assert rate == pytest.approx(rate_gnp(3, c, 0.1), rel=0, abs=1e-12)
+
+    def test_root_past_the_cap_refused(self):
+        # asserted near-regular, an irregular graph's root can pass the
+        # contraction boundary: refused as out of domain, not as a failed solve
+        g = random_k_uniform(np.random.default_rng(3), 400, 3, 1200)
+        for solve in (solve_zeta, bp_lower_tail_rate):
+            with pytest.raises(DomainError, match=r"no root below the zeta cap 0\.604"):
+                solve(g, 3, 1.5, 0.1, near_regular=True)
+
     def test_rate_monotone_in_eta(self):
         g = subgraph_hypergraph(named_graph("K3"), 6)
         rates = [bp_lower_tail_rate(g, 3, 0.7, float(eta)) for eta in (0.0, 0.2, 0.4, 0.6)]
