@@ -89,6 +89,13 @@ def _parse_sweep(raw):
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
+def _node_count(text):
+    """NODES of ``--check-quadrature``: an int of at least 1."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"NODES must be an int >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse(parser, commands, argv):
     """Parse argv with a ``--config`` JSON object spliced in as flags.
 
@@ -280,19 +287,8 @@ def _cmd_exact_check(args):
         _emit_table(args, "exact-gibbs-summary", echo, ["vertex", "marginal"], rows)
     top = worst.max()
     ok = top < args.tol
-    _emit_scalars(
-        {
-            **asdict(worst),
-            "tolerance": args.tol,
-            "pass": ok,
-            "log_z": summary.log_z,
-            "mean_size": summary.mean_size,
-            "var_size": summary.var_size,
-            "mean_edges": summary.mean_edges,
-            "var_edges": summary.var_edges,
-        },
-        args.json,
-    )
+    moments = {k: v for k, v in vars(summary).items() if k != "marginals"}  # log_z too
+    _emit_scalars({**asdict(worst), "tolerance": args.tol, "pass": ok, **moments}, args.json)
     if not ok:
         raise ConvergenceError(f"identity residual {top:.3e} above {args.tol}", residual=top)
     return 0
@@ -379,7 +375,7 @@ def _build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--grid-size", type=int, default=2000)
     p.add_argument(
-        "--check-quadrature", nargs="?", type=int, const=64, metavar="NODES",
+        "--check-quadrature", nargs="?", type=_node_count, const=64, metavar="NODES",
         help="also print the coupling-constant quadrature rate, from NODES solves (64)",
     )
 

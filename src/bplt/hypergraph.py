@@ -18,6 +18,7 @@ A graph also keeps, built on first use, its edges as one integer table
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter, deque
 from dataclasses import dataclass
 
@@ -86,10 +87,13 @@ class Multihypergraph:
     __slots__ = ("num_vertices", "edges", "_rows", "_uniform")
 
     def __init__(self, num_vertices, edges=()):
-        num_vertices = int(num_vertices)
+        try:  # operator.index, unlike int, refuses 1.7 rather than truncate it
+            num_vertices = operator.index(num_vertices)
+            canon = sorted(tuple(sorted(map(operator.index, e))) for e in edges)
+        except TypeError as exc:
+            raise ValueError(f"vertex count and vertex ids must be integers: {exc}") from None
         if num_vertices < 0:
             raise ValueError("num_vertices must be non-negative")
-        canon = sorted(tuple(sorted(map(int, e))) for e in edges)
         for t in canon:
             if t and not (0 <= t[0] and t[-1] < num_vertices):
                 u = t[0] if t[0] < 0 else t[-1]
@@ -148,7 +152,10 @@ class Multihypergraph:
     def _index_map(self, vertices):
         """The checked vertex set to remove and the map sending each
         surviving old vertex index to its new dense index."""
-        removed = frozenset(map(int, vertices))
+        try:
+            removed = frozenset(map(operator.index, vertices))
+        except TypeError as exc:
+            raise ValueError(f"vertex ids must be integers: {exc}") from None
         for v in removed:
             if not 0 <= v < self.num_vertices:
                 raise ValueError(f"vertex {v} out of range")

@@ -145,6 +145,21 @@ class TestRateKap:
             assert err.startswith(("error: config key", "error: unknown config key"))
             assert repr(key) in err
 
+    @pytest.mark.parametrize("nodes", ["0", "-3", "2.5"])
+    def test_check_quadrature_nodes_refused(self, capsys, tmp_path, nodes):
+        # refused by the parser, naming the flag, from the command line or a config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"check-quadrature": nodes}))
+        base = ["rate-kap", "--k", "3", "--c", "0.5", "--grid-size", "60"]
+        for extra in (["--check-quadrature", nodes], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main([*base, *extra])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.endswith(
+                f"error: argument --check-quadrature: NODES must be an int >= 1, got {nodes!r}\n"
+            )
+
     @pytest.mark.parametrize("command", ["rate-kap", "kap-profile"])
     @pytest.mark.parametrize("size", ["0", "5"])
     def test_small_grid_exits_2(self, capsys, command, size):

@@ -63,6 +63,26 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Multihypergraph(3, [[1, 1]])
 
+    @pytest.mark.parametrize(
+        "num_vertices,edges",
+        [(3, [[0, 1.7]]), (3, [[np.float64(1.0), 2]]), (2.9, [[0, 1]]), ("3", [[0, 1]])],
+    )
+    def test_non_integral_input_refused(self, num_vertices, edges):
+        # read through operator.index: 1.7 is refused, not truncated to 1
+        with pytest.raises(ValueError, match="^vertex count and vertex ids must be integers: "):
+            Multihypergraph(num_vertices, edges)
+
+    def test_integer_types_accepted(self):
+        g = Multihypergraph(np.int64(3), [np.array([2, 0]), (True, np.uint8(2))])
+        assert g.num_vertices == 3 and g.edges == ((0, 2), (1, 2))
+        assert all(type(u) is int for e in g.edges for u in e)
+
+    @pytest.mark.parametrize("operator", ["remove_vertices", "contract_vertices"])
+    def test_non_integral_vertex_set_refused(self, operator):
+        g = Multihypergraph(3, [[0, 1, 2]])
+        with pytest.raises(ValueError, match="^vertex ids must be integers: "):
+            getattr(g, operator)([1.5])
+
     def test_canonical_equality(self):
         assert Multihypergraph(3, [[2, 0], [1]]) == Multihypergraph(3, [[1], [0, 2]])
 
