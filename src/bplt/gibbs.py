@@ -366,12 +366,7 @@ class IdentityResiduals:
 
     def max(self):
         """Largest residual; NaN if any residual is NaN."""
-        return float(np.max([
-            self.occupied_split,
-            self.unoccupied_split,
-            self.edge_deletion,
-            self.conditional,
-        ]))
+        return float(np.max(list(vars(self).values())))
 
 
 def _rel_from_logs(log_a, log_b):

@@ -2,9 +2,12 @@
 and a rate run that solves for the penalty loads none of it.  The public
 names of ``bplt`` and the signatures of its public functions and generators
 are pinned, so an export or an option is added or removed only on purpose;
-every name a submodule's ``__all__`` lists is defined there; and no public
-name takes a per-call iteration or node cap."""
+every name a submodule's ``__all__`` lists is defined there; no public
+name takes a per-call iteration or node cap; and every switch, a public
+keyword that defaults to False or a ``store_true`` flag, is turned on by
+some test, script or benchmark."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -19,7 +22,8 @@ from pathlib import Path
 import bplt
 import bplt.generators
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _imported_modules(tree):
@@ -167,3 +171,38 @@ def test_caps_are_module_constants():
     for fn in functions + engines:
         params = set(inspect.signature(fn).parameters)
         assert not params & {"max_iter", "max_nodes"}, fn.__name__
+
+
+def test_every_switch_is_turned_on():
+    # a switch that nothing turns on is a behaviour nothing exercises: make
+    # it the default or retire it
+    from bplt.cli import _build_parser
+
+    trees = [
+        ast.parse(path.read_text(), str(path))
+        for folder in ("tests", "scripts", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    turned_on = {
+        kw.arg
+        for node in nodes if isinstance(node, ast.Call)
+        for kw in node.keywords if isinstance(kw.value, ast.Constant) and kw.value.value is True
+    }
+    strings = {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+    functions = [f for f in map(bplt.__dict__.get, PUBLIC_NAMES) if inspect.isfunction(f)]
+    functions += [getattr(bplt.generators, n) for n in bplt.generators.__all__]
+    switches = {
+        f"{fn.__name__}({name}=True)"
+        for fn in functions
+        for name, param in inspect.signature(fn).parameters.items()
+        if param.default is False and name not in turned_on
+    }
+    flags = {
+        f"{command} {action.option_strings[0]}"
+        for command, parser in _build_parser()[1].items()
+        for action in parser._actions
+        if isinstance(action, argparse._StoreTrueAction) and action.option_strings[0] not in strings
+    }
+    assert sorted(switches | flags) == []

@@ -72,7 +72,7 @@ class TestPartitionFunction:
 
     def test_size_guard(self):
         g = Multihypergraph(27, [])
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(SizeGuardError, match=r"^exact enumeration guarded at 26 vertices \(got 27\)$"):
             partition_function(g, ModelParams(1.0, 1.0))
 
     def test_size_guard_beyond_mask_width(self):
@@ -245,6 +245,44 @@ class TestIdentities:
         g = Multihypergraph(3, [[1, 2]])
         res = verify_identities(g, ModelParams(0.9, 0.8), 0, 0)
         assert res.occupied_split < 1e-14
+
+
+class TestEntryRefusals:
+    """Each oracle refuses an out-of-range input before any listing or draw."""
+
+    @pytest.mark.parametrize("zeta", [-0.1, 1.5, math.nan])
+    def test_zeta_range(self, zeta):
+        with pytest.raises(ValueError, match=r"^zeta must lie in \[0, 1\]$"):
+            ModelParams(1.0, zeta)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, math.nan])
+    def test_lower_tail_exact_p(self, p):
+        with pytest.raises(ValueError, match=r"^p must lie in \(0, 1\)$"):
+            lower_tail_exact(TRIPLE, p, 0)
+
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_verify_identities_vertex(self, v):
+        with pytest.raises(ValueError, match="^vertex out of range$"):
+            verify_identities(TRIPLE, ModelParams(1.0, 0.5), v, 0)
+
+    @pytest.mark.parametrize("edge_id", [-1, 1])
+    def test_verify_identities_edge(self, edge_id):
+        with pytest.raises(ValueError, match="^edge id out of range$"):
+            verify_identities(TRIPLE, ModelParams(1.0, 0.5), 0, edge_id)
+
+    @pytest.mark.parametrize(
+        "p,eta,samples,message",
+        [
+            (0.0, 0.5, 10, r"p must lie in \(0, 1\)"),
+            (1.0, 0.5, 10, r"p must lie in \(0, 1\)"),
+            (0.5, -0.1, 10, r"eta must lie in \[0, 1\)"),
+            (0.5, 1.0, 10, r"eta must lie in \[0, 1\)"),
+            (0.5, 0.5, 0, "samples must be >= 1"),
+        ],
+    )
+    def test_mc_lower_tail(self, p, eta, samples, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mc_lower_tail(TRIPLE, p, eta, samples, 0)
 
 
 class TestSamplers:
