@@ -481,8 +481,8 @@ def solve_zeta(graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_t
         return (1.0 - z) * _edge_sum(at[1], edges, work) - target
 
     r_lo = _edge_sum(at[1], edges, work) - target  # (1 - eta) c^k |E| > 0
-    # the root lies in (0, 1 - eta]; one past the cap, just inside the
-    # contraction region, at whose edge the iteration stalls, is refused
+    # the root lies in (0, 1 - eta]; the bracket ends at the cap, just inside
+    # the contraction region, at whose edge the iteration stalls
     hi = min(1.0 - eta, _ZETA_CAP * math.e / ((k - 1) * c ** (k - 1)))
     r_hi = residual(hi)
     if r_hi >= tol * scale:

@@ -87,7 +87,7 @@ class Multihypergraph:
     __slots__ = ("num_vertices", "edges", "_rows", "_uniform")
 
     def __init__(self, num_vertices, edges=()):
-        try:  # operator.index, unlike int, refuses 1.7 rather than truncate it
+        try:  # operator.index refuses 1.7, which int would truncate to 1
             num_vertices = operator.index(num_vertices)
             canon = sorted(tuple(sorted(map(operator.index, e))) for e in edges)
         except TypeError as exc:
@@ -152,10 +152,7 @@ class Multihypergraph:
     def _index_map(self, vertices):
         """The checked vertex set to remove and the map sending each
         surviving old vertex index to its new dense index."""
-        try:
-            removed = frozenset(map(operator.index, vertices))
-        except TypeError as exc:
-            raise ValueError(f"vertex ids must be integers: {exc}") from None
+        removed = frozenset(map(operator.index, vertices))  # TypeError on 1.5, which int truncates
         for v in removed:
             if not 0 <= v < self.num_vertices:
                 raise ValueError(f"vertex {v} out of range")

@@ -72,7 +72,8 @@ class TestPartitionFunction:
 
     def test_size_guard(self):
         g = Multihypergraph(27, [])
-        with pytest.raises(SizeGuardError, match=r"^exact enumeration guarded at 26 vertices \(got 27\)$"):
+        message = r"^exact enumeration guarded at 26 vertices \(got 27\)$"
+        with pytest.raises(SizeGuardError, match=message):
             partition_function(g, ModelParams(1.0, 1.0))
 
     def test_size_guard_beyond_mask_width(self):

@@ -80,7 +80,7 @@ class TestConstruction:
     @pytest.mark.parametrize("operator", ["remove_vertices", "contract_vertices"])
     def test_non_integral_vertex_set_refused(self, operator):
         g = Multihypergraph(3, [[0, 1, 2]])
-        with pytest.raises(ValueError, match="^vertex ids must be integers: "):
+        with pytest.raises(TypeError):
             getattr(g, operator)([1.5])
 
     def test_canonical_equality(self):
