@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import collections
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,7 @@ def regular_fixed_point(k, c, zeta):
 
     Closed form via Lambert W; at zeta = 0 the solution is c itself.
     """
-    if k < 2:
-        raise DomainError("k must be >= 2")
+    k = _check_k(k, 2)
     if not 0 < c < math.inf:
         raise DomainError("c must be positive and finite")
     if not 0 <= zeta <= 1:
@@ -146,8 +146,7 @@ class Thresholds:
 
 
 def thresholds(k, eta):
-    if k < 2:
-        raise DomainError("k must be >= 2")
+    k = _check_k(k, 2)
     if not 0 <= eta < 1:
         raise DomainError("eta must lie in [0, 1)")
     eta_crit = math.exp(-k / (k - 1))
@@ -178,8 +177,7 @@ class BPParams:
     delta: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
+        _check_k(self.k, 2, ValueError)
         if not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
         if not 0 <= self.zeta <= 1:
@@ -198,6 +196,18 @@ def _check_uniqueness(params):
             "outside the uniqueness region: need zeta*(k-1)*c^(k-1) < e "
             f"(margin {params.margin:.6g})"
         )
+
+
+def _check_k(k, least, error=DomainError):
+    """``k`` as a Python int, or ``error`` unless it is an integer of at
+    least ``least``; operator.index refuses 3.5, which int would truncate."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise error(f"k must be an integer, got {k!r}") from None
+    if k < least:
+        raise error(f"k must be >= {least}")
+    return k
 
 
 def _check_admissible(c, bound, context=""):
@@ -418,8 +428,7 @@ def solve_zeta_regular(k, c, eta):
     ``(k-1) zeta c^(k-1) < e`` holds at the solution (guaranteed whenever
     c is below the regular critical density).
     """
-    if k < 2:
-        raise DomainError("k must be >= 2")
+    k = _check_k(k, 2)
     if not 0 < c < math.inf:
         raise DomainError("c must be positive and finite")
     if not 0 <= eta <= 1:

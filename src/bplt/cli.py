@@ -1,4 +1,4 @@
-"""Command-line front end: config merging, dispatch, CSV emission.
+"""Command-line front end: argument parsing, dispatch, CSV emission.
 
 Each subcommand accepts only the flags it reads.  Scalar results print as
 ``key,value`` lines (or one JSON object with ``--json``); tables (for the
@@ -6,7 +6,7 @@ rate commands, ``--sweep`` tables) go to ``--out`` when given, stdout
 otherwise, always with a comment line naming the formula and echoing the
 full parameter set so runs are auditable.  Floats use 17 significant
 digits, and the two sampling commands (``mc-estimate``, ``weitz-verify``)
-take ``--seed`` (default 0), so repeated runs with the same config are
+take ``--seed`` (default 0), so repeated runs with the same flags are
 byte-identical.
 
 Exit codes: 0 success, 2 validation/domain error, 3 numerical
@@ -96,46 +96,15 @@ def _node_count(text):
     return int(text)
 
 
-def _parse(parser, commands, argv):
-    """Parse argv with a ``--config`` JSON object spliced in as flags.
+def _parse(parser, argv):
+    """Parse argv with argparse, each token once; a flag given twice takes
+    its later value.
 
-    A key must be a flag of the subcommand; a switch takes true or false,
-    and any other flag a string or number, passed as ``--flag=value`` so
-    that argparse parses ``str(value)`` with the flag's ``type``, as from
-    the command line; ``null`` leaves the flag absent.  The config's flags
-    go before the explicit ones, which win.  No flag may be abbreviated, or
-    ``--conf`` would parse without its file being read.  A rate command's
-    ``--out`` without ``--sweep``, and ``--json`` or ``--check-quadrature``
-    with it, are refused before any work.
+    No flag may be abbreviated, since an abbreviation is a second spelling
+    of a flag.  A rate command's ``--out`` without ``--sweep``, and
+    ``--json`` or ``--check-quadrature`` with it, are refused before any
+    work.
     """
-    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
-    pre.add_argument("--config")
-    try:
-        config = pre.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:  # the subcommand's parser reports it
-        config = None
-    if config and argv[0] in commands:
-        with open(config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValueError(f"--config must hold a JSON object, not {type(cfg).__name__}")
-        command = commands[argv[0]]
-        flags = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
-        spliced = []
-        for key, value in cfg.items():
-            action = flags.get(key.replace("-", "_"))
-            if action is None:
-                raise ValueError(f"unknown config key {key!r}")
-            if value is None:
-                continue
-            switch = action.nargs == 0  # a store_true flag
-            if switch != isinstance(value, bool) or isinstance(value, (list, dict)):
-                kind = "true or false" if switch else "a string or number"
-                raise ValueError(f"config key {key!r} takes {kind}, got {value!r}")
-            flag = action.option_strings[0]
-            if value is not False:  # a false switch is its default
-                spliced.append(flag if switch else f"{flag}={value}")
-        argv = [argv[0], *spliced, *argv[1:]]
     args = parser.parse_args(argv)
     if "sweep" in args:
         if args.sweep is None and args.out:
@@ -343,7 +312,6 @@ def _build_parser():
         takes exactly one of its ``lead`` flag and ``--sweep``."""
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
-        p.add_argument("--config", help="JSON config file; explicit flags win")
         if out:
             p.add_argument("--out", help="CSV output path (stdout if omitted)")
         p.add_argument("--json", action="store_true", help="scalar block as JSON")
@@ -422,10 +390,9 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser, commands = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, _ = _build_parser()
     try:
-        args = _parse(parser, commands, argv)
+        args = _parse(parser, argv)
         return args.func(args)
     except ConvergenceError as exc:
         detail = f" (residual {exc.residual:.3e})" if exc.residual is not None else ""

@@ -329,12 +329,15 @@ def lower_tail_exact(graph, p, threshold):
 
     X is the number of induced edges counted with multiplicity.  A
     threshold in [0, 1) asks for P(X = 0), counted over the subsets with no
-    full edge only.
+    full edge only.  A threshold below 0 or at least the edge count needs
+    no listing: the answer is 0 or 1 at any size.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
+    if threshold < 0:
+        return 0.0
     if threshold >= graph.num_edges:
         return 1.0
     table, _ = _tables(graph.num_vertices, *_listing(graph, 0 <= threshold < 1))

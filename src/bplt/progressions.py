@@ -41,6 +41,7 @@ import numpy as np
 from .bp import (
     BPParams,
     _check_admissible,
+    _check_k,
     _coupling_integral,
     _default_delta,
     _iterate,
@@ -88,15 +89,13 @@ def degree_coefficient(k):
     alpha = (1/2) * sum_{i=1..k} min(1/(i-1), 1/(k-i)), the 1/0 entries
     read as +infinity so the minimum picks the finite side.
     """
-    if k < 3:
-        raise DomainError("k must be >= 3")
+    k = _check_k(k, 3)
     return _sum_of_nearer_sides(k, lambda j: Fraction(1, j), lambda j: Fraction(1, j)) / 2
 
 
 def ap_hypergraph(k, n):
     """All k-term progressions {a, a+d, ..., a+(k-1)d} inside [n], 0-indexed."""
-    if k < 3:
-        raise DomainError("k must be >= 3")
+    k = _check_k(k, 3)
     if n < k:
         raise DomainError("n must be at least k")
     edges = [
@@ -110,18 +109,16 @@ def ap_hypergraph(k, n):
 def ap_degree(k, n, t):
     """Closed-form degree of integer t (1-based) in the AP hypergraph:
     sum over positions i of min(floor((t-1)/(i-1)), floor((n-t)/(k-i)))."""
-    if k < 3:
-        raise DomainError("k must be >= 3")
+    k = _check_k(k, 3)
     if not (isinstance(t, (int, np.integer)) and 1 <= t <= n):
         raise ValueError(f"t must be an integer in 1..n, got {t!r}")
     return _sum_of_nearer_sides(k, lambda j: (t - 1) // j, lambda j: (n - t) // j)
 
 
 def _check_grid(k, c, zeta, grid_size):
-    """The one input guard of the grid API: k >= 3, c > 0 and finite,
+    """The one input guard of the grid API: k an integer >= 3, c > 0 and finite,
     zeta in [0, 1], and grid_size >= 2k (the band offsets reach k-1 steps)."""
-    if not k >= 3:
-        raise DomainError("k must be >= 3")
+    _check_k(k, 3)
     if not 0 < c < math.inf:
         raise DomainError(f"c={c} must be positive and finite")
     if not 0 <= zeta <= 1:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bp import _check_admissible, regular_fixed_point, solve_zeta_regular, thresholds
+from .bp import _check_admissible, _check_k, regular_fixed_point, solve_zeta_regular, thresholds
 from .errors import DomainError
 from .hypergraph import Multihypergraph
 
@@ -121,8 +121,7 @@ def rate_gnm(k, b, eta):
 
     Valid when (k-1) b^(k-1) (1-eta) < 1; eta log eta is read as 0 at 0.
     """
-    if k < 2:
-        raise DomainError("k must be >= 2")
+    k = _check_k(k, 2)
     if not b > 0:
         raise DomainError("b must be positive")
     if not 0 <= eta < 1:

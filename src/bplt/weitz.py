@@ -25,8 +25,7 @@ Both operations act only below the node that applies them, so they are
 applied as the tree grows: each node hands its children the labels that it
 and its ancestors occupy and the edge labels that they delete.  An occupied
 child is never created and a deleted edge never added, so only the root
-component is ever built.  A depth limit keeps the edges that lie fully
-within it.
+component is ever built.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ class LabeledHypertree:
         return Multihypergraph(self.num_nodes, self.edge_nodes)
 
 
-def _walk_tree(graph, start, vrank, erank, depth_limit):
+def _walk_tree(graph, start, vrank, erank):
     """The walk tree of ``graph`` from ``start``, pruned as it grows unless
     ``vrank`` is None.
 
@@ -107,12 +106,9 @@ def _walk_tree(graph, start, vrank, erank, depth_limit):
     memory than a set per node would before it raises.
 
     An occupied child is never created and a deleted edge never added, so
-    only the root component is built, already in breadth-first order.  With
-    ``depth_limit``, only edges lying fully within that depth are kept.  A
+    only the root component is built, already in breadth-first order.  A
     tree that would pass ``_NODE_CAP`` nodes raises ``SizeGuardError``.
     """
-    if depth_limit is not None and depth_limit < 0:
-        raise ValueError("depth_limit must be >= 0")
     edges, incidence = graph.edges, graph.incident_edge_ids()
     labels, parents, parent_edges, depths = [start], [-1], [-1], [0]
     edge_nodes, edge_labels = [], []
@@ -132,15 +128,13 @@ def _walk_tree(graph, start, vrank, erank, depth_limit):
                 for f in incidence[labels[parents[w]]]:
                     if erank[f] < pe_rank:
                         blocked_e |= 1 << f
-        frontier = depth_limit is not None and d >= depth_limit
         for eid in incidence[x]:
             if blocked_e >> eid & 1:
                 continue
-            kids = [u for u in edges[eid] if not blocked_v >> u & 1]
-            if kids and frontier:
-                continue
             members = [w]
-            for u in kids:
+            for u in edges[eid]:
+                if blocked_v >> u & 1:
+                    continue
                 c = len(labels)
                 if c >= _NODE_CAP:
                     raise SizeGuardError(f"walk tree exceeded the {_NODE_CAP}-node cap")
@@ -190,30 +184,23 @@ def _check_ranks(order, count, what):
     return rank
 
 
-def build_saw_tree(graph, vertex, depth_limit=None):
-    """The tree of self-avoiding walks from ``vertex``.
-
-    With ``depth_limit``, only edges lying fully within that depth are kept:
-    the nodes are the walks of length at most the limit, and a node at the
-    limit keeps only its unit edges.
-    """
+def build_saw_tree(graph, vertex):
+    """The tree of self-avoiding walks from ``vertex``."""
     vertex = _check_vertex(graph, vertex)
-    return _walk_tree(graph, vertex, None, None, depth_limit)
+    return _walk_tree(graph, vertex, None, None)
 
 
-def build_weitz_tree(graph, vertex, vertex_order=None, edge_order=None, depth_limit=None):
+def build_weitz_tree(graph, vertex, vertex_order=None, edge_order=None):
     """The pruned walk tree whose root marginal equals the marginal of
     ``vertex`` in ``graph`` for every activity and penalty.
 
     ``vertex_order`` / ``edge_order`` list vertices and edge ids from
     smallest to largest; the root marginal does not depend on the choice.
-    With ``depth_limit`` the result is truncated to edges lying fully
-    within that depth (exact as a sub-level of the full construction).
     """
     vertex = _check_vertex(graph, vertex)
     vrank = _check_ranks(vertex_order, graph.num_vertices, "vertex")
     erank = _check_ranks(edge_order, graph.num_edges, "edge")
-    return _walk_tree(graph, vertex, vrank, erank, depth_limit)
+    return _walk_tree(graph, vertex, vrank, erank)
 
 
 def tree_ratio(tree, params):

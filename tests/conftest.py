@@ -226,11 +226,10 @@ def enumerate_saws(graph, start, max_len=None):
     return out
 
 
-def naive_weitz_tree(graph, vertex, vertex_order=None, edge_order=None, depth_limit=None):
+def naive_weitz_tree(graph, vertex, vertex_order=None, edge_order=None):
     """The pruned walk tree as the ``bplt.weitz`` docstring defines it: the
     full walk tree, then both operations at every non-root node in
-    breadth-first order, then the root component, keeping the edges that lie
-    fully within ``depth_limit``."""
+    breadth-first order, then the root component."""
     vrank = {u: r for r, u in enumerate(vertex_order or range(graph.num_vertices))}
     erank = {f: r for r, f in enumerate(edge_order or range(graph.num_edges))}
     at = [[i for i, e in enumerate(graph.edges) if u in e] for u in range(graph.num_vertices)]
@@ -283,19 +282,9 @@ def naive_weitz_tree(graph, vertex, vertex_order=None, edge_order=None, depth_li
 
     keep = [True] + [False] * (len(labels) - 1)
     for w in range(1, len(labels)):
-        keep[w] = (
-            keep[parents[w]]
-            and not occupied[w]
-            and not deleted[parent_edges[w]]
-            and (depth_limit is None or depths[w] <= depth_limit)
-        )
+        keep[w] = keep[parents[w]] and not occupied[w] and not deleted[parent_edges[w]]
     new_id = {w: i for i, w in enumerate(w for w in range(len(labels)) if keep[w])}
-    kept_edges = [
-        i
-        for i, members in enumerate(edges)
-        if keep[members[0]] and not deleted[i]
-        and all(keep[x] or occupied[x] for x in members)
-    ]
+    kept_edges = [i for i, members in enumerate(edges) if keep[members[0]] and not deleted[i]]
     new_edge = {i: j for j, i in enumerate(kept_edges)}
     return LabeledHypertree(
         tuple(labels[w] for w in new_id),

@@ -817,6 +817,17 @@ class TestLowerTailRate:
             with pytest.raises(DomainError, match=r"no root below the zeta cap 0\.604"):
                 solve(g, 3, 1.5, 0.1, near_regular=True)
 
+    def test_root_at_the_lower_end(self):
+        # on K_5's triangles at eta just below 1 the root is zeta = 0, the
+        # bracket's lower end, not the last zeta solved at, so the fixed
+        # point is solved again there: x = c in every entry
+        g = subgraph_hypergraph(named_graph("K3"), 5)
+        eta = 1 - 1e-11
+        zeta, x = solve_zeta(g, 3, 1.0, eta)
+        assert zeta == 0.0
+        assert np.array_equal(x, np.full(g.num_vertices, 1.0))
+        assert abs(bp_lower_tail_rate(g, 3, 1.0, eta)) <= 1e-15
+
     def test_rate_monotone_in_eta(self):
         g = subgraph_hypergraph(named_graph("K3"), 6)
         rates = [bp_lower_tail_rate(g, 3, 0.7, float(eta)) for eta in (0.0, 0.2, 0.4, 0.6)]

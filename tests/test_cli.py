@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 
 import numpy as np
 import pytest
@@ -118,47 +119,29 @@ class TestRateKap:
         rates = [float(r.split(",")[1]) for r in rows]
         assert rates[0] > rates[1] > rates[2]
 
-    def test_check_quadrature_nodes(self, capsys, monkeypatch, tmp_path):
-        # the flag's value is the node count, 64 when bare, from a flag or a
-        # config; a config's true gives no count and is refused
+    def test_check_quadrature_nodes(self, capsys, monkeypatch):
+        # the flag's value is the node count, 64 when bare
         import bplt.cli
 
         nodes = []
         monkeypatch.setattr(bplt.cli, "kap_rate", lambda k, c, n, m: nodes.append(n) or 0.25)
         base = ["rate-kap", "--k", "3", "--c", "0.5", "--grid-size", "60"]
-        cfg = tmp_path / "cfg.json"
-        for extra, config, want in (
-            (["--check-quadrature"], None, 64),
-            (["--check-quadrature", "24"], None, 24),
-            ([], {"check-quadrature": 24}, 24),
-        ):
+        for extra, want in ((["--check-quadrature"], 64), (["--check-quadrature", "24"], 24)):
             nodes.clear()
-            if config:
-                cfg.write_text(json.dumps(config))
-                extra = ["--config", str(cfg)]
             code, out, _ = run(capsys, *base, *extra)
             assert code == 0 and "rate_quadrature,0.25\n" in out and nodes == [want]
-        for key, value in (("check-quadrature", True), ("quad-nodes", 16)):
-            cfg.write_text(json.dumps({key: value}))
-            code, out, err = run(capsys, *base, "--config", str(cfg))
-            assert code == 2 and out == ""
-            assert err.startswith(("error: config key", "error: unknown config key"))
-            assert repr(key) in err
 
     @pytest.mark.parametrize("nodes", ["0", "-3", "2.5"])
-    def test_check_quadrature_nodes_refused(self, capsys, tmp_path, nodes):
-        # refused by the parser, naming the flag, from the command line or a config
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"check-quadrature": nodes}))
-        base = ["rate-kap", "--k", "3", "--c", "0.5", "--grid-size", "60"]
-        for extra in (["--check-quadrature", nodes], ["--config", str(cfg)]):
-            with pytest.raises(SystemExit) as exc:
-                main([*base, *extra])
-            assert exc.value.code == 2
-            out, err = capsys.readouterr()
-            assert out == "" and err.endswith(
-                f"error: argument --check-quadrature: NODES must be an int >= 1, got {nodes!r}\n"
-            )
+    def test_check_quadrature_nodes_refused(self, capsys, nodes):
+        # refused by the parser, naming the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["rate-kap", "--k", "3", "--c", "0.5", "--grid-size", "60",
+                  "--check-quadrature", nodes])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(
+            f"error: argument --check-quadrature: NODES must be an int >= 1, got {nodes!r}\n"
+        )
 
     @pytest.mark.parametrize("command", ["rate-kap", "kap-profile"])
     @pytest.mark.parametrize("size", ["0", "5"])
@@ -268,16 +251,12 @@ class TestBpSolve:
         code, out, err = run(capsys, "bp-solve", "--file", str(path), "--c", "0.8", "--zeta", "1")
         assert code == 2 and out == "" and err.startswith("error:")
 
-    def test_zeta_and_eta_refused(self, capsys, tmp_path, triangle_file):
-        # the pair is refused whether --zeta comes from a flag or a config
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"zeta": 1.0}))
-        for source in (["--zeta", "1"], ["--config", str(cfg)]):
-            with pytest.raises(SystemExit) as exc:
-                main(["bp-solve", "--file", triangle_file, "--c", "0.8", "--eta", "0.2", *source])
-            out, err = capsys.readouterr()
-            assert exc.value.code == 2 and out == ""
-            assert "--zeta" in err and "--eta" in err and "not allowed with" in err
+    def test_zeta_and_eta_refused(self, capsys, triangle_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["bp-solve", "--file", triangle_file, "--c", "0.8", "--eta", "0.2", "--zeta", "1"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "--zeta" in err and "--eta" in err and "not allowed with" in err
 
     @pytest.mark.parametrize("mode", [("--zeta", "0.7"), ("--eta", "0.2")])
     def test_tol_reaches_the_solver(self, capsys, monkeypatch, triangle_file, mode):
@@ -549,88 +528,39 @@ class TestWeitzVerify:
 
 
 class TestConfig:
-    def test_config_with_flag_override(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"k": 3, "b": 0.5, "eta": 0.0}))
-        code, out, _ = run(
-            capsys, "rate-gnm", "--k", "3", "--config", str(cfg), "--b", "0.25"
-        )
-        assert code == 0
-        scalars = dict(line.split(",") for line in out.strip().splitlines())
-        assert float(scalars["rate"]) == pytest.approx(-(0.25**3) / 3, rel=1e-14)
+    # a saved run is a file of flags that the shell expands in place, as in
+    # `bplt rate-gnm $(cat run.args) --b 0.25`: argparse parses its tokens
+    # once, with the command line's, and a later flag wins
+    def test_config_with_flag_override(self, capsys):
+        saved = run(capsys, "rate-gnm", *shlex.split("--k 3 --b 0.5 --eta 0.2"), "--b", "0.25")
+        assert saved[0] == 0
+        assert saved == run(capsys, "rate-gnm", "--k", "3", "--eta", "0.2", "--b", "0.25")
+        assert saved != run(capsys, "rate-gnm", "--k", "3", "--eta", "0.2", "--b", "0.5")
 
-    def test_config_value_used(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"b": 0.5}))
-        code, out, _ = run(capsys, "rate-gnm", "--k", "3", "--config", str(cfg))
+    def test_config_value_used(self, capsys):
+        code, out, _ = run(capsys, "rate-gnm", *shlex.split("--b 0.5"), "--k", "3")
         assert code == 0
         scalars = dict(line.split(",") for line in out.strip().splitlines())
         assert float(scalars["rate"]) == pytest.approx(-(0.5**3) / 3, rel=1e-14)
 
-    def test_unknown_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        code, _, err = run(capsys, "rate-gnm", "--k", "3", "--config", str(cfg))
-        assert code == 2 and "bogus" in err
-
     @pytest.mark.parametrize("key", ["func", "command", "config"])
-    def test_non_flag_key_rejected(self, capsys, tmp_path, key):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: 1}))
-        code, _, err = run(capsys, "rate-gnm", "--k", "3", "--b", "0.5", "--config", str(cfg))
-        assert code == 2 and f"unknown config key {key!r}" in err
-
-    @staticmethod
-    def rate_gnp(capsys, tmp_path, cfg):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        return run(capsys, "rate-gnp", "--config", str(path))
-
-    def test_config_value_parsed_as_flag(self, capsys, tmp_path):
-        # argparse's type= sees the value, as it sees --k 2.5
+    def test_non_flag_key_rejected(self, capsys, key):
+        # the parser's own names are no flags, and --config is gone
         with pytest.raises(SystemExit) as exc:
-            self.rate_gnp(capsys, tmp_path, {"k": 2.5, "c": 0.5})
+            main(["rate-gnm", "--k", "3", "--b", "0.5", f"--{key}", "1"])
         assert exc.value.code == 2
-        assert "argument --k: invalid int value: '2.5'" in capsys.readouterr().err
-
-    def test_config_not_an_object(self, capsys, tmp_path):
-        code, out, err = self.rate_gnp(capsys, tmp_path, [1, 2])
-        assert code == 2 and out == ""
-        assert err == "error: --config must hold a JSON object, not list\n"
-
-    def test_config_number_for_string_flag(self, capsys, tmp_path):
-        code, out, err = self.rate_gnp(capsys, tmp_path, {"k": 3, "sweep": 5})
-        assert code == 2 and out == ""
-        assert err == "error: --sweep expects lo:hi:steps, got '5'\n"
-
-    @pytest.mark.parametrize(
-        "key,value,kind",
-        [("json", "no", "true or false"), ("k", True, "a string or number"),
-         ("c", [0.5], "a string or number")],
-    )
-    def test_config_value_of_wrong_kind(self, capsys, tmp_path, key, value, kind):
-        cfg = {"k": 3, "c": 0.5, key: value}
-        code, out, err = self.rate_gnp(capsys, tmp_path, cfg)
-        assert code == 2 and out == ""
-        assert err == f"error: config key {key!r} takes {kind}, got {value!r}\n"
-
-    def test_config_null_leaves_flag_absent(self, capsys, tmp_path):
-        cfg = {"k": 3, "c": 0.5, "eta": None, "json": None}
-        assert self.rate_gnp(capsys, tmp_path, cfg) == run(
-            capsys, "rate-gnp", "--k", "3", "--c", "0.5"
-        )
-
+        assert f"unrecognized arguments: --{key} 1" in capsys.readouterr().err
 
     # argparse takes "-0.5" but not "-1e-05" as the value of a separate flag
     @pytest.mark.parametrize("value,flag", [(-0.5, ["--c", "-0.5"]), (-1e-05, ["--c=-1e-05"])])
-    def test_negative_value_refused_as_its_flag(self, capsys, tmp_path, value, flag):
-        from_config = self.rate_gnp(capsys, tmp_path, {"k": 3, "c": value})
-        assert from_config[0] == 2 and from_config[2].startswith(f"error: c={value} outside")
-        assert from_config == run(capsys, "rate-gnp", "--k", "3", *flag)
+    def test_negative_value_refused_as_its_flag(self, capsys, value, flag):
+        code, out, err = run(capsys, "rate-gnp", "--k", "3", *flag)
+        assert code == 2 and out == "" and err.startswith(f"error: c={value} outside")
 
 
 class TestRequiredFromConfig:
-    # per command: the flags it needs (argparse names), then a full config
+    # per command: the flags it needs (argparse names), then a set of flags
+    # that runs it
     NEEDS = {
         "rate-gnp": ("--k", {"k": 3, "c": 0.5}),
         "rate-gnm": ("--k", {"k": 3, "b": 0.5}),
@@ -644,25 +574,22 @@ class TestRequiredFromConfig:
     }
 
     @pytest.mark.parametrize("command", sorted(NEEDS))
-    def test_config_supplies_required_flags(self, capsys, tmp_path, triangle_file, command):
+    def test_config_supplies_required_flags(self, capsys, triangle_file, command):
+        # a file of flags, which the shell splits at blanks, supplies every
+        # required flag, and the command line adds to it
         cfg = {k: triangle_file if v is None else v for k, v in self.NEEDS[command][1].items()}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        from_config = run(capsys, command, "--config", str(path))
         flags = [a for key, v in cfg.items() for a in (f"--{key.replace('_', '-')}", str(v))]
-        assert from_config[0] == 0
-        assert from_config == run(capsys, command, *flags)
+        from_file = run(capsys, command, *shlex.split(" ".join(flags)), "--json")
+        assert from_file[0] == 0
+        assert from_file == run(capsys, command, *flags, "--json")
 
     @pytest.mark.parametrize("command", sorted(NEEDS))
-    def test_missing_required_flags(self, capsys, tmp_path, command):
-        path = tmp_path / "cfg.json"
-        path.write_text("{}")
-        for argv in ([command], [command, "--config", str(path)]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            err = capsys.readouterr().err
-            assert f"the following arguments are required: {self.NEEDS[command][0]}\n" in err
+    def test_missing_required_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"the following arguments are required: {self.NEEDS[command][0]}\n" in err
 
 
 class TestFlagSurface:
@@ -719,7 +646,7 @@ class TestFlagSurface:
         ],
     )
     def test_abbreviated_flag_rejected(self, capsys, argv):
-        # --conf would otherwise parse as --config without its file being read
+        # an abbreviation would be a second spelling of a flag
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -739,15 +666,39 @@ class TestFlagSurface:
         assert code == 2 and out == "" and not path.exists()
         assert err == "error: --sweep expects lo:hi:steps, got ''\n"
 
-    def test_config_sets_unread_flag(self, capsys, tmp_path, triangle_file):
-        cfg = tmp_path / "cfg.json"
-        for key, value in (("sweep", "0.1:0.9:5"), ("k", 3), ("plot-script", "p.py")):
-            cfg.write_text(json.dumps({key: value}))
-            code, _, err = run(
-                capsys, "bp-solve", "--file", triangle_file, "--c", "0.9", "--zeta", "1",
-                "--config", str(cfg),
-            )
-            assert code == 2 and f"unknown config key {key!r}" in err
+    @pytest.mark.parametrize("command", sorted(BASE))
+    def test_config_flag_refused(self, capsys, command):
+        # a saved run is a file of flags; no command reads a --config file
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.BASE[command], "--config", "cfg.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config cfg.json" in capsys.readouterr().err
+
+    def test_readme_commands(self, capsys, monkeypatch, tmp_path, triangle_file):
+        # every `bplt` line of the README's sh blocks exits 0, run in a
+        # scratch directory where graph.hg is the triangle; a line that
+        # writes a file of flags writes it, and `$(cat FILE)` expands it
+        import re
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = [
+            line
+            for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+            for line in block.splitlines()
+            if line.startswith(("bplt ", "echo "))
+        ]
+        assert sum(line.startswith("bplt ") for line in lines) >= 13
+        monkeypatch.chdir(tmp_path)
+        Path("graph.hg").write_text(Path(triangle_file).read_text())
+        for line in lines:
+            line = re.sub(r"\$\(cat (\S+)\)", lambda m: Path(m[1]).read_text(), line)
+            argv = shlex.split(line, comments=True)
+            if argv[0] == "echo":
+                assert argv[-2] == ">", line
+                Path(argv[-1]).write_text(" ".join(argv[1:-2]) + "\n")
+            else:
+                assert run(capsys, *argv[1:])[0] == 0, line
 
     def test_readme_flag_table(self):
         # each row of the README's shared-flag table names exactly the

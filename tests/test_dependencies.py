@@ -98,8 +98,8 @@ SIGNATURES = {
     "bp_fixed_point": "(graph, params, tol=1e-12)",
     "bp_log_partition": "(graph, params, method='bethe', quad_nodes=64)",
     "bp_lower_tail_rate": "(graph, k, c, eta, near_regular=False)",
-    "build_saw_tree": "(graph, vertex, depth_limit=None)",
-    "build_weitz_tree": "(graph, vertex, vertex_order=None, edge_order=None, depth_limit=None)",
+    "build_saw_tree": "(graph, vertex)",
+    "build_weitz_tree": "(graph, vertex, vertex_order=None, edge_order=None)",
     "contraction_margin": "(k, c, zeta)",
     "copies_per_edge": "(graph, n)",
     "degree_coefficient": "(k)",

@@ -203,6 +203,14 @@ class TestLowerTailExact:
         with pytest.raises(ValueError, match="threshold"):
             lower_tail_exact(Multihypergraph(3, [[0, 1, 2]]), 0.5, math.nan)
 
+    @pytest.mark.parametrize("n,threshold", [(30, -1), (22, -0.5)])
+    def test_negative_threshold_lists_nothing(self, n, threshold):
+        # X <= threshold < 0 cannot happen: 0.0 at any size, past the guard
+        # too, without a listing
+        g = ap_hypergraph(3, n)
+        with mock.patch.object(gibbs, "_tables", side_effect=AssertionError("listed")):
+            assert lower_tail_exact(g, 0.1, threshold) == 0.0
+
 
 class TestIdentities:
     def test_small_instances(self, rng):

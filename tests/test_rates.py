@@ -1,12 +1,15 @@
+import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bplt.bp import lambert_w0, thresholds
+from bplt.bp import BPParams, lambert_w0, regular_fixed_point, solve_zeta_regular, thresholds
 from bplt.errors import DomainError
+from bplt.progressions import ap_degree, ap_hypergraph, degree_coefficient, phi_fixed_point
 from bplt.rates import (
     SimpleGraph,
     copies_per_edge,
@@ -271,3 +274,41 @@ class TestPartiteBounds:
         c_near = thr * 0.999
         assert rate_gnp(3, 0.2, 0.0) > rpartite_bound_gnp(K3, 0.2)
         assert rate_gnp(3, c_near, 0.0) < 0
+
+
+# every entry point that checks k: (call of k, least k, error type)
+K_ENTRIES = {
+    "regular_fixed_point": (lambda k: regular_fixed_point(k, 0.5, 1.0), 2, DomainError),
+    "thresholds": (lambda k: thresholds(k, 0.1), 2, DomainError),
+    "BPParams": (lambda k: BPParams(k, 0.5, 1.0, 3), 2, ValueError),
+    "solve_zeta_regular": (lambda k: solve_zeta_regular(k, 0.5, 0.3), 2, DomainError),
+    "rate_gnp": (lambda k: rate_gnp(k, 0.5, 0.3), 2, DomainError),
+    "rate_gnm": (lambda k: rate_gnm(k, 0.5, 0.3), 2, DomainError),
+    "degree_coefficient": (degree_coefficient, 3, DomainError),
+    "ap_hypergraph": (lambda k: ap_hypergraph(k, 10), 3, DomainError),
+    "ap_degree": (lambda k: ap_degree(k, 10, 3), 3, DomainError),
+    "phi_fixed_point": (lambda k: phi_fixed_point(k, 0.5, grid_size=60), 3, DomainError),
+}
+REFUSALS = {
+    f"{name}-k={k!r}": (
+        functools.partial(call, k),
+        error,
+        f"k must be >= {least}" if k == least - 1 else f"k must be an integer, got {k!r}",
+    )
+    for name, (call, least, error) in K_ENTRIES.items()
+    for k in (3.5, 3.0, least - 1)
+} | {
+    "rate_gnm-b=0": (lambda: rate_gnm(3, 0.0, 0.3), DomainError, "b must be positive"),
+    "rate_gnm-b=nan": (lambda: rate_gnm(3, math.nan, 0.3), DomainError, "b must be positive"),
+    "rate_gnm-eta=1": (lambda: rate_gnm(3, 0.5, 1.0), DomainError, "eta must lie in [0, 1)"),
+    "rate_gnm-eta=-0.1": (lambda: rate_gnm(3, 0.5, -0.1), DomainError, "eta must lie in [0, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_entry_refusals(case):
+    # k is read as an index, as vertex ids are: 3.5 and 3.0 are refused, not
+    # truncated or passed on, with the error type the entry point uses
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

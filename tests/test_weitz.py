@@ -61,29 +61,26 @@ class TestSawTree:
         unit = [e for e in t.edge_nodes if len(e) == 1]
         assert len(unit) == 2
 
-    def test_depth_limit(self):
-        g = Multihypergraph(4, [[0, 1], [1, 2], [2, 3]])
-        t = build_saw_tree(g, 0, depth_limit=2)
-        assert max(t.depths) == 2
-
     def test_node_cap(self, monkeypatch):
         g = Multihypergraph(6, [[i, j] for i in range(6) for j in range(i + 1, 6)])
         monkeypatch.setattr(bplt.weitz, "_NODE_CAP", 10)
         with pytest.raises(SizeGuardError):
             build_saw_tree(g, 0)
 
-    def test_negative_depth_limit_rejected(self):
-        g = Multihypergraph(2, [[0, 1], [0]])
-        with pytest.raises(ValueError):
-            build_saw_tree(g, 0, depth_limit=-1)
-        with pytest.raises(ValueError):
-            build_weitz_tree(g, 0, depth_limit=-1)
-
     def test_frontier_keeps_unit_edges(self):
-        # an edge lying fully within the limit is kept, also at the frontier
+        # a leaf of the tree keeps the unit edges at its label
         g = Multihypergraph(2, [[0, 1], [1], [1]])
-        t = build_saw_tree(g, 0, depth_limit=1)
+        t = build_saw_tree(g, 0)
         assert t.edge_nodes == ((0, 1), (1,), (1,))
+
+    def test_negative_depth_limit_rejected(self):
+        # the builders take no depth limit, negative or not: every tree is
+        # built to full depth
+        g = Multihypergraph(2, [[0, 1], [0]])
+        for build in (build_saw_tree, build_weitz_tree):
+            for limit in (-1, 2):
+                with pytest.raises(TypeError, match="depth_limit"):
+                    build(g, 0, depth_limit=limit)
 
     def test_paths_are_the_self_avoiding_walks(self, rng):
         for _ in range(60):
@@ -91,12 +88,10 @@ class TestSawTree:
                 rng, max_vertices=6, max_edges=6, allow_empty=True, multi_edge_prob=0.3
             )
             v = int(rng.integers(g.num_vertices))
-            for limit in (None, 0, 1, 2, 3):
-                t = build_saw_tree(g, v, depth_limit=limit)
-                walks = enumerate_saws(g, v, max_len=limit)
-                assert Counter(_root_paths(t)) == Counter(
-                    (w.vertices, w.edge_ids) for w in walks
-                )
+            t = build_saw_tree(g, v)
+            walks = enumerate_saws(g, v)
+            assert Counter(_root_paths(t)) == Counter((w.vertices, w.edge_ids) for w in walks)
+            assert t.depths == tuple(len(labels) - 1 for labels, _ in _root_paths(t))
 
 
 class TestWeitzTree:
@@ -164,9 +159,7 @@ class TestWeitzTree:
             v = int(rng.integers(g.num_vertices))
             vo = rng.permutation(g.num_vertices).tolist()
             eo = rng.permutation(g.num_edges).tolist()
-            for limit in (None, 0, 1, 2, 3):
-                want = naive_weitz_tree(g, v, vo, eo, limit)
-                assert build_weitz_tree(g, v, vo, eo, limit) == want
+            assert build_weitz_tree(g, v, vo, eo) == naive_weitz_tree(g, v, vo, eo)
 
     def test_node_cap_bounds_the_pruned_tree(self, monkeypatch):
         # the walk tree of the complete 3-uniform graph on 5 vertices has
@@ -202,24 +195,6 @@ class TestWeitzTree:
             if deg:
                 assert max(deg.values()) <= max(g.degrees())
 
-    def test_depth_limited_matches_full_construction(self, rng):
-        # the truncated build must agree with slicing the full tree
-        for _ in range(10):
-            g = random_multihypergraph(rng, max_vertices=6, max_edges=5)
-            v = int(rng.integers(g.num_vertices))
-            full = build_weitz_tree(g, v)
-            sliced = build_weitz_tree(g, v, depth_limit=2)
-            full_nodes = [
-                (full.depths[w], full.node_labels[w])
-                for w in range(full.num_nodes)
-                if full.depths[w] <= 2
-            ]
-            got_nodes = [
-                (sliced.depths[w], sliced.node_labels[w])
-                for w in range(sliced.num_nodes)
-            ]
-            assert sorted(got_nodes) == sorted(full_nodes)
-
     def test_matches_naive_definition_past_a_machine_word(self, rng):
         # 70 disjoint padding pairs sort first, so the random graph's vertex
         # ids start at 140 and its edge ids at 70: every mask bit is high
@@ -236,9 +211,7 @@ class TestWeitzTree:
             v = 140 + int(rng.integers(small.num_vertices))
             vo = rng.permutation(g.num_vertices).tolist()
             eo = rng.permutation(g.num_edges).tolist()
-            for limit in (None, 0, 1, 2, 3):
-                want = naive_weitz_tree(g, v, vo, eo, limit)
-                assert build_weitz_tree(g, v, vo, eo, limit) == want
+            assert build_weitz_tree(g, v, vo, eo) == naive_weitz_tree(g, v, vo, eo)
 
     def test_numpy_root_past_a_machine_word(self):
         g = Multihypergraph(80, [[i, (i + 1) % 80] for i in range(80)] + [[3, 70, 71]])
@@ -248,12 +221,16 @@ class TestWeitzTree:
                 assert t == build(g, v)
                 assert all(type(u) is int for u in t.node_labels)
 
-    def test_depth_one_build_memory(self):
-        # a table of 1 << u over all 20000 vertices would trace about 133 MB
+    def test_depth_one_build_memory(self, monkeypatch):
+        # a table of 1 << u over all 20000 vertices would trace about 30 MB;
+        # the cap stops the build at its first node past depth one
         g = random_k_uniform(np.random.default_rng(0), 20000, 3, 20000)
+        depth_one = 1 + sum(len(g.edges[f]) - 1 for f in g.incident_edge_ids()[0])
+        monkeypatch.setattr(bplt.weitz, "_NODE_CAP", depth_one)
         tracemalloc.start()
         try:
-            build_saw_tree(g, 0, depth_limit=1)
+            with pytest.raises(SizeGuardError):
+                build_saw_tree(g, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
