@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _check_k
 from .hypergraph import _edge_rows
 
 __all__ = [
@@ -196,18 +196,6 @@ def _check_uniqueness(params):
             "outside the uniqueness region: need zeta*(k-1)*c^(k-1) < e "
             f"(margin {params.margin:.6g})"
         )
-
-
-def _check_k(k, least, error=DomainError):
-    """``k`` as a Python int, or ``error`` unless it is an integer of at
-    least ``least``; operator.index refuses 3.5, which int would truncate."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise error(f"k must be an integer, got {k!r}") from None
-    if k < least:
-        raise error(f"k must be >= {least}")
-    return k
 
 
 def _check_admissible(c, bound, context=""):
@@ -544,8 +532,12 @@ def _coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, what):
     node starts from the constant t.  Every solve runs under ``_iterate``'s
     application cap, and ``what`` names the caller in its errors.
     """
-    if not quad_nodes >= 1:
-        raise ValueError(f"quad_nodes must be >= 1 (got {quad_nodes})")
+    try:  # operator.index refuses 2.5, which leggauss cannot take
+        enough = operator.index(quad_nodes) >= 1
+    except TypeError:
+        enough = False
+    if not enough:
+        raise ValueError(f"quad_nodes must be an integer >= 1 (got {quad_nodes})")
     eps = c * 1e-6
     nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
     mid, half = 0.5 * (eps + c), 0.5 * (c - eps)

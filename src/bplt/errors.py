@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of k."""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -16,3 +18,15 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+def _check_k(k, least, error=DomainError):
+    """``k`` as a Python int, or ``error`` unless it is an integer of at
+    least ``least``; operator.index refuses 3.5, which int would truncate."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise error(f"k must be an integer, got {k!r}") from None
+    if k < least:
+        raise error(f"k must be >= {least}")
+    return k

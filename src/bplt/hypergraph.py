@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _check_k
+
 __all__ = [
     "Multihypergraph",
     "TreeLikeReport",
@@ -230,8 +232,7 @@ def degree_stats(graph, k=None):
         k = graph.uniformity()
         if k is None:
             raise ValueError("graph is edgeless or has mixed edge sizes; pass k explicitly")
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = _check_k(k, 2, ValueError)
     _edge_rows(graph, k)
 
     deg = graph.degrees()

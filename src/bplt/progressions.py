@@ -18,21 +18,32 @@ shifted views of f zero-padded once; the padding makes every product past a
 point's last whole step exactly 0, and each point still adds its steps in
 order, so the blocks give the same floats as one step at a time.
 
+The k-APs of [n] are invariant under a -> n+1-a, so the operator commutes
+with t -> 1-t: band l at t is band k+1-l at 1-t, with the same R(t) and
+w(t).  Its unique certified fixed point is therefore symmetric, and the
+solvers (``_grid_fixed_point`` and ``kap_rate``) evaluate the operator only
+at the points j <= M // 2 of the symmetric profile with those values, and
+mirror the result: every image, and every profile ``_grid_fixed_point``
+returns, is exactly symmetric.  :func:`phi_apply` accepts any f, so it
+evaluates every point.
+
 Everything in a band integral that depends only on the grid, not on f, is a
 band plan: the whole steps R(t) and the tail weights, each block's view
 starts and strides into the padded profile, the indices of the last whole
 step and the interpolation positions of the tail end.  ``_band_plan`` builds
-it once per key (M, offsets, a, b) and keeps the last few in a bounded
-cache, so every application on one grid, the k operator bands and the
-``kap_rate_bethe`` edge band alike, reuses it.  Its arrays are read-only
-and its buffers are made per call, so concurrent calls share nothing they
-write.
+one per operator and point range, with key (M, bands, last), bands a tuple
+of (offsets, a, b), and keeps the last few in a bounded cache, so every
+application on one grid reuses it: the k operator bands at j <= M // 2 or
+at every point, and the ``kap_rate_bethe`` edge band as a one-band plan.
+Its arrays are read-only and its buffers are made per call, so concurrent
+calls share nothing they write.  Nothing is built at import.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,13 +52,12 @@ import numpy as np
 from .bp import (
     BPParams,
     _check_admissible,
-    _check_k,
     _coupling_integral,
     _default_delta,
     _iterate,
     bp_fixed_point,
 )
-from .errors import DomainError, SizeGuardError
+from .errors import DomainError, SizeGuardError, _check_k
 from .gibbs import ModelParams, glauber_marginals, summarize
 from .hypergraph import Multihypergraph
 
@@ -117,131 +127,165 @@ def ap_degree(k, n, t):
 
 def _check_grid(k, c, zeta, grid_size):
     """The one input guard of the grid API: k an integer >= 3, c > 0 and finite,
-    zeta in [0, 1], and grid_size >= 2k (the band offsets reach k-1 steps)."""
+    zeta in [0, 1], and grid_size an integer >= 2k (the band offsets reach
+    k-1 steps), both read by operator.index, which refuses 200.5."""
     _check_k(k, 3)
     if not 0 < c < math.inf:
         raise DomainError(f"c={c} must be positive and finite")
     if not 0 <= zeta <= 1:
         raise DomainError(f"zeta={zeta} must lie in [0, 1]")
-    if not grid_size >= 2 * k:
-        raise ValueError(f"grid_size={grid_size} must be at least 2k = {2 * k}")
+    try:
+        enough = operator.index(grid_size) >= 2 * k
+    except TypeError:
+        enough = False
+    if not enough:
+        raise ValueError(f"grid_size={grid_size} must be an integer of at least 2k = {2 * k}")
 
 
 @functools.lru_cache(maxsize=16)
-def _band_plan(m, offsets, a, b):
+def _band_plan(m, bands, last):
     """The grid-only part of ``_band_integral`` on the grid of size m, for
-    a tuple of offsets and the divisors a, b: built once per key and shared
-    by every call with that key, so it holds no buffer and its arrays are
-    read-only.
+    a tuple of bands (offsets, a, b), all with one number of offsets, at
+    the points j <= last: built once per key and shared by every call with
+    that key, so it holds no buffer and its arrays are read-only.
 
     A tuple (h, reach, cells, blocks, grid, full_at, end_at, tail): the
     step 1/M; the zeros padded on each side of f; the floats of the largest
-    block buffer; per block (lo, hi, (rows, width), views), views holding a
-    (byte offset, strides) pair into the padded f per offset; the points
-    j/M; the indices j + i R(t) of the last whole step and the positions
-    t + i w(t) of the tail end, one row per offset; and half the tail
-    length, (w(t) - R(t)/M) / 2.
+    block buffer; per band and block, (row, lo, hi, (rows, width), views),
+    row the band's row of the table and views holding a (byte offset,
+    strides) pair into the padded f per offset; the points j/M; the
+    indices j + i R(t) of the last whole step and the positions t + i w(t)
+    of the tail end, each of shape (offsets, bands, last + 1); and half the
+    tail length, (w(t) - R(t)/M) / 2, one row per band.
     """
     h = 1.0 / m
-    j = np.arange(m + 1)
-    grid = j * h
-    sides = [(room, d) for room, d in ((j, a), (m - j, b)) if d > 0]
-    r_full = np.min([room // d for room, d in sides], axis=0)
-    w = np.min([room / (d * m) for room, d in sides], axis=0)
-    r_max = int(r_full.max())
-    reach = r_max * max(abs(i) for i in offsets)
+    j = np.arange(last + 1)
+    grid = np.arange(m + 1) * h
+    steps = []  # per band, R(t) and w(t) at the points j <= last
+    for _, a, b in bands:
+        sides = [(room, d) for room, d in ((j, a), (m - j, b)) if d > 0]
+        steps.append((
+            np.min([room // d for room, d in sides], axis=0),
+            np.min([room / (d * m) for room, d in sides], axis=0),
+        ))
+    reach = max(int(r.max()) * max(map(abs, band[0])) for band, (r, _) in zip(bands, steps))
     block = max(1, CELLS // (m + 1))
     blocks = []
-    for r0 in range(1, r_max + 1, block):
-        rows = min(block, r_max + 1 - r0)
-        lo, hi = a * r0, m - b * r0
-        # row q of offset i's view is the padded f shifted by i (r0 + q)
-        views = tuple(((reach + i * r0 + lo) * _ITEM, (i * _ITEM, _ITEM)) for i in offsets)
-        blocks.append((lo, hi, (rows, hi + 1 - lo), views))
-    cells = max(((rows + 1) * width for _, _, (rows, width), _ in blocks), default=0)
+    for row, ((offsets, a, b), (r_full, _)) in enumerate(zip(bands, steps)):
+        r_max = int(r_full.max())
+        for r0 in range(1, r_max + 1, block):
+            rows = min(block, r_max + 1 - r0)
+            lo, hi = a * r0, min(m - b * r0, last)
+            # row q of offset i's view is the padded f shifted by i (r0 + q)
+            views = tuple(((reach + i * r0 + lo) * _ITEM, (i * _ITEM, _ITEM)) for i in offsets)
+            blocks.append((row, lo, hi, (rows, hi + 1 - lo), views))
+    cells = max(((rows + 1) * width for *_, (rows, width), _ in blocks), default=0)
     arrays = (
         grid,
-        np.array([j + i * r_full for i in offsets]),
-        np.array([grid + i * w for i in offsets]),
-        0.5 * (w - r_full * h),
+        np.stack([[j + i * r_full for i in band[0]] for band, (r_full, _) in zip(bands, steps)], 1),
+        np.stack([[grid[j] + i * w for i in band[0]] for band, (_, w) in zip(bands, steps)], 1),
+        np.array([0.5 * (w - r_full * h) for r_full, w in steps]),
     )
     for x in arrays:
         x.flags.writeable = False
     return (h, reach, cells, tuple(blocks), *arrays)
 
 
-def _band_integral(f, offsets, a, b, g_0=None):
-    """Per grid point t=j/M, the integral over s in [0, w(t)] of
-    prod_i f(t + offsets[i] * s), where w(t) = min(t/a, (1-t)/b) and a zero
-    divisor means that side is unconstrained.  ``g_0`` is the product at
-    s = 0, f to the number of offsets, if the caller has it.
+def _band_integral(f, bands, g_0, last):
+    """Per band (offsets, a, b) and grid point t=j/M with j <= last, the
+    integral over s in [0, w(t)] of prod_i f(t + offsets[i] * s), where
+    w(t) = min(t/a, (1-t)/b) and a zero divisor means that side is
+    unconstrained: a (bands, last + 1) table.  ``g_0`` is the product at
+    s = 0, f to the number of offsets, or None to compute it here.
 
     The R(t) = floor(M w(t)) whole steps use the composite trapezoid rule
     with on-grid integer shifts; the fractional tail [R(t)/M, w(t)] uses
     linear interpolation of f.
 
-    The on-grid sum runs over blocks of steps r0 <= r < r0 + B, each over
-    the points a*r0 <= j <= M - b*r0 of its first step.  f is zero-padded
-    once: for such j, some index j + i*r leaves [0, M] exactly when
-    r > R(t), so the product there is exactly 0 and needs no mask.  Row 0
-    of the block's buffer holds the running total and numpy adds the rows
-    of a C-contiguous array in order, so each point sums g_0, g_1, ...,
-    g_R(t) left to right, as one step at a time does.  (numpy sums a single
-    column pairwise, but a block one point wide is the last step alone.)
+    The on-grid sum runs, band by band, over blocks of steps
+    r0 <= r < r0 + B, each over the points a*r0 <= j <= min(M - b*r0, last)
+    of its first step.  f is zero-padded once: for such j, some index
+    j + i*r leaves [0, M] exactly when r > R(t), so the product there is
+    exactly 0 and needs no mask.  Row 0 of the block's buffer holds the
+    running total and numpy adds the rows of a C-contiguous array in order,
+    so each point sums g_0, g_1, ..., g_R(t) left to right, as one step at
+    a time does.  (numpy sums a single column pairwise, but a block one
+    point wide holds one nonzero step.)  The end terms of every band come
+    from one gather (the last whole step), one interpolation (the tail end)
+    and one expression.
 
-    What depends only on (M, offsets, a, b) comes from the cached, read-only
+    What depends only on (M, bands, last) comes from the cached, read-only
     ``_band_plan``: R(t), the tail weights, the blocks' view starts and
     strides, and the index and interpolation positions of the end terms.  A
     call only pads f into its own buffer, multiplies and sums the views and
     adds the end corrections.
     """
-    h, reach, cells, blocks, grid, full_at, end_at, tail = _band_plan(
-        len(f) - 1, tuple(offsets), a, b
-    )
+    h, reach, cells, blocks, grid, full_at, end_at, tail = _band_plan(len(f) - 1, bands, last)
     if g_0 is None:
-        g_0 = math.prod(f for _ in offsets)
-    # sum of g_r = prod_i f(t + offsets[i] r/M) over r = 0..R(t)
-    total = g_0.copy()
+        g_0 = math.prod(f for _ in bands[0][0])
+    g_0 = g_0[: last + 1]
+    # sum of g_r = prod_i f(t + offsets[i] r/M) over r = 0..R(t), per band
+    table = np.empty((len(bands), last + 1))
+    table[:] = g_0
     padded = np.zeros(len(f) + 2 * reach)
     padded[reach : reach + len(f)] = f
     scratch = np.empty(cells)
-    for lo, hi, (rows, width), views in blocks:
+    for row, lo, hi, (rows, width), views in blocks:
+        total = table[row, lo : hi + 1]
         buf = scratch[: (rows + 1) * width].reshape(rows + 1, width)
-        buf[0] = total[lo : hi + 1]
+        buf[0] = total
         shifted = [np.ndarray((rows, width), float, padded, at, steps) for at, steps in views]
         np.multiply(shifted[0], shifted[1], out=buf[1:])
         for factor in shifted[2:]:
             buf[1:] *= factor
-        buf.sum(axis=0, out=total[lo : hi + 1])
+        buf.sum(axis=0, out=total)
     g_full = math.prod(f[full_at])
     g_end = math.prod(np.interp(end_at, grid, f))
-    return h * (total - 0.5 * (g_0 + g_full)) + tail * (g_full + g_end)
+    return h * (table - 0.5 * (g_0 + g_full)) + tail * (g_full + g_end)
 
 
-def _grid_apply(f, c, coeff, k):
-    g_0 = math.prod(f for _ in range(k - 1))  # every band has k - 1 offsets
-    total = np.zeros(len(f))
-    for ell in range(1, k + 1):
-        offsets = tuple(i for i in range(1 - ell, k - ell + 1) if i)
-        total += _band_integral(f, offsets, ell - 1, k - ell, g_0)
-    return c * np.exp(-coeff * total)
+def _mirror(f, m):
+    """The symmetric profile on the grid of size m whose points j <= M // 2
+    are those of f."""
+    return np.concatenate([f[: m // 2 + 1], f[(m - 1) // 2 :: -1]])
+
+
+def _grid_apply(f, c, coeff, k, half):
+    """The operator with prefactor ``coeff``, at every point of the grid of f;
+    or, when ``half``, on the symmetric profile with f's points j <= M // 2,
+    evaluated at those points and mirrored onto the rest."""
+    m = len(f) - 1
+    last = m // 2 if half else m
+    if half:
+        f = _mirror(f, m)
+    bands = tuple(
+        (tuple(i for i in range(1 - ell, k - ell + 1) if i), ell - 1, k - ell)
+        for ell in range(1, k + 1)
+    )
+    g_0 = math.prod(f[: last + 1] for _ in range(k - 1))  # every band has k - 1 offsets
+    out = c * np.exp(-coeff * _band_integral(f, bands, g_0, last).sum(axis=0))
+    return _mirror(out, m) if half else out
 
 
 def phi_apply(k, c, f, zeta=1.0):
     """One application of the profile operator with edge penalty zeta:
     c exp(-zeta * sum of the k band integrals of f), on the grid of f."""
     f = np.asarray(f, dtype=float)
+    if f.ndim != 1:
+        raise ValueError(f"f must be one-dimensional, got shape {f.shape}")
     _check_grid(k, c, zeta, len(f) - 1)
     if not np.all((f > 0) & (f < math.inf)):
         raise ValueError("f must be positive and finite")
-    return _grid_apply(f, c, zeta, k)
+    return _grid_apply(f, c, zeta, k, False)
 
 
 def _grid_fixed_point(c, coeff, k, grid_size, tol):
     """Fixed point of the grid operator with prefactor ``coeff``, from the
-    constant c.  The caller checks the inputs and the certificate."""
+    constant c, solved on the points j <= M // 2 and mirrored.  The caller
+    checks the inputs and the certificate."""
     f = np.full(grid_size + 1, float(c))
-    return _iterate(lambda g: _grid_apply(g, c, coeff, k), f, tol, "grid fixed point")
+    f = _iterate(lambda g: _grid_apply(g, c, coeff, k, True), f, tol, "grid fixed point")
+    return _mirror(f, grid_size)
 
 
 def phi_threshold(k):
@@ -293,7 +337,7 @@ def kap_rate(k, c, quad_nodes=64, grid_size=800):
     _check_admissible(c, phi_threshold(k))
     h = 1.0 / grid_size
     total = _coupling_integral(
-        lambda t, g: _grid_apply(g, t, 1.0, k), lambda f: _trapz(f, h),
+        lambda t, g: _grid_apply(g, t, 1.0, k, True), lambda f: _trapz(f, h),
         grid_size + 1, 1, c, quad_nodes, 1e-11, "kap_rate",
     )
     return total - c
@@ -308,7 +352,7 @@ def kap_rate_bethe(k, c, grid_size=2000):
     """
     x = phi_fixed_point(k, c, grid_size=grid_size)
     h = 1.0 / grid_size
-    inner = _band_integral(x, tuple(range(k)), 0, k - 1)
+    inner = _band_integral(x, ((tuple(range(k)), 0, k - 1),), None, grid_size)[0]
     edge_term = _trapz(inner, h)
     entropy = _trapz(x * (np.log(x / c) - 1.0), h)
     return -edge_term - entropy - c

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bp import _check_admissible, _check_k, regular_fixed_point, solve_zeta_regular, thresholds
-from .errors import DomainError
+from .bp import _check_admissible, regular_fixed_point, solve_zeta_regular, thresholds
+from .errors import DomainError, _check_k
 from .hypergraph import Multihypergraph
 
 __all__ = [

@@ -324,14 +324,16 @@ class TestFixedPoint:
             assert count_applications(refused)[1] == 0
 
     def test_quad_nodes_named(self):
-        # both coupling-constant integrals refuse an empty rule by name
+        # both coupling-constant integrals refuse an empty rule by name, and
+        # read the node count as an index, so 2.5 meets the same refusal
         g = subgraph_hypergraph(named_graph("K3"), 6)
         params = BPParams(3, 0.9, 1.0, max(g.degrees()))
         for solve in (
             lambda: bp_log_partition(g, params, method="integral", quad_nodes=0),
+            lambda: bp_log_partition(g, params, method="integral", quad_nodes=2.5),
             lambda: kap_rate(3, 0.9, quad_nodes=0, grid_size=60),
         ):
-            with pytest.raises(ValueError, match="quad_nodes"):
+            with pytest.raises(ValueError, match="quad_nodes must be an integer >= 1"):
                 solve()
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")

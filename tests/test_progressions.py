@@ -16,6 +16,7 @@ from bplt.errors import DomainError
 from bplt.progressions import (
     _band_integral,
     _band_plan,
+    _grid_apply,
     ap_degree,
     ap_hypergraph,
     degree_coefficient,
@@ -41,6 +42,20 @@ def _headed(value):
     return np.r_[value, np.ones(60)]
 
 
+def _bands(k):
+    """The k bands (offsets, a, b) of the profile operator."""
+    return tuple(
+        (tuple(i for i in range(1 - ell, k - ell + 1) if i), ell - 1, k - ell)
+        for ell in range(1, k + 1)
+    )
+
+
+def _symmetric(rng, m):
+    """A random positive profile on the grid of size m, equal to its mirror image."""
+    half = rng.uniform(0.2, 0.9, m // 2 + 1)
+    return np.concatenate([half, half[(m - 1) // 2 :: -1]])
+
+
 # inputs the grid API refuses: (call, exception type, message fragment)
 REFUSED = {
     "grid-0": (lambda: phi_fixed_point(3, 1.0, grid_size=0), ValueError, "grid_size"),
@@ -48,6 +63,12 @@ REFUSED = {
     "rate-grid": (lambda: kap_rate(3, 0.5, grid_size=5), ValueError, "grid_size"),
     "gap-grid": (lambda: discrete_profile_gap(3, 5, 0.5), ValueError, "grid_size"),
     "apply-grid": (lambda: phi_apply(3, 0.5, np.ones(6)), ValueError, "grid_size"),
+    "grid-float": (lambda: phi_fixed_point(3, 1.0, grid_size=200.5), ValueError, "grid_size"),
+    "bethe-grid-float": (lambda: kap_rate_bethe(3, 1.0, grid_size=60.0), ValueError, "grid_size"),
+    "rate-quad-float": (
+        lambda: kap_rate(3, 1.0, quad_nodes=2.5, grid_size=60), ValueError, "quad_nodes"
+    ),
+    "apply-2d": (lambda: phi_apply(3, 0.5, np.ones((7, 2))), ValueError, "f must be one-dim"),
     "zeta-high": (lambda: phi_fixed_point(3, 0.5, zeta=1.5), DomainError, "zeta"),
     "zeta-low": (lambda: phi_fixed_point(3, 0.5, zeta=-0.1), DomainError, "zeta"),
     "zeta-nan": (lambda: phi_fixed_point(3, 0.5, zeta=math.nan), DomainError, "zeta"),
@@ -141,67 +162,84 @@ class TestFunctionalApply:
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_band_integral_matches_pointwise_loop(self, k, rng):
         # every band of the operator and the kap_rate_bethe edge band: bit for
-        # bit the per-step loop, and within rounding the per-point loop on the
-        # small grids; the points with w(t) = 0 (t = 0 under a left, t = 1
-        # under a right constraint) integrate over an empty range and must
-        # read exactly 0.  At M = 1000 the last block of every band is partial
-        # (max R(t) = M // (k-1) is no multiple of the block); M = 2000 makes
-        # many blocks
+        # bit the per-step loop at the points j <= last, for the half range
+        # the solvers use and for every point, and within rounding the
+        # per-point loop on the small grids; the points with w(t) = 0 (t = 0
+        # under a left, t = 1 under a right constraint) integrate over an
+        # empty range and must read exactly 0.  At M = 1000 the last block of
+        # every band is partial (max R(t) = M // (k-1) is no multiple of the
+        # block); M = 2000 makes many blocks
         block = max(1, progressions.CELLS // 1001)
         assert (1000 // (k - 1)) % block
+        edge = ((tuple(range(k)), 0, k - 1),)
         for m in (2 * k, 2 * k + 1, 2 * k + 2, 31, 100, 501, 1000, 2000):
             f = rng.uniform(0.1, 1.2, m + 1)
             j = np.arange(m + 1)
-            bands = [
-                ([i for i in range(1 - ell, k - ell + 1) if i], ell - 1, k - ell)
-                for ell in range(1, k + 1)
-            ]
-            for offsets, a, b in [*bands, (list(range(k)), 0, k - 1)]:
-                got = _band_integral(f, offsets, a, b)
-                assert np.array_equal(got, loop_band_integral(f, offsets, a, b))
-                if m <= 501:
-                    want = naive_band_integral(f, offsets, a, b)
-                    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-                empty = (a > 0) & (j == 0) | (b > 0) & (j == m)
-                assert np.all(got[empty] == 0) and np.all(got[~empty] > 0)
+            for last in (m // 2, m):
+                for bands in (_bands(k), edge):
+                    got = _band_integral(f, bands, None, last)
+                    assert got.shape == (len(bands), last + 1)
+                    for row, (offsets, a, b) in zip(got, bands):
+                        want = loop_band_integral(f, offsets, a, b)[: last + 1]
+                        assert np.array_equal(row, want)
+                        if m <= 501:
+                            want = naive_band_integral(f, offsets, a, b)[: last + 1]
+                            np.testing.assert_allclose(row, want, rtol=1e-13, atol=0)
+                        empty = ((a > 0) & (j == 0) | (b > 0) & (j == m))[: last + 1]
+                        assert np.all(row[empty] == 0) and np.all(row[~empty] > 0)
 
     def test_band_integral_scratch_is_bounded(self, rng):
         # k = 3 at M = 4000 takes up to 2000 steps: the whole (R, M)
-        # rectangle of products would be about 64 MB, the blocks stay O(M)
+        # rectangle of products would be about 64 MB, the blocks stay O(M);
         # the band plans are built inside the bound too
         m = 4000
         f = rng.uniform(0.1, 1.2, m + 1)
         _band_plan.cache_clear()
         tracemalloc.start()
         try:
-            for offsets, a, b in (([1, 2], 0, 2), ([-1, 1], 1, 1), ([0, 1, 2], 0, 2)):
-                _band_integral(f, offsets, a, b)
+            for bands, last in ((_bands(3), m // 2), (_bands(3), m), ((((0, 1, 2), 0, 2),), m)):
+                _band_integral(f, bands, None, last)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
     def test_band_plan_is_read_only(self):
-        *_, grid, full_at, end_at, tail = _band_plan(200, (-1, 1), 1, 1)
+        *_, grid, full_at, end_at, tail = _band_plan(200, _bands(3), 100)
         for values in (grid, full_at, end_at, tail):
             with pytest.raises(ValueError, match="read-only"):
-                values[0] = 0
+                values.flat[0] = 0
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_band_plan_reused_across_profiles(self, k, rng):
-        # a freshly built plan and the same plan shared by a second profile
+        # one plan per operator and point range, and one for the edge band: a
+        # freshly built plan and the same plan shared by a second profile
         # both give the per-step loop bit for bit
-        bands = [
-            (tuple(i for i in range(1 - ell, k - ell + 1) if i), ell - 1, k - ell)
-            for ell in range(1, k + 1)
-        ]
+        edge = ((tuple(range(k)), 0, k - 1),)
         for m in (2 * k, 500, 2000):
+            plans = [(_bands(k), m // 2), (_bands(k), m), (edge, m)]
             _band_plan.cache_clear()
             for f in rng.uniform(0.1, 1.2, (2, m + 1)):
-                for offsets, a, b in [*bands, (tuple(range(k)), 0, k - 1)]:
-                    got = _band_integral(f, offsets, a, b)
-                    assert np.array_equal(got, loop_band_integral(f, offsets, a, b))
-            assert _band_plan.cache_info().hits == len(bands) + 1
+                for bands, last in plans:
+                    got = _band_integral(f, bands, None, last)
+                    for row, (offsets, a, b) in zip(got, bands):
+                        want = loop_band_integral(f, offsets, a, b)[: last + 1]
+                        assert np.array_equal(row, want)
+            assert _band_plan.cache_info().hits == len(plans)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_half_operator_matches_phi_apply(self, k, rng):
+        # on a symmetric profile the solvers' operator gives phi_apply's
+        # floats at j <= M // 2, mirrored: within 2 ulps of phi_apply's own
+        # second half, which rounds its sums in another order
+        for m in (2 * k, 2 * k + 1, 100, 101, 500, 501):
+            f = _symmetric(rng, m)
+            half = _grid_apply(f, 0.9, 0.8, k, True)
+            full = phi_apply(k, 0.9, f, zeta=0.8)
+            last = m // 2
+            assert np.array_equal(half, half[::-1])
+            assert np.array_equal(half[: last + 1], full[: last + 1])
+            np.testing.assert_array_max_ulp(half, full, maxulp=2)
 
     def test_concurrent_applications_share_plans(self, rng):
         # threads on one grid share the plans, not the buffers: each returns
@@ -292,14 +330,33 @@ class TestContraction:
 class TestFixedPoints:
     def test_fixed_point_properties(self):
         f = phi_fixed_point(3, 1.0, tol=1e-12, grid_size=800, method="direct")
-        # symmetric, endpoint maxima, interior minimum at the centre
-        assert np.max(np.abs(f - f[::-1])) < 1e-11
+        # exactly symmetric, endpoint maxima, interior minimum at the centre
+        assert np.array_equal(f, f[::-1])
         assert np.argmin(f) in (400, 401)
         assert np.argmax(f) in (0, 800)
         half = f[: 401]
         assert np.all(np.diff(half) <= 1e-12)
         # lower bound c e^{-zeta c^(k-1)}
         assert np.all(f >= 1.0 * math.exp(-1.0) - 1e-9)
+
+    @pytest.mark.parametrize("method", ["scaled", "direct"])
+    def test_fixed_points_exactly_symmetric(self, method):
+        # the solvers work on the points j <= M // 2 and mirror, so each
+        # profile equals its mirror image bit for bit, and it is a fixed
+        # point of the full-grid phi_apply to the solve's tolerance
+        tol = 1e-12
+        for zeta in (0.5, 1.0):
+            for k, m in [(3, 300), (3, 301), (4, 200), (5, 151)]:
+                c = 0.9 * phi_threshold(k) * zeta ** (-1.0 / (k - 1))
+                f = phi_fixed_point(k, c, tol=tol, grid_size=m, method=method, zeta=zeta)
+                assert np.array_equal(f, f[::-1])
+                assert np.max(np.abs(np.log(phi_apply(k, c, f, zeta=zeta) / f))) < tol
+
+    def test_integral_sizes_accepted(self):
+        # numpy integers are indices, as k is; only non-integral sizes are refused
+        size = np.int64(60)
+        assert kap_rate_bethe(3, 1.0, grid_size=size) == kap_rate_bethe(3, 1.0, grid_size=60)
+        assert kap_rate(3, 1.0, np.int64(4), size) == kap_rate(3, 1.0, 4, 60)
 
     def test_grid_refinement_consistency(self):
         a = phi_fixed_point(3, 1.0, grid_size=400, method="direct")
@@ -399,11 +456,15 @@ class TestMixedIteration:
 
     def test_application_counts(self, count_applications):
         # the plain iteration took 91 and 458 applications here, the mixed
-        # one from previous-node starts 120 for the rate
+        # one from previous-node starts 120 for the rate; solving on half the
+        # grid leaves the counts where the full-grid solves had them
         _, n = count_applications(lambda: phi_fixed_point(3, 1.0, grid_size=200))
         assert 0 < n <= 20
         _, n = count_applications(lambda: kap_rate(3, 1.0, quad_nodes=16, grid_size=200))
         assert 0 < n <= 75
+        assert n == 75
+        _, n = count_applications(lambda: kap_rate_bethe(3, 1.0, grid_size=500))
+        assert n == 12
 
 
 class TestRates:
@@ -492,3 +553,11 @@ def test_diagnostics_script_runs():
         "== exact scaled non-existence log-probability vs limiting rate ==",
         "== BP log Z and scaled marginal vs exact on triangle hypergraphs ==",
     ]
+
+
+def test_import_builds_no_plan():
+    # a fresh interpreter: the band plans are built on first use, never at import
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    code = "import bplt\nassert bplt.progressions._band_plan.cache_info().currsize == 0\n"
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True)

@@ -9,6 +9,7 @@ import pytest
 
 from bplt.bp import BPParams, lambert_w0, regular_fixed_point, solve_zeta_regular, thresholds
 from bplt.errors import DomainError
+from bplt.hypergraph import degree_stats
 from bplt.progressions import ap_degree, ap_hypergraph, degree_coefficient, phi_fixed_point
 from bplt.rates import (
     SimpleGraph,
@@ -288,6 +289,7 @@ K_ENTRIES = {
     "ap_hypergraph": (lambda k: ap_hypergraph(k, 10), 3, DomainError),
     "ap_degree": (lambda k: ap_degree(k, 10, 3), 3, DomainError),
     "phi_fixed_point": (lambda k: phi_fixed_point(k, 0.5, grid_size=60), 3, DomainError),
+    "degree_stats": (lambda k: degree_stats(subgraph_hypergraph(K3, 5), k), 2, ValueError),
 }
 REFUSALS = {
     f"{name}-k={k!r}": (
