@@ -9,7 +9,14 @@ there is a unique fixed point.  Every solver reaches it through one shared
 Anderson-mixed iteration (``_iterate``), from the constant vector c or a
 predicted start (below), which returns a point only once its log-sup
 residual is below the tolerance; the certificate is what puts that point
-next to the unique fixed point.  On a
+next to the unique fixed point.  The solvers hand ``_iterate`` the log of
+the operator's image, ``log c - (zeta/Delta) * sum ...`` (``_log_apply``),
+which the iteration works in, so no vector exp or log is taken of an image;
+both it and the image of :func:`bp_apply` (``_apply``) come from one load
+kernel (``_loads``).  A log image cannot underflow, so an entry below
+``_LOG_TINY``, where the image would leave the normal floats, counts as an
+image entry of 0: a mixed step that reaches one is dropped, and at any
+other point it is an underflow error.  On a
 Delta-regular graph the fixed point is the constant solution of
 ``x = c exp(-zeta x^(k-1))``, available in closed form through the Lambert
 W function.  Both penalty solvers find the zeta that meets the lower-tail
@@ -19,8 +26,8 @@ The drivers that solve a family of fixed points, along the coupling
 constant t of the log Z integral (``_coupling_integral``, also behind the
 grid's ``kap_rate``) and along the penalty zeta in ``solve_zeta``, start each
 solve from a prediction: Lagrange interpolation or extrapolation
-(``_predict``) of the log fixed points
-through the ``_PREDICT_ORDER`` solved parameters nearest the next one.  The
+(``_predict``) of the log fixed points through the ``_PREDICT_ORDER`` (8)
+solved parameters nearest the next one.  The
 prediction is clipped to be positive and at most the prior (t, or c) it
 starts from (``_start``), where every fixed point lies, so a poor one costs
 applications and never a failure.  Only the starting points are predicted;
@@ -41,6 +48,7 @@ concurrent calls on one graph never share them.
 from __future__ import annotations
 
 import collections
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -71,8 +79,8 @@ _ANDERSON_DEPTH = 5  # differences kept by the mixing in _iterate
 _MAX_APPLICATIONS = 10_000  # operator applications allowed to one _iterate call
 _ROOT_MAX_ITER = 200  # evaluations allowed to _root
 _ROOT_RTOL = 4 * np.finfo(float).eps  # relative bracket width at which _root stops
-_PREDICT_ORDER = 6  # solved points the warm-start predictor interpolates through
-_LOG_TINY = math.log(np.finfo(float).tiny)  # floor of a predicted start, in log
+_PREDICT_ORDER = 8  # solved points the warm-start predictor interpolates through
+_LOG_TINY = math.log(np.finfo(float).tiny)  # floor of a predicted start and of a log image
 _FP_TOL = 1e-13  # log-sup residual of the fixed points behind log Z and the rates
 _ZETA_CAP = 0.99999  # share of the contraction boundary solve_zeta's bracket may reach
 
@@ -224,7 +232,9 @@ def _edge_sum(x, edges, work):
     return float(np.prod(vals, axis=0).sum())
 
 
-def _apply(x, edges, work, c, zeta, delta):
+def _loads(x, edges, work):
+    """Per vertex v, the sum over the edges at v of the product of the other
+    members' entries: the load kernel that ``_apply`` and ``_log_apply`` share."""
     # Each member of an edge receives the product of the other members,
     # built from prefix and suffix products over the k rows of vals: no
     # division, so it stays exact when the product of all k underflows.
@@ -244,8 +254,18 @@ def _apply(x, edges, work, c, zeta, delta):
     for j in range(k - 2, 0, -1):
         loo[j] *= loo[0]
         loo[0] *= vals[j]
-    sums = np.bincount(edges.ravel(), weights=loo.ravel(), minlength=len(x))
-    return c * np.exp(-(zeta / delta) * sums)
+    return np.bincount(edges.ravel(), weights=loo.ravel(), minlength=len(x))
+
+
+def _apply(x, edges, work, c, zeta, delta):
+    """The operator's image c exp(-(zeta/delta) loads), as ``bp_apply`` returns it."""
+    return c * np.exp(-(zeta / delta) * _loads(x, edges, work))
+
+
+def _log_apply(x, edges, work, c, zeta, delta):
+    """The log of ``_apply``'s image, log c - (zeta/delta) loads, built with
+    no exp or log of a vector: the map every BP solver hands to ``_iterate``."""
+    return math.log(c) - (zeta / delta) * _loads(x, edges, work)
 
 
 def _check_vector(graph, x):
@@ -265,11 +285,12 @@ def bp_apply(graph, params, x):
     return _apply(x, edges, _workspace(edges), params.c, params.zeta, params.delta)
 
 
-def _iterate(apply, x, tol, what):
-    """Anderson-mixed iteration towards a fixed point of ``apply`` from ``x``.
+def _iterate(log_apply, x, tol, what):
+    """Anderson-mixed iteration towards a fixed point of an operator F from
+    ``x``, given its log image ``log_apply(x) = log F(x)``.
 
     Type-II Anderson mixing (Walker and Ni, SIAM J. Numer. Anal. 49, 2011)
-    in log coordinates: with ``u = log x``, ``g = log apply(x)`` and the
+    in log coordinates: with ``u = log x``, ``g = log_apply(x)`` and the
     residual ``f = g - u``, the next point is ``g - gamma dG``.  The rows of
     ``dF`` and ``dG`` are the last m <= ``_ANDERSON_DEPTH`` differences of
     successive residuals and images, and ``gamma`` is the least-squares
@@ -280,16 +301,20 @@ def _iterate(apply, x, tol, what):
     ring of ``_ANDERSON_DEPTH`` slots, whose order does not change gamma.
     A mixed step whose residual is not below the one it started from (a
     non-finite one included) is dropped: the history is cleared and a plain
-    step ``x <- apply(x)`` is taken from the point the mixed step started
+    step ``x <- F(x)`` is taken from the point the mixed step started
     from.
 
+    A log image cannot underflow, so an entry below ``_LOG_TINY``, where
+    F(x) itself would leave the normal floats, is read as log 0 = -inf: the
+    residual is then infinite.
+
     Returns the first point whose log-sup residual
-    ``max |log apply(x) - log x|`` is below ``tol``; ``what`` names the
+    ``max |log_apply(x) - log x|`` is below ``tol``; ``what`` names the
     caller in the error raised before any application when ``tol`` is not
     positive, which no residual meets, when ``_MAX_APPLICATIONS`` applications
     (read at call time) do not get there, or at once when a residual is not
-    finite (an entry underflowed to 0, or became NaN) at any point but a
-    mixed one, which is dropped.
+    finite (an entry below the floor, or NaN) at any point but a mixed one,
+    which is dropped.
     """
     if not tol > 0:
         raise DomainError(f"{what}: tol must be positive, got {tol}")
@@ -302,9 +327,11 @@ def _iterate(apply, x, tol, what):
     residual = math.inf
     cap = _MAX_APPLICATIONS
     for step in range(1, cap + 1):
-        g = np.log(apply(x))
+        g = log_apply(x)
         f = g - u
         residual = float(np.max(np.abs(f), initial=0.0))  # an empty vector is a fixed point
+        if g.min(initial=0.0) < _LOG_TINY:  # an entry of F(x) would underflow
+            residual = math.inf
         if residual < tol:
             return x
         if added and not residual < start[2]:  # a mixed step that failed, NaN included
@@ -354,7 +381,7 @@ def bp_fixed_point(graph, params, tol=1e-12):
     x = np.full(graph.num_vertices, params.c, dtype=float)  # the kernel gathers into floats
     work = _workspace(edges)
     return _iterate(
-        lambda v: _apply(v, edges, work, params.c, params.zeta, params.delta),
+        lambda v: _log_apply(v, edges, work, params.c, params.zeta, params.delta),
         x,
         tol,
         "bp_fixed_point",
@@ -472,7 +499,7 @@ def solve_zeta(graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_t
     def residual(z):
         x = _start(_predict(solved, z, n), c)
         at[:] = z, _iterate(
-            lambda v: _apply(v, edges, work, c, z, params.delta), x, fp_tol, "solve_zeta"
+            lambda v: _log_apply(v, edges, work, c, z, params.delta), x, fp_tol, "solve_zeta"
         )
         solved.append((z, np.log(at[1])))
         return (1.0 - z) * _edge_sum(at[1], edges, work) - target
@@ -520,26 +547,38 @@ def _start(u, prior):
     return np.exp(np.fmin(np.fmax(u, _LOG_TINY), math.log(prior)))
 
 
+@functools.lru_cache(maxsize=4)
+def _leggauss(n):
+    """``numpy.polynomial.legendre.leggauss(n)``, the n-node Gauss-Legendre
+    nodes and weights on [-1, 1], built once per n and shared by every
+    later call, so its two arrays are read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for values in rule:
+        values.flags.writeable = False
+    return rule
+
+
 def _coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, what):
     """Integral over t in (0, c] of mass(x*(t))/t, x*(t) the fixed point of
-    ``apply_at(t, .)`` on vectors of ``size`` entries.
+    the operator whose log image is ``apply_at(t, .)``, on vectors of
+    ``size`` entries.
 
-    Gauss-Legendre nodes on [eps, c] with eps = c*1e-6; the [0, eps) head
-    contributes ``head * eps``, since x*(t) ~ t as t -> 0 and ``head`` is the
-    mass of the all-ones vector.  Each node's solve starts from ``t`` times
-    the exponential of ``log(x*/t)`` predicted (``_predict``) from the last
-    ``_PREDICT_ORDER`` nodes, clipped to at most t (``_start``); the first
-    node starts from the constant t.  Every solve runs under ``_iterate``'s
+    Gauss-Legendre nodes (``_leggauss``) on [eps, c] with eps = c*1e-6; the
+    [0, eps) head contributes ``head * eps``, since x*(t) ~ t as t -> 0 and
+    ``head`` is the mass of the all-ones vector.  Each node's solve starts
+    from ``t`` times the exponential of ``log(x*/t)`` predicted
+    (``_predict``) from the last ``_PREDICT_ORDER`` nodes, clipped to at
+    most t (``_start``); the first node starts from the constant t.  Every solve runs under ``_iterate``'s
     application cap, and ``what`` names the caller in its errors.
     """
     try:  # operator.index refuses 2.5, which leggauss cannot take
-        enough = operator.index(quad_nodes) >= 1
+        n = operator.index(quad_nodes)
     except TypeError:
-        enough = False
-    if not enough:
+        n = 0
+    if not n >= 1:
         raise ValueError(f"quad_nodes must be an integer >= 1 (got {quad_nodes})")
     eps = c * 1e-6
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
+    nodes, weights = _leggauss(n)
     mid, half = 0.5 * (eps + c), 0.5 * (c - eps)
     ts, ws = mid + half * nodes, half * weights
     solved = collections.deque(maxlen=_PREDICT_ORDER)  # (t, log(x*(t)/t))
@@ -575,7 +614,7 @@ def bp_log_partition(graph, params, method="bethe", quad_nodes=64):
     work = _workspace(edges)
     n = graph.num_vertices
     total = _coupling_integral(
-        lambda t, v: _apply(v, edges, work, t, params.zeta, params.delta),
+        lambda t, v: _log_apply(v, edges, work, t, params.zeta, params.delta),
         lambda x: float(x.sum()),
         n, n, c, quad_nodes, _FP_TOL, "bp_log_partition integral",
     )

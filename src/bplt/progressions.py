@@ -21,11 +21,14 @@ order, so the blocks give the same floats as one step at a time.
 The k-APs of [n] are invariant under a -> n+1-a, so the operator commutes
 with t -> 1-t: band l at t is band k+1-l at 1-t, with the same R(t) and
 w(t).  Its unique certified fixed point is therefore symmetric, and the
-solvers (``_grid_fixed_point`` and ``kap_rate``) evaluate the operator only
-at the points j <= M // 2 of the symmetric profile with those values, and
-mirror the result: every image, and every profile ``_grid_fixed_point``
-returns, is exactly symmetric.  :func:`phi_apply` accepts any f, so it
-evaluates every point.
+solvers (``_grid_fixed_point`` and ``kap_rate``) evaluate the band
+integrals only at the points j <= M // 2 of the symmetric profile with
+those values, and mirror the result.  They hand ``bp._iterate`` the log
+image ``log c - coeff * loads`` (``_grid_log_apply``), loads the summed
+band integrals (``_grid_loads``), so no vector exp or log is taken of an
+image: every log image, and every profile ``_grid_fixed_point`` returns, is
+exactly symmetric.  :func:`phi_apply` accepts any f, so it evaluates every
+point, and returns the image ``c exp(-zeta * loads)`` from the same loads.
 
 Everything in a band integral that depends only on the grid, not on f, is a
 band plan: the whole steps R(t) and the tail weights, each block's view
@@ -250,10 +253,10 @@ def _mirror(f, m):
     return np.concatenate([f[: m // 2 + 1], f[(m - 1) // 2 :: -1]])
 
 
-def _grid_apply(f, c, coeff, k, half):
-    """The operator with prefactor ``coeff``, at every point of the grid of f;
-    or, when ``half``, on the symmetric profile with f's points j <= M // 2,
-    evaluated at those points and mirrored onto the rest."""
+def _grid_loads(f, k, half):
+    """The sum of the k operator band integrals of f, at every point of its
+    grid; or, when ``half``, of the symmetric profile with f's points
+    j <= M // 2, evaluated at those points and mirrored onto the rest."""
     m = len(f) - 1
     last = m // 2 if half else m
     if half:
@@ -263,8 +266,15 @@ def _grid_apply(f, c, coeff, k, half):
         for ell in range(1, k + 1)
     )
     g_0 = math.prod(f[: last + 1] for _ in range(k - 1))  # every band has k - 1 offsets
-    out = c * np.exp(-coeff * _band_integral(f, bands, g_0, last).sum(axis=0))
-    return _mirror(out, m) if half else out
+    loads = _band_integral(f, bands, g_0, last).sum(axis=0)
+    return _mirror(loads, m) if half else loads
+
+
+def _grid_log_apply(f, c, coeff, k):
+    """The solvers' map: the log image ``log c - coeff * loads`` of the
+    operator with prefactor ``coeff``, on the symmetric profile with f's
+    points j <= M // 2, so it too is exactly symmetric."""
+    return math.log(c) - coeff * _grid_loads(f, k, True)
 
 
 def phi_apply(k, c, f, zeta=1.0):
@@ -276,7 +286,7 @@ def phi_apply(k, c, f, zeta=1.0):
     _check_grid(k, c, zeta, len(f) - 1)
     if not np.all((f > 0) & (f < math.inf)):
         raise ValueError("f must be positive and finite")
-    return _grid_apply(f, c, zeta, k, False)
+    return c * np.exp(-zeta * _grid_loads(f, k, False))
 
 
 def _grid_fixed_point(c, coeff, k, grid_size, tol):
@@ -284,7 +294,7 @@ def _grid_fixed_point(c, coeff, k, grid_size, tol):
     constant c, solved on the points j <= M // 2 and mirrored.  The caller
     checks the inputs and the certificate."""
     f = np.full(grid_size + 1, float(c))
-    f = _iterate(lambda g: _grid_apply(g, c, coeff, k, True), f, tol, "grid fixed point")
+    f = _iterate(lambda g: _grid_log_apply(g, c, coeff, k), f, tol, "grid fixed point")
     return _mirror(f, grid_size)
 
 
@@ -337,7 +347,7 @@ def kap_rate(k, c, quad_nodes=64, grid_size=800):
     _check_admissible(c, phi_threshold(k))
     h = 1.0 / grid_size
     total = _coupling_integral(
-        lambda t, g: _grid_apply(g, t, 1.0, k, True), lambda f: _trapz(f, h),
+        lambda t, g: _grid_log_apply(g, t, 1.0, k), lambda f: _trapz(f, h),
         grid_size + 1, 1, c, quad_nodes, 1e-11, "kap_rate",
     )
     return total - c

@@ -99,13 +99,16 @@ def rate_gnp(k, c, eta):
     Solves the scalar achieving equation for the penalty, then returns
     ``x + x^k zeta (1 - 1/k) - log(1-zeta) eta c^k / k - c`` with x the
     regular fixed point; at eta = 0 the penalty is 1 and the log term is
-    absent.
+    absent.  There, with u = x^(k-1) and c = x e^u, the value is taken as
+    ``-x (u/k + (expm1(u) - u))``, a sum of non-positive terms, since the
+    first form cancels down to a value of size c^k/k as c -> 0.
     """
     thr = thresholds(k, eta)
     _check_admissible(c, thr.c_max_regular, f" for k={k}, eta={eta}")
     if eta == 0.0:
         x = regular_fixed_point(k, c, 1.0)
-        return x + (1.0 - 1.0 / k) * x**k - c
+        u = x ** (k - 1)
+        return -x * (u / k + (math.expm1(u) - u))
     zeta, _ = solve_zeta_regular(k, c, eta)
     x = regular_fixed_point(k, c, zeta)
     return (

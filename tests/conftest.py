@@ -324,10 +324,10 @@ def naive_bp_apply(graph, params, x):
     return np.array([params.c * math.exp(-(params.zeta / params.delta) * s) for s in sums])
 
 
-def reference_apply(x, edges, c, zeta, delta):
-    """The BP kernel's prefix and suffix products over the (k, M) edge
+def reference_loads(x, edges):
+    """The BP load kernel's prefix and suffix products over the (k, M) edge
     array, in fresh arrays on every call and with a checked gather: the
-    reference that ``bp._apply`` on its reused workspace must match bit for
+    reference that ``bp._loads`` on its reused workspace must match bit for
     bit."""
     k = len(edges)
     vals = x[edges]
@@ -340,8 +340,13 @@ def reference_apply(x, edges, c, zeta, delta):
         loo[j] *= suffix
         suffix = suffix * vals[j]
     loo[0] = suffix
-    sums = np.bincount(edges.ravel(), weights=loo.ravel(), minlength=len(x))
-    return c * np.exp(-(zeta / delta) * sums)
+    return np.bincount(edges.ravel(), weights=loo.ravel(), minlength=len(x))
+
+
+def reference_apply(x, edges, c, zeta, delta):
+    """The BP operator's image from ``reference_loads``: the reference that
+    ``bp._apply`` on its reused workspace must match bit for bit."""
+    return c * np.exp(-(zeta / delta) * reference_loads(x, edges))
 
 
 def reference_edge_sum(x, edges):
@@ -440,28 +445,33 @@ def loop_mc_lower_tail(graph, p, eta, samples, seed):
     return est, math.sqrt(est * (1.0 - est) / samples)
 
 
-def plain_iterate(apply, x, tol, what):
-    """Plain iteration ``x <- apply(x)`` with the stopping test, application
-    cap and errors of ``bp._iterate``: the reference for its Anderson-mixed
+def plain_iterate(log_apply, x, tol, what):
+    """Plain iteration ``x <- F(x)``, given the log image ``log_apply(x) =
+    log F(x)``, with the stopping test, underflow floor, application cap and
+    errors of ``bp._iterate``: the reference for its Anderson-mixed
     iteration."""
     residual = math.inf
     cap = bplt.bp._MAX_APPLICATIONS
     for step in range(1, cap + 1):
-        y = apply(x)
-        residual = float(np.max(np.abs(np.log(y) - np.log(x))))
+        g = log_apply(x)
+        residual = float(np.max(np.abs(g - np.log(x))))
+        if np.any(g < bplt.bp._LOG_TINY):
+            residual = math.inf
         if residual < tol:
             return x
         if not math.isfinite(residual):
             raise ConvergenceError(f"{what}: non-finite residual", residual=residual, iterations=step)
-        x = y
+        x = np.exp(g)
     raise ConvergenceError(f"{what}: no fixed point", residual=residual, iterations=cap)
 
 
 def previous_node_coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, what):
     """``bp._coupling_integral`` with each node's solve started from the
-    previous node's fixed point, the first from the constant t: the
-    reference for its predicted starts, which must agree with it to within
-    the solver tolerance at every node."""
+    previous node's fixed point, the first from the constant t, and the
+    rule built afresh by numpy: the reference for its predicted starts and
+    cached rule, which must agree with it to within the solver tolerance at
+    every node.  ``apply_at(t, .)`` is the log image, as ``bp._iterate``
+    takes it."""
     if not quad_nodes >= 1:
         raise ValueError(f"quad_nodes must be >= 1 (got {quad_nodes})")
     eps = c * 1e-6
@@ -526,13 +536,13 @@ def previous_node_starts(monkeypatch):
 
 @pytest.fixture
 def reference_kernel(monkeypatch):
-    """``reference_kernel(solve)`` calls ``solve()`` with the BP solvers
-    applying ``reference_apply`` and summing by ``reference_edge_sum``, so
+    """``reference_kernel(solve)`` calls ``solve()`` with the BP solvers'
+    loads taken by ``reference_loads`` and sums by ``reference_edge_sum``, so
     ``bp._iterate`` is driven by the allocating kernel and no workspace is read."""
 
     def run(solve):
         with monkeypatch.context() as m:
-            m.setattr(bplt.bp, "_apply", lambda x, edges, work, *a: reference_apply(x, edges, *a))
+            m.setattr(bplt.bp, "_loads", lambda x, edges, work: reference_loads(x, edges))
             m.setattr(bplt.bp, "_edge_sum", lambda x, edges, work: reference_edge_sum(x, edges))
             return solve()
 

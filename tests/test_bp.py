@@ -39,6 +39,7 @@ from conftest import (
     fixed_point_gap,
     log_gap,
     naive_bp_apply,
+    plain_iterate,
     reference_apply,
     reference_edge_sum,
 )
@@ -336,6 +337,17 @@ class TestFixedPoint:
             with pytest.raises(ValueError, match="quad_nodes must be an integer >= 1"):
                 solve()
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64])
+    def test_cached_rule_is_numpys(self, n):
+        # the integrals' Gauss-Legendre rule is numpy's bit for bit, and the
+        # arrays shared by every later call cannot be written
+        want = np.polynomial.legendre.leggauss(n)
+        for got in (bplt.bp._leggauss(n), bplt.bp._leggauss(np.int64(n))):
+            for values, wanted in zip(got, want, strict=True):
+                assert np.array_equal(values, wanted)
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = 0.0
+
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_underflow_fails_fast(self):
         # vertex 0 lies in 1500 edges and delta=1, so its message underflows to 0
@@ -344,6 +356,16 @@ class TestFixedPoint:
             bp_fixed_point(g, BPParams(3, 1.0, 1.0, 1))
         assert not math.isfinite(err.value.residual)
         assert err.value.iterations < 10
+
+    def test_subnormal_image_refused(self):
+        # vertex 0 lies in 720 edges and delta = 1: its image e^-720 would be
+        # subnormal, below the floor _LOG_TINY, so the first step is an
+        # underflow, where an image of 2.0e-313 once passed as a fixed point
+        g = Multihypergraph(1441, [(0, 2 * i + 1, 2 * i + 2) for i in range(720)])
+        with pytest.raises(ConvergenceError, match="underflow") as err:
+            bp_fixed_point(g, BPParams(3, 1.0, 1.0, 1))
+        assert err.value.residual == math.inf
+        assert err.value.iterations == 1
 
 
 class TestMixedIteration:
@@ -443,17 +465,41 @@ class TestMixedIteration:
         s, a = np.array([1.0, 4.0, 0.25]), 0.01
         seen = []
 
-        def apply(x):
+        def log_apply(x):
             u = np.log(x)
             g = (1 - a) * u - (2 - a) * 0.99 * np.arctan(s * u) / s
             seen.append(float(np.max(np.abs(g - u))))
-            return np.exp(g)
+            return g
 
         monkeypatch.setattr(bplt.bp, "_MAX_APPLICATIONS", 200)
-        x = _iterate(apply, np.full(3, math.exp(5.0)), 1e-12, "synthetic")
-        assert log_gap(apply(x), x) < 1e-12
+        x = _iterate(log_apply, np.full(3, math.exp(5.0)), 1e-12, "synthetic")
+        assert np.max(np.abs(log_apply(x) - np.log(x))) < 1e-12
         assert np.max(np.abs(np.log(x))) < 1e-10  # the fixed point is u = 0
         assert any(r1 > r0 for r0, r1 in zip(seen, seen[1:]))
+
+    def test_drops_a_mixed_step_whose_image_is_below_the_floor(self, monkeypatch):
+        # the map above with every image entry at u < -10 put below
+        # _LOG_TINY, where the image itself would underflow.  Plain iteration
+        # from u = 5 never goes there; the eighth point, a mixed one, does
+        # (u = -18.5), and it is dropped, not raised as an underflow
+        s, a = np.array([1.0, 4.0, 0.25]), 0.01
+        below = []
+
+        def log_apply(x):
+            u = np.log(x)
+            g = (1 - a) * u - (2 - a) * 0.99 * np.arctan(s * u) / s
+            cliff = u < -10
+            g[cliff] = 2 * bplt.bp._LOG_TINY
+            below.append(bool(cliff.any()))
+            return g
+
+        start = np.full(3, math.exp(5.0))
+        plain_iterate(log_apply, start, 1e-12, "synthetic")  # in 1389 applications
+        assert not any(below)
+        monkeypatch.setattr(bplt.bp, "_MAX_APPLICATIONS", 200)
+        x = _iterate(log_apply, start, 1e-12, "synthetic")
+        assert np.max(np.abs(np.log(x))) < 1e-10  # the fixed point is u = 0
+        assert below.count(True) == 1
 
     def test_uncertified_delta_repro(self, monkeypatch):
         # delta = 10 < Dmax: plain iteration cycles at residual ~5.5 forever
@@ -467,7 +513,8 @@ class TestMixedIteration:
     def test_application_counts(self, count_applications):
         # a graph large enough that the conditioning of the least-squares
         # solve shows in the step counts; the bounds are the counts with
-        # predicted starts (the previous-node starts took 84 and 567)
+        # predicted starts (the previous-node starts took 84 and 567, the
+        # 6-point predictor 224 for the integral)
         g = random_k_uniform(np.random.default_rng(1), 2000, 3, 6000)
         delta = max(g.degrees())
         _, fixed = count_applications(
@@ -479,7 +526,7 @@ class TestMixedIteration:
         )
         assert fixed <= 16
         assert penalty <= 56
-        assert integral <= 224
+        assert integral <= 186
 
     @settings(max_examples=60, deadline=None)
     @given(

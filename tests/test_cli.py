@@ -35,6 +35,15 @@ class TestRateCommands:
         assert code == 2
         assert f"{(math.e / 2) ** 0.5:.6f}"[:6] in err  # message cites the bound
 
+    def test_rate_gnp_negative_at_small_c(self, capsys):
+        # at the Janson end the rate is about -c^k/k = -2.5e-21, a value the
+        # cancelling form x + (1 - 1/k) x^k - c printed as +3.39e-21
+        code, out, _ = run(capsys, "rate-gnp", "--k", "4", "--c", "1e-5")
+        assert code == 0
+        rate = float(dict(line.split(",") for line in out.strip().splitlines())["rate"])
+        assert rate < 0
+        assert rate == pytest.approx(-(1e-5**4) / 4, rel=1e-9)
+
     def test_json_block(self, capsys):
         code, out, _ = run(capsys, "rate-gnp", "--k", "3", "--c", "0.5", "--json")
         assert code == 0

@@ -1,7 +1,9 @@
+import decimal
 import functools
 import itertools
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,28 @@ from bplt.rates import (
 )
 
 from conftest import loop_subgraph_edges
+
+def decimal_rate_gnp_eta0(k, c, digits=50):
+    """``rate_gnp(k, c, 0) = x + (1 - 1/k) x^k - c`` in ``digits``-digit
+    decimal arithmetic, x = (W((k-1) c^(k-1)) / (k-1))^(1/(k-1)) the root of
+    x e^(x^(k-1)) = c, W by Newton from y/(1+y): the reference for its
+    cancellation-free float form, which a cancelling form at 50 digits still
+    meets to about 19 digits at c = 1e-6, k = 6."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        c = Decimal(c)  # the float's exact value
+        y = (k - 1) * c ** (k - 1)
+        w = y / (1 + y)
+        for _ in range(200):
+            step = (w * w.exp() - y) / (w.exp() * (w + 1))
+            w -= step
+            if abs(step) <= abs(w) * Decimal(10) ** (2 - digits):
+                break
+        else:
+            raise AssertionError(f"Newton did not converge at k={k}, c={c}")
+        x = (w / (k - 1)) ** (Decimal(1) / (k - 1))
+        return float(x + (1 - Decimal(1) / k) * x**k - c)
+
 
 K3 = named_graph("K3")
 K4 = named_graph("K4")
@@ -200,6 +224,17 @@ class TestRateGnp:
         assert rate_gnp(2, 1.0, 0.0) == pytest.approx(
             -0.2720309536617979, abs=1e-12
         )
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_eta_zero_matches_decimal_reference(self, k):
+        # down to the Janson end c -> 0, where the rate is about -c^k/k and
+        # x + (1 - 1/k) x^k - c cancels: relative error at most 1e-12 and a
+        # negative log-probability at every c
+        c_max = thresholds(k, 0.0).c_max_regular
+        for c in np.geomspace(1e-6, 0.999 * c_max, 40):
+            got, want = rate_gnp(k, float(c), 0.0), decimal_rate_gnp_eta0(k, float(c))
+            assert got < 0
+            assert abs(got - want) <= 1e-12 * abs(want), (k, c, got, want)
 
     def test_small_c_poisson_regime(self):
         for k in (2, 3, 4):
