@@ -10,8 +10,10 @@ Anderson-mixed iteration (``_iterate``), from the constant vector c or a
 predicted start (below), which returns a point only once its log-sup
 residual is below the tolerance; the certificate is what puts that point
 next to the unique fixed point.  The solvers hand ``_iterate`` the log of
-the operator's image, ``log c - (zeta/Delta) * sum ...`` (``_log_apply``),
-which the iteration works in, so no vector exp or log is taken of an image;
+their start and the log of the operator's image,
+``log c - (zeta/Delta) * sum ...`` (``_log_apply``), and it returns the log
+of the point with the point, so no vector log is taken of a start, an image
+or a result, and one exp per step gives the operator its argument;
 both it and the image of :func:`bp_apply` (``_apply``) come from one load
 kernel (``_loads``).  A log image cannot underflow, so an entry below
 ``_LOG_TINY``, where the image would leave the normal floats, counts as an
@@ -20,7 +22,11 @@ other point it is an underflow error.  On a
 Delta-regular graph the fixed point is the constant solution of
 ``x = c exp(-zeta x^(k-1))``, available in closed form through the Lambert
 W function.  Both penalty solvers find the zeta that meets the lower-tail
-target with one bracketed root finder (``_root``, Illinois regula falsi).
+target with one bracketed root finder (``_root``, Illinois regula falsi),
+to a tolerance relative to zeta; ``solve_zeta`` first probes at the root of
+that regular form at the graph's size-biased degree, which costs no
+application and lies next to the graph's root, so the bracket's far end is
+most often never solved at.
 
 The drivers that solve a family of fixed points, along the coupling
 constant t of the log Z integral (``_coupling_integral``, also behind the
@@ -34,6 +40,9 @@ applications and never a failure.  Only the starting points are predicted;
 each returned point still passes ``_iterate``'s residual test.  This is the
 predictor of a predictor-corrector continuation method (Allgower and Georg,
 Numerical Continuation Methods, 1990), with ``_iterate`` the corrector.
+Along t the log image is log t plus a map that does not depend on t, so the
+integral also carries ``_iterate``'s mixing differences from node to node:
+they are secants of the next node's operator too.
 
 The operator works on the edges as one (k, M) array, which the graph
 builds on first use and keeps (``hypergraph._edge_rows``), so the public
@@ -212,10 +221,15 @@ def _check_admissible(c, bound, context=""):
         raise DomainError(f"c={c} outside the admissible range (0, {bound:.12g}){context}")
 
 
+def _degrees(edges, n):
+    """The degree of each of the n vertices in the (k, M) edge table."""
+    return np.bincount(edges.ravel(), minlength=n)
+
+
 def _default_delta(graph, k):
     """The maximum degree of the k-uniform ``graph``, at least 1: the
     default degree scale Delta."""
-    degrees = np.bincount(_edge_rows(graph, k).ravel(), minlength=graph.num_vertices)
+    degrees = _degrees(_edge_rows(graph, k), graph.num_vertices)
     return max(int(degrees.max(initial=0)), 1)
 
 
@@ -243,17 +257,24 @@ def _loads(x, edges, work):
     # arithmetic.  The gather clips rather than checks its indices, since
     # Multihypergraph keeps every vertex in range and every x reaching here
     # has one entry per vertex; the default mode would buffer a (k, M) copy.
-    # The suffix product runs in loo[0], where it ends.
+    # The prefix products start from vals[0] and the suffix products from
+    # vals[k - 1], read where they were gathered; the suffix product runs
+    # in loo[0], where it ends.
     k = len(edges)
     vals, loo = work
     np.take(x, edges, out=vals, mode="clip")
-    loo[1] = vals[0]
-    for j in range(2, k):
-        np.multiply(loo[j - 1], vals[j - 1], out=loo[j])
-    loo[0] = vals[k - 1]
-    for j in range(k - 2, 0, -1):
-        loo[j] *= loo[0]
-        loo[0] *= vals[j]
+    if k == 2:
+        loo[0], loo[1] = vals[1], vals[0]
+    else:
+        np.multiply(vals[0], vals[1], out=loo[2])
+        for j in range(3, k):
+            np.multiply(loo[j - 1], vals[j - 1], out=loo[j])
+        suffix = vals[k - 1]
+        for j in range(k - 2, 1, -1):
+            loo[j] *= suffix
+            suffix = np.multiply(suffix, vals[j], out=loo[0])
+        np.multiply(vals[0], suffix, out=loo[1])
+        np.multiply(suffix, vals[1], out=loo[0])
     return np.bincount(edges.ravel(), weights=loo.ravel(), minlength=len(x))
 
 
@@ -285,9 +306,25 @@ def bp_apply(graph, params, x):
     return _apply(x, edges, _workspace(edges), params.c, params.zeta, params.delta)
 
 
-def _iterate(log_apply, x, tol, what):
+class _Ring:
+    """The history of ``_iterate``'s mixing, for vectors of ``size``
+    entries: a ring of ``_ANDERSON_DEPTH`` slots of residual differences
+    (rows of ``d_f``), image differences (rows of ``d_g``, the same slots)
+    and their Gram matrix ``gram``, of which the min(``held``,
+    ``_ANDERSON_DEPTH``) slots written last are in use."""
+
+    __slots__ = ("d_f", "d_g", "gram", "held")
+
+    def __init__(self, size):
+        self.d_f = np.empty((_ANDERSON_DEPTH, size))
+        self.d_g = np.empty_like(self.d_f)
+        self.gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
+        self.held = 0
+
+
+def _iterate(log_apply, u, tol, what, ring=None):
     """Anderson-mixed iteration towards a fixed point of an operator F from
-    ``x``, given its log image ``log_apply(x) = log F(x)``.
+    the point ``exp(u)``, given its log image ``log_apply(x) = log F(x)``.
 
     Type-II Anderson mixing (Walker and Ni, SIAM J. Numer. Anal. 49, 2011)
     in log coordinates: with ``u = log x``, ``g = log_apply(x)`` and the
@@ -298,18 +335,27 @@ def _iterate(log_apply, x, tol, what):
     ``(dF dF^T) gamma = dF f`` by ``numpy.linalg.lstsq``, whose cutoff drops
     the directions the Gram matrix cannot resolve.  The Gram matrix gains
     one row and column per step; its rows and the difference rows sit in a
-    ring of ``_ANDERSON_DEPTH`` slots, whose order does not change gamma.
-    A mixed step whose residual is not below the one it started from (a
-    non-finite one included) is dropped: the history is cleared and a plain
-    step ``x <- F(x)`` is taken from the point the mixed step started
-    from.
+    ring of ``_ANDERSON_DEPTH`` slots (``_Ring``), whose order does not
+    change gamma.  A mixed step whose residual is not below the one it
+    started from (a non-finite one included) is dropped: the history is
+    cleared and a plain step ``x <- F(x)`` is taken from the point the mixed
+    step started from.
+
+    ``ring`` is the history to start from, a fresh one when None; on return
+    it holds this solve's differences.  A caller whose successive operators
+    differ by a constant in the log image, log t + h(u) with h independent
+    of t, passes one ring from solve to solve, since a difference pair of
+    one is then a secant pair of the next up to rounding: the first step is
+    a mixed step from the carried pairs, dropped like any other mixed step
+    that does not lower the residual, and the history then restarts with
+    this solve's own pairs.
 
     A log image cannot underflow, so an entry below ``_LOG_TINY``, where
     F(x) itself would leave the normal floats, is read as log 0 = -inf: the
     residual is then infinite.
 
-    Returns the first point whose log-sup residual
-    ``max |log_apply(x) - log x|`` is below ``tol``; ``what`` names the
+    Returns ``(u, x)``, ``x = exp(u)``, for the first point whose log-sup
+    residual ``max |log_apply(x) - u|`` is below ``tol``; ``what`` names the
     caller in the error raised before any application when ``tol`` is not
     positive, which no residual meets, when ``_MAX_APPLICATIONS`` applications
     (read at call time) do not get there, or at once when a residual is not
@@ -318,14 +364,15 @@ def _iterate(log_apply, x, tol, what):
     """
     if not tol > 0:
         raise DomainError(f"{what}: tol must be positive, got {tol}")
-    u = np.log(x)
-    d_f = np.empty((_ANDERSON_DEPTH, len(u)))  # ring of residual differences
-    d_g = np.empty_like(d_f)  # ring of image differences, same slots
-    gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
-    added = 0  # differences added since the history was last cleared
+    if ring is None:
+        ring = _Ring(len(u))
+    d_f, d_g, gram = ring.d_f, ring.d_g, ring.gram
+    added = ring.held  # differences added since the history was last cleared
+    mixed = 0  # differences the last step mixed, 0 after a plain step
     start = None  # (g, f, residual) at the point the last step started from
     residual = math.inf
     cap = _MAX_APPLICATIONS
+    x = np.exp(u)
     for step in range(1, cap + 1):
         g = log_apply(x)
         f = g - u
@@ -333,9 +380,10 @@ def _iterate(log_apply, x, tol, what):
         if g.min(initial=0.0) < _LOG_TINY:  # an entry of F(x) would underflow
             residual = math.inf
         if residual < tol:
-            return x
-        if added and not residual < start[2]:  # a mixed step that failed, NaN included
-            added = 0
+            ring.held = added
+            return u, x
+        if mixed and not residual < start[2]:  # a mixed step that failed, NaN included
+            added = mixed = 0
             u = start[0]
         else:
             if not math.isfinite(residual):
@@ -350,10 +398,13 @@ def _iterate(log_apply, x, tol, what):
                 np.subtract(f, start[1], out=d_f[slot])
                 np.subtract(g, start[0], out=d_g[slot])
                 added += 1
-                m = min(added, _ANDERSON_DEPTH)
-                gram[slot, :m] = gram[:m, slot] = d_f[:m] @ d_f[slot]
-                gamma = np.linalg.lstsq(gram[:m, :m], d_f[:m] @ f, rcond=None)[0]
-                u = g - gamma @ d_g[:m]
+                mixed = min(added, _ANDERSON_DEPTH)
+                gram[slot, :mixed] = gram[:mixed, slot] = d_f[:mixed] @ d_f[slot]
+            else:  # the first step mixes the carried differences alone
+                mixed, added = min(added, _ANDERSON_DEPTH), 0
+            if mixed:
+                gamma = np.linalg.lstsq(gram[:mixed, :mixed], d_f[:mixed] @ f, rcond=None)[0]
+                u = g - gamma @ d_g[:mixed]
             start = (g, f, residual)
         x = np.exp(u)
     raise ConvergenceError(
@@ -378,14 +429,13 @@ def bp_fixed_point(graph, params, tol=1e-12):
     """
     edges = _edge_rows(graph, params.k)
     _check_uniqueness(params)
-    x = np.full(graph.num_vertices, params.c, dtype=float)  # the kernel gathers into floats
     work = _workspace(edges)
     return _iterate(
         lambda v: _log_apply(v, edges, work, params.c, params.zeta, params.delta),
-        x,
+        np.full(graph.num_vertices, math.log(params.c)),
         tol,
         "bp_fixed_point",
-    )
+    )[1]
 
 
 def bethe_free_energy(graph, params, x):
@@ -449,13 +499,30 @@ def solve_zeta_regular(k, c, eta):
     if not 0 <= eta <= 1:
         raise DomainError("eta must lie in [0, 1]")
 
-    def g(z):
-        return (1.0 - z) * (regular_fixed_point(k, c, z) / c) ** k - eta
-
-    # _root checks the ends first: g(1) = -0.0 at eta = 0, g(0) = 0.0 at eta = 1
-    zeta, _ = _root(g, 0.0, 1.0, 1.0 - eta, -eta, 1e-15, _ROOT_RTOL, 0.0, _ROOT_MAX_ITER)
+    # _root checks the ends first: the gap is -0.0 at 1 when eta = 0, and
+    # 0.0 at 0 when eta = 1.  The bracket's tolerance is relative alone:
+    # zeta shrinks like c^-(k-1), below any absolute one at large c
+    zeta = _regular_root(_regular_gap(k, c, eta, 1.0), 1.0, -eta)
     ok = contraction_margin(k, c, zeta) > 0
     return float(zeta), ok
+
+
+def _regular_gap(k, c, eta, spread):
+    """``z -> (1 - z) (x(min(1, spread z)) / c)^k - eta``, x the regular
+    fixed point at prior c: the lower-tail gap of a regular graph at
+    penalty z, with its penalty scaled by ``spread`` inside the operator."""
+
+    def gap(z):
+        return (1.0 - z) * (regular_fixed_point(k, c, min(1.0, spread * z)) / c) ** k - eta
+
+    return gap
+
+
+def _regular_root(gap, hi, gap_hi):
+    """The root of ``_regular_gap``'s decreasing ``gap`` in [0, hi], where
+    ``gap_hi = gap(hi) <= 0`` and gap(0) = 1 - eta, to ``_ROOT_RTOL``
+    relative to itself."""
+    return _root(gap, 0.0, hi, gap(0.0), gap_hi, 0.0, _ROOT_RTOL, 0.0, _ROOT_MAX_ITER)[0]
 
 
 def solve_zeta(graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_tol=_FP_TOL):
@@ -463,12 +530,20 @@ def solve_zeta(graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_t
 
     Finds zeta in (0, 1-eta] with
     ``(1-zeta) sum_e prod_{u in e} x*_u(zeta) = eta c^k |E|`` up to
-    ``tol * c^k |E|``, by Illinois regula falsi (``_root``).  Each fixed
-    point starts from one interpolated through the last ``_PREDICT_ORDER``
-    solved (zeta = 0 among them, where x* = c), clipped to at most c.
-    Requires c below the general critical density, or the regular one when
-    the caller asserts near-regularity; a root past ``_ZETA_CAP`` of the
-    contraction boundary is refused.  eta = 0 returns zeta = 1 directly.
+    ``tol * c^k |E|``, by Illinois regula falsi (``_root``) on a bracket
+    set by one probe: the root zeta_s of the regular surrogate
+    ``(1-zeta) (x(min(1, zeta d2/Delta)) / c)^k = eta``, x the regular fixed
+    point and d2 = sum_v d_v^2 / sum_v d_v the size-biased degree, found
+    with no application.  The bracket is [0, zeta_s] when the root lies
+    below zeta_s, and [zeta_s, cap] otherwise, or [0, cap] when zeta_s lies
+    past the cap.  On a regular graph zeta_s is the root itself.  Each
+    fixed point starts from one interpolated through the last
+    ``_PREDICT_ORDER`` solved (zeta = 0 among them, where x* = c), clipped
+    to at most c.  Requires c below the general critical density, or the
+    regular one when the caller asserts near-regularity; a root past
+    ``_ZETA_CAP`` of the contraction boundary is refused.  eta = 0 returns
+    zeta = 1 directly, and when zeta = 0 already meets the target it is
+    returned with x* = c, before any probe.
     ``delta`` defaults to the maximum degree, and below 1 is refused, as
     is a ``tol`` or ``fp_tol`` that is not positive.
     """
@@ -490,37 +565,58 @@ def solve_zeta(graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_t
     work = _workspace(edges)
     scale = c**k * graph.num_edges
     target = eta * scale
+    log_c = math.log(c)
     # the last zeta solved at and its fixed point; float, as the kernel
     # gathers into float buffers.  At zeta = 0 the fixed point is c itself.
     at = [0.0, np.full(n, c, dtype=float)]
     # (zeta, log x*(zeta)) of the last solves, the predictor's history
-    solved = collections.deque([(0.0, np.log(at[1]))], maxlen=_PREDICT_ORDER)
+    solved = collections.deque([(0.0, np.full(n, log_c))], maxlen=_PREDICT_ORDER)
 
     def residual(z):
-        x = _start(_predict(solved, z, n), c)
-        at[:] = z, _iterate(
-            lambda v: _log_apply(v, edges, work, c, z, params.delta), x, fp_tol, "solve_zeta"
+        u, at[1] = _iterate(
+            lambda v: _log_apply(v, edges, work, c, z, params.delta),
+            _start(_predict(solved, z, n), log_c),
+            fp_tol,
+            "solve_zeta",
         )
-        solved.append((z, np.log(at[1])))
+        at[0] = z
+        solved.append((z, u))
         return (1.0 - z) * _edge_sum(at[1], edges, work) - target
 
     r_lo = _edge_sum(at[1], edges, work) - target  # (1 - eta) c^k |E| > 0
+    if abs(r_lo) < tol * scale:  # the end zeta = 0 meets the target
+        return 0.0, at[1]
     # the root lies in (0, 1 - eta]; the bracket ends at the cap, just inside
     # the contraction region, at whose edge the iteration stalls
-    hi = min(1.0 - eta, _ZETA_CAP * math.e / ((k - 1) * c ** (k - 1)))
-    r_hi = residual(hi)
-    if r_hi >= tol * scale:
-        raise DomainError(
-            f"solve_zeta: no root below the zeta cap {hi:.12g} ({_ZETA_CAP} of the "
-            f"contraction boundary e/((k-1) c^(k-1))) at c={c}, eta={eta}"
-        )
-    zeta, r = _root(residual, 0.0, hi, r_lo, r_hi, 0.0, _ROOT_RTOL, tol * scale, _ROOT_MAX_ITER)
+    lo, hi = 0.0, min(1.0 - eta, _ZETA_CAP * math.e / ((k - 1) * c ** (k - 1)))
+    # The first probe is the root of the regular surrogate at the
+    # size-biased degree d2 = sum d_v^2 / sum d_v, its penalty scaled by
+    # d2 / Delta, or the cap when that root lies past it: exact on a
+    # regular graph, and close on the others, so that one end of the
+    # bracket is near the root.  When the root lies below the probe, the
+    # cap is never solved at.
+    degrees = _degrees(edges, n)
+    gap = _regular_gap(k, c, eta, float(degrees @ degrees) / (k * graph.num_edges * params.delta))
+    gap_hi = gap(hi)
+    probe = _regular_root(gap, hi, gap_hi) if gap_hi < 0 else hi
+    r_probe = residual(probe)
+    if r_probe < tol * scale:  # the root lies in (0, probe]
+        hi, r_hi = probe, r_probe
+    else:
+        r_hi = residual(hi) if probe < hi else r_probe
+        if r_hi >= tol * scale:
+            raise DomainError(
+                f"solve_zeta: no root below the zeta cap {hi:.12g} ({_ZETA_CAP} of the "
+                f"contraction boundary e/((k-1) c^(k-1))) at c={c}, eta={eta}"
+            )
+        lo, r_lo = probe, r_probe
+    zeta, r = _root(residual, lo, hi, r_lo, r_hi, 0.0, _ROOT_RTOL, tol * scale, _ROOT_MAX_ITER)
     if not abs(r) < tol * scale:
         raise ConvergenceError(
             f"zeta root finder did not reach tolerance (residual {r:.3e})",
             residual=r,
         )
-    if zeta != at[0]:  # the end zeta = 0 met the target
+    if zeta != at[0]:  # an end of the bracket solved earlier met the target
         residual(zeta)
     return zeta, at[1]
 
@@ -532,19 +628,21 @@ def _predict(solved, s, size):
     entries when nothing is solved yet.  At a solved parameter it returns
     that parameter's vector."""
     near = sorted(solved, key=lambda pair: abs(pair[0] - s))[:_PREDICT_ORDER]
-    out = np.zeros(size)
+    out, term = np.zeros(size), np.empty(size)
     for j, (p, u) in enumerate(near):
-        out += math.prod((s - q) / (p - q) for i, (q, _) in enumerate(near) if i != j) * u
+        weight = math.prod((s - q) / (p - q) for i, (q, _) in enumerate(near) if i != j)
+        out += np.multiply(weight, u, out=term)
     return out
 
 
-def _start(u, prior):
-    """exp(u) clipped into [tiny, prior], a NaN entry read as tiny: a
-    starting point that is positive, finite and no larger than ``prior``,
-    whatever the predicted log-vector ``u`` holds.  Every fixed point lies
-    below the prior, and the certified operator maps such a point back
-    below it, so a wild prediction costs applications but never a failure."""
-    return np.exp(np.fmin(np.fmax(u, _LOG_TINY), math.log(prior)))
+def _start(u, log_prior):
+    """The predicted log-vector ``u`` clipped, in place, into
+    [``_LOG_TINY``, ``log_prior``], a NaN entry read as ``_LOG_TINY``: the
+    log of a starting point that is positive, finite and no larger than the
+    prior, whatever u holds.  Every fixed point lies below the prior, and
+    the certified operator maps such a point back below it, so a wild
+    prediction costs applications but never a failure."""
+    return np.fmin(np.fmax(u, _LOG_TINY, out=u), log_prior, out=u)
 
 
 @functools.lru_cache(maxsize=4)
@@ -566,10 +664,13 @@ def _coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, what):
     Gauss-Legendre nodes (``_leggauss``) on [eps, c] with eps = c*1e-6; the
     [0, eps) head contributes ``head * eps``, since x*(t) ~ t as t -> 0 and
     ``head`` is the mass of the all-ones vector.  Each node's solve starts
-    from ``t`` times the exponential of ``log(x*/t)`` predicted
+    from the log point ``log t + log(x*/t)``, the second term predicted
     (``_predict``) from the last ``_PREDICT_ORDER`` nodes, clipped to at
-    most t (``_start``); the first node starts from the constant t.  Every solve runs under ``_iterate``'s
-    application cap, and ``what`` names the caller in its errors.
+    most log t (``_start``); the first node starts from the constant t.  A log image of the form ``log t + h(u)``, h independent of
+    t, is what both callers pass, so one mixing history (``_Ring``) is
+    carried from node to node: each node's first step mixes the previous
+    node's differences.  Every solve runs under ``_iterate``'s application
+    cap, and ``what`` names the caller in its errors.
     """
     try:  # operator.index refuses 2.5, which leggauss cannot take
         n = operator.index(quad_nodes)
@@ -582,12 +683,16 @@ def _coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, what):
     mid, half = 0.5 * (eps + c), 0.5 * (c - eps)
     ts, ws = mid + half * nodes, half * weights
     solved = collections.deque(maxlen=_PREDICT_ORDER)  # (t, log(x*(t)/t))
+    ring = _Ring(size)  # the mixing history, carried from node to node
     total = head * eps
     for t, w in zip(ts, ws):
         t = float(t)
-        x = _start(math.log(t) + _predict(solved, t, size), t)
-        x = _iterate(lambda v: apply_at(t, v), x, tol, what)
-        solved.append((t, np.log(x / t)))
+        log_t = math.log(t)
+        u = _predict(solved, t, size)
+        u += log_t
+        u, x = _iterate(lambda v: apply_at(t, v), _start(u, log_t), tol, what, ring)
+        u -= log_t
+        solved.append((t, u))
         total += w * mass(x) / t
     return total
 

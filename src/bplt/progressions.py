@@ -23,11 +23,11 @@ with t -> 1-t: band l at t is band k+1-l at 1-t, with the same R(t) and
 w(t).  Its unique certified fixed point is therefore symmetric, and the
 solvers (``_grid_fixed_point`` and ``kap_rate``) evaluate the band
 integrals only at the points j <= M // 2 of the symmetric profile with
-those values, and mirror the result.  They hand ``bp._iterate`` the log
-image ``log c - coeff * loads`` (``_grid_log_apply``), loads the summed
-band integrals (``_grid_loads``), so no vector exp or log is taken of an
-image: every log image, and every profile ``_grid_fixed_point`` returns, is
-exactly symmetric.  :func:`phi_apply` accepts any f, so it evaluates every
+those values, and mirror the result.  They hand ``bp._iterate`` the log of
+their start and the log image ``log c - coeff * loads``
+(``_grid_log_apply``), loads the summed band integrals (``_grid_loads``),
+so no vector exp or log is taken of an image: every log image, and every
+profile ``_grid_fixed_point`` returns, is exactly symmetric.  :func:`phi_apply` accepts any f, so it evaluates every
 point, and returns the image ``c exp(-zeta * loads)`` from the same loads.
 
 Everything in a band integral that depends only on the grid, not on f, is a
@@ -293,8 +293,8 @@ def _grid_fixed_point(c, coeff, k, grid_size, tol):
     """Fixed point of the grid operator with prefactor ``coeff``, from the
     constant c, solved on the points j <= M // 2 and mirrored.  The caller
     checks the inputs and the certificate."""
-    f = np.full(grid_size + 1, float(c))
-    f = _iterate(lambda g: _grid_log_apply(g, c, coeff, k), f, tol, "grid fixed point")
+    u = np.full(grid_size + 1, math.log(c))
+    _, f = _iterate(lambda g: _grid_log_apply(g, c, coeff, k), u, tol, "grid fixed point")
     return _mirror(f, grid_size)
 
 

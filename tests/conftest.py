@@ -445,44 +445,47 @@ def loop_mc_lower_tail(graph, p, eta, samples, seed):
     return est, math.sqrt(est * (1.0 - est) / samples)
 
 
-def plain_iterate(log_apply, x, tol, what):
-    """Plain iteration ``x <- F(x)``, given the log image ``log_apply(x) =
-    log F(x)``, with the stopping test, underflow floor, application cap and
-    errors of ``bp._iterate``: the reference for its Anderson-mixed
-    iteration."""
+def plain_iterate(log_apply, u, tol, what, ring=None):
+    """Plain iteration ``x <- F(x)`` from ``x = exp(u)``, given the log
+    image ``log_apply(x) = log F(x)``, with the stopping test, underflow
+    floor, application cap, errors and ``(u, x)`` return of ``bp._iterate``:
+    the reference for its Anderson-mixed iteration.  A plain step keeps no
+    history, so ``ring`` is not read."""
     residual = math.inf
     cap = bplt.bp._MAX_APPLICATIONS
+    x = np.exp(u)
     for step in range(1, cap + 1):
         g = log_apply(x)
-        residual = float(np.max(np.abs(g - np.log(x))))
+        residual = float(np.max(np.abs(g - u)))
         if np.any(g < bplt.bp._LOG_TINY):
             residual = math.inf
         if residual < tol:
-            return x
+            return u, x
         if not math.isfinite(residual):
             raise ConvergenceError(f"{what}: non-finite residual", residual=residual, iterations=step)
-        x = np.exp(g)
+        u = g
+        x = np.exp(u)
     raise ConvergenceError(f"{what}: no fixed point", residual=residual, iterations=cap)
 
 
 def previous_node_coupling_integral(apply_at, mass, size, head, c, quad_nodes, tol, what):
     """``bp._coupling_integral`` with each node's solve started from the
-    previous node's fixed point, the first from the constant t, and the
-    rule built afresh by numpy: the reference for its predicted starts and
-    cached rule, which must agree with it to within the solver tolerance at
-    every node.  ``apply_at(t, .)`` is the log image, as ``bp._iterate``
-    takes it."""
+    previous node's fixed point, the first from the constant t, with a fresh
+    mixing history at every node, and the rule built afresh by numpy: the
+    reference for its predicted starts, carried history and cached rule,
+    which must agree with it to within the solver tolerance at every node.
+    ``apply_at(t, .)`` is the log image, as ``bp._iterate`` takes it."""
     if not quad_nodes >= 1:
         raise ValueError(f"quad_nodes must be >= 1 (got {quad_nodes})")
     eps = c * 1e-6
     nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
     mid, half = 0.5 * (eps + c), 0.5 * (c - eps)
     ts, ws = mid + half * nodes, half * weights
-    x = np.full(size, ts[0])
+    u = np.full(size, math.log(ts[0]))
     total = head * eps
     for t, w in zip(ts, ws):
         t = float(t)
-        x = bplt.bp._iterate(lambda v: apply_at(t, v), x, tol, what)
+        u, x = bplt.bp._iterate(lambda v: apply_at(t, v), u, tol, what)
         total += w * mass(x) / t
     return total
 
@@ -558,13 +561,13 @@ def count_applications(monkeypatch):
     def run(solve):
         count = 0
 
-        def counted(apply, x, tol, what):
+        def counted(apply, u, tol, what, ring=None):
             def apply_counted(v):
                 nonlocal count
                 count += 1
                 return apply(v)
 
-            return iterate(apply_counted, x, tol, what)
+            return iterate(apply_counted, u, tol, what, ring)
 
         return _with_iterate(monkeypatch, counted, solve), count
 

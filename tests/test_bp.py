@@ -388,25 +388,9 @@ class TestMixedIteration:
                 return solve_zeta(g, 3, c, 0.3)
 
             (zeta_a, x_a), (zeta_p, x_p) = penalty(), plain_solvers(penalty)
-            edges = np.array(g.edges)
-            scale = c**3 * g.num_edges
-
-            def target_gap(z, x):
-                return (1 - z) * float(x[edges].prod(axis=1).sum()) - 0.3 * scale
-
-            # each answer passes solve_zeta's own stopping test, |gap| < tol c^k |E|
-            assert abs(target_gap(zeta_a, x_a)) < 1e-10 * scale
-            assert abs(target_gap(zeta_p, x_p)) < 1e-10 * scale
-            # so the two zetas lie within 2 tol c^k |E| / |slope| of each other,
-            # the slope of the gap by a central difference; the factor 2
-            # covers the difference's error and the fixed points' own error
-            h = 1e-5
-
-            def gap_at(z):
-                return target_gap(z, bp_fixed_point(g, BPParams(3, c, z, delta), tol=1e-14))
-
-            slope = (gap_at(zeta_a + h) - gap_at(zeta_a - h)) / (2 * h)
-            assert abs(zeta_a - zeta_p) <= 2 * (2 * 1e-10 * scale) / abs(slope)
+            _assert_meets_target(g, 3, c, 0.3, zeta_a, x_a)
+            _assert_meets_target(g, 3, c, 0.3, zeta_p, x_p)
+            assert abs(zeta_a - zeta_p) <= _root_spread(g, 3, c, 0.3, zeta_a)
             assert log_gap(x_a, x_p) <= fixed_point_gap(1e-13, contraction_margin(3, c, zeta_a))
 
             def integral():
@@ -472,9 +456,10 @@ class TestMixedIteration:
             return g
 
         monkeypatch.setattr(bplt.bp, "_MAX_APPLICATIONS", 200)
-        x = _iterate(log_apply, np.full(3, math.exp(5.0)), 1e-12, "synthetic")
-        assert np.max(np.abs(log_apply(x) - np.log(x))) < 1e-12
-        assert np.max(np.abs(np.log(x))) < 1e-10  # the fixed point is u = 0
+        u, x = _iterate(log_apply, np.full(3, 5.0), 1e-12, "synthetic")
+        assert np.array_equal(x, np.exp(u))
+        assert np.max(np.abs(log_apply(x) - u)) < 1e-12
+        assert np.max(np.abs(u)) < 1e-10  # the fixed point is u = 0
         assert any(r1 > r0 for r0, r1 in zip(seen, seen[1:]))
 
     def test_drops_a_mixed_step_whose_image_is_below_the_floor(self, monkeypatch):
@@ -493,12 +478,12 @@ class TestMixedIteration:
             below.append(bool(cliff.any()))
             return g
 
-        start = np.full(3, math.exp(5.0))
+        start = np.full(3, 5.0)
         plain_iterate(log_apply, start, 1e-12, "synthetic")  # in 1389 applications
         assert not any(below)
         monkeypatch.setattr(bplt.bp, "_MAX_APPLICATIONS", 200)
-        x = _iterate(log_apply, start, 1e-12, "synthetic")
-        assert np.max(np.abs(np.log(x))) < 1e-10  # the fixed point is u = 0
+        u, _ = _iterate(log_apply, start, 1e-12, "synthetic")
+        assert np.max(np.abs(u)) < 1e-10  # the fixed point is u = 0
         assert below.count(True) == 1
 
     def test_uncertified_delta_repro(self, monkeypatch):
@@ -512,9 +497,12 @@ class TestMixedIteration:
 
     def test_application_counts(self, count_applications):
         # a graph large enough that the conditioning of the least-squares
-        # solve shows in the step counts; the bounds are the counts with
-        # predicted starts (the previous-node starts took 84 and 567, the
-        # 6-point predictor 224 for the integral)
+        # solve shows in the step counts (the previous-node starts took 84
+        # and 567, the 6-point predictor 224 for the integral).  The
+        # surrogate's first probe takes the penalty from 56 (8 fixed points
+        # of 14, 11, 10, 9, 7, 3, 1 and 1) to 40 and K_12's triangles from
+        # 40 to one solve; the carried mixing history takes the integral
+        # from 186 to 172
         g = random_k_uniform(np.random.default_rng(1), 2000, 3, 6000)
         delta = max(g.degrees())
         _, fixed = count_applications(
@@ -524,9 +512,44 @@ class TestMixedIteration:
         _, integral = count_applications(
             lambda: bp_log_partition(g, BPParams(3, 1.0, 0.5, delta), method="integral")
         )
-        assert fixed <= 16
-        assert penalty <= 56
-        assert integral <= 186
+        triangles = subgraph_hypergraph(named_graph("K3"), 12)
+        _, regular = count_applications(
+            lambda: solve_zeta(triangles, 3, 1.0, 0.3, near_regular=True)
+        )
+        assert fixed == 16
+        assert penalty == 40
+        assert integral == 172
+        assert regular == 10
+
+    def test_carried_differences_of_no_operator_are_dropped(self):
+        # a history filled with unrelated differences: the first step, mixed
+        # from it, does not lower the residual and is dropped, the next is
+        # the plain step from the start, and the point returned is a fixed
+        # point whose history holds only its own differences
+        g = random_k_uniform(np.random.default_rng(11), 60, 3, 150)
+        params = BPParams(3, 1.0, 0.5, max(g.degrees()))
+        edges = bplt.bp._edge_rows(g, 3)
+        work = bplt.bp._workspace(edges)
+        points, images = [], []
+
+        def log_apply(x):
+            points.append(x)
+            images.append(bplt.bp._log_apply(x, edges, work, 1.0, 0.5, params.delta))
+            return images[-1]
+
+        noise = np.random.default_rng(12)
+        ring = bplt.bp._Ring(60)
+        ring.d_f[:] = noise.normal(size=ring.d_f.shape)
+        ring.d_g[:] = 10 * noise.normal(size=ring.d_g.shape)
+        ring.gram[:] = ring.d_f @ ring.d_f.T
+        ring.held = 7  # more than the ring's depth: every slot in use
+        u, x = _iterate(log_apply, np.zeros(60), 1e-13, "synthetic", ring)
+        residuals = [log_gap(np.exp(gx), px) for px, gx in zip(points, images)]
+        assert not residuals[1] < residuals[0]
+        assert np.array_equal(points[2], np.exp(images[0]))
+        assert np.array_equal(x, np.exp(u))
+        assert log_gap(bp_apply(g, params, x), x) < 1e-13
+        assert 0 < ring.held <= len(points) - 3
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -603,6 +626,23 @@ class TestPredictedStarts:
         g = random_k_uniform(np.random.default_rng(seed), n, 3, m)
         c = fraction * thresholds(3, eta).c_max_general
         _assert_meets_target(g, 3, c, eta, *solve_zeta(g, 3, c, eta))
+
+
+def _root_spread(g, k, c, eta, zeta):
+    """How far from ``zeta`` another zeta passing solve_zeta's stopping test
+    at its defaults, |gap| < tol c^k |E| with tol = 1e-10, can lie: the two
+    lie within 2 tol c^k |E| / |slope| of each other, the slope of the gap
+    by a central difference, and a factor 2 covers the difference's error
+    and the fixed points' own."""
+    delta, scale, h = max(g.degrees()), c**k * g.num_edges, 1e-5
+    edges = np.array(g.edges)
+
+    def gap_at(z):
+        x = bp_fixed_point(g, BPParams(k, c, z, delta), tol=1e-14)
+        return (1 - z) * float(x[edges].prod(axis=1).sum()) - eta * scale
+
+    slope = (gap_at(zeta + h) - gap_at(zeta - h)) / (2 * h)
+    return 2 * (2 * 1e-10 * scale) / abs(slope)
 
 
 def _assert_meets_target(g, k, c, eta, zeta, x):
@@ -718,6 +758,27 @@ class TestZetaSolvers:
         g = subgraph_hypergraph(named_graph("K3"), 6)
         with pytest.raises(DomainError):
             solve_zeta(g, 3, 5.0, 0.1)
+
+    @pytest.mark.parametrize("share", [1e-6, 0.999])
+    def test_far_probe_finds_the_same_root(self, monkeypatch, rng, share):
+        # the surrogate's root only places the first probe: one far below
+        # the root, or next to the cap, costs solves and not accuracy
+        for _ in range(4):
+            g = random_k_uniform(rng, int(rng.integers(20, 60)), 3, int(rng.integers(30, 120)))
+            c, eta = float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.1, 0.6))
+            want = solve_zeta(g, 3, c, eta)
+            probes = []
+
+            def far(gap, hi, gap_hi):
+                probes.append(share * hi)
+                return probes[-1]
+
+            with monkeypatch.context() as m:
+                m.setattr(bplt.bp, "_regular_root", far)
+                got = solve_zeta(g, 3, c, eta)
+            assert len(probes) == 1
+            _assert_meets_target(g, 3, c, eta, *got)
+            assert abs(got[0] - want[0]) <= _root_spread(g, 3, c, eta, want[0])
 
 
 class TestRoot:

@@ -28,26 +28,52 @@ from bplt.rates import (
 
 from conftest import loop_subgraph_edges
 
+def decimal_lambert_w(y):
+    """W(y) for a decimal y > 0 by Newton in the current decimal context,
+    from ln y - ln ln y when y > 3 and from y/(1+y) below."""
+    w = y.ln() - y.ln().ln() if y > 3 else y / (1 + y)
+    for _ in range(200):
+        step = (w * w.exp() - y) / (w.exp() * (w + 1))
+        w -= step
+        if abs(step) <= abs(w) * Decimal(10) ** (2 - decimal.getcontext().prec):
+            return w
+    raise AssertionError(f"Newton did not converge at y={y}")
+
+
 def decimal_rate_gnp_eta0(k, c, digits=50):
     """``rate_gnp(k, c, 0) = x + (1 - 1/k) x^k - c`` in ``digits``-digit
     decimal arithmetic, x = (W((k-1) c^(k-1)) / (k-1))^(1/(k-1)) the root of
-    x e^(x^(k-1)) = c, W by Newton from y/(1+y): the reference for its
-    cancellation-free float form, which a cancelling form at 50 digits still
-    meets to about 19 digits at c = 1e-6, k = 6."""
+    x e^(x^(k-1)) = c: the reference for its cancellation-free float form,
+    which a cancelling form at 50 digits still meets to about 19 digits at
+    c = 1e-6, k = 6."""
     with decimal.localcontext() as ctx:
         ctx.prec = digits
         c = Decimal(c)  # the float's exact value
-        y = (k - 1) * c ** (k - 1)
-        w = y / (1 + y)
-        for _ in range(200):
-            step = (w * w.exp() - y) / (w.exp() * (w + 1))
-            w -= step
-            if abs(step) <= abs(w) * Decimal(10) ** (2 - digits):
-                break
-        else:
-            raise AssertionError(f"Newton did not converge at k={k}, c={c}")
+        w = decimal_lambert_w((k - 1) * c ** (k - 1))
         x = (w / (k - 1)) ** (Decimal(1) / (k - 1))
         return float(x + (1 - Decimal(1) / k) * x**k - c)
+
+
+def decimal_solve_zeta_regular(k, c, eta, digits=60):
+    """``solve_zeta_regular(k, c, eta)`` in ``digits``-digit decimal
+    arithmetic: the zeta with (1 - zeta) (x/c)^k = eta, where
+    x/c = (W(y) / y)^(1/(k-1)), y = (k-1) c^(k-1) zeta, by bisection on
+    log zeta over [1e-60, 1] to 30 digits, and whether
+    (k-1) zeta c^(k-1) < e there."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        c, eta = Decimal(c), Decimal(eta)
+
+        def gap(z):
+            y = (k - 1) * c ** (k - 1) * z
+            return (1 - z) * (decimal_lambert_w(y) / y) ** (Decimal(k) / (k - 1)) - eta
+
+        lo, hi = Decimal(10) ** -60, Decimal(1)
+        assert gap(lo) > 0 > gap(hi)
+        while hi - lo > hi * Decimal(10) ** -30:
+            mid = (lo * hi).sqrt()
+            lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+        return float(hi), (k - 1) * hi * c ** (k - 1) < Decimal(1).exp()
 
 
 K3 = named_graph("K3")
@@ -209,6 +235,22 @@ class TestSubgraphHypergraph:
         assert r.delta_ell[2] == 1  # two K_n-edges lie in at most one triangle
         assert r.gamma <= 2
         assert r.ratios["codegree_ratio"] < 0.5
+
+
+class TestSolveZetaRegular:
+    @pytest.mark.parametrize("c", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_zeta_matches_decimal_reference(self, k, c):
+        # zeta shrinks like c^-(k-1), to 2.9e-19 at k = 4, c = 1e6, so only
+        # a relative bracket tolerance finds it; the flag is the contraction
+        # condition at the root, False at eta = 0.1, where c lies past
+        # c_max_regular, and True at 0.5 and 0.9, where that is infinite
+        for eta in (0.1, 0.5, 0.9):
+            got, ok = solve_zeta_regular(k, c, eta)
+            want, want_ok = decimal_solve_zeta_regular(k, c, eta)
+            assert abs(got - want) <= 1e-12 * want, (k, c, eta, got, want)
+            assert ok == want_ok == (c < thresholds(k, eta).c_max_regular), (k, c, eta)
+            assert ok == (eta > 0.1)
 
 
 class TestRateGnp:
