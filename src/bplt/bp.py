@@ -22,11 +22,13 @@ other point it is an underflow error.  On a
 Delta-regular graph the fixed point is the constant solution of
 ``x = c exp(-zeta x^(k-1))``, available in closed form through the Lambert
 W function.  Both penalty solvers find the zeta that meets the lower-tail
-target with one bracketed root finder (``_root``, Illinois regula falsi),
-to a tolerance relative to zeta; ``solve_zeta`` first probes at the root of
-that regular form at the graph's size-biased degree, which costs no
-application and lies next to the graph's root, so the bracket's far end is
-most often never solved at.
+target with one root finder (``_root``, Illinois regula falsi), which
+brackets [0, hi] itself, to a tolerance relative to zeta; ``solve_zeta``
+hands it a probe, the root of that regular form at the graph's size-biased
+degree (also a ``_root`` call), which costs no application and lies next
+to the graph's root, so hi is most often never solved at.  Both rate
+routes add the Legendre term -log(1 - zeta) eta E[X] as one
+``_legendre_tail``.
 
 The drivers that solve a family of fixed points, along the coupling
 constant t of the log Z integral (``_coupling_integral``, also behind the
@@ -446,25 +448,38 @@ def bethe_free_energy(graph, params, x):
     return -(params.zeta / params.delta) * _edge_sum(x, edges, _workspace(edges)) - vertex_term
 
 
-def _root(f, a, b, fa, fb, xtol, rtol, ftol, max_iter):
-    """A root of ``f`` in the bracket between ``a`` and ``b``, where
-    ``fa = f(a)`` and ``fb = f(b)`` differ in sign.
+def _root(f, f0, hi, ftol=0.0, probe=None):
+    """A root of the decreasing ``f`` in [0, ``hi``], ``f0 = f(0)``, or None
+    when no root lies there.
 
+    Evaluates the ``probe`` (hi when None) first, and hi only when f(probe)
+    is neither below ftol nor at most 0: the root then lies above the
+    probe, and none lies in [0, hi] when f(hi) fails that test too.  Then
     Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971): each step
     evaluates f at the secant point of the bracket, or at its midpoint when
     the secant point is not strictly inside, and keeps the sign change; an
     end kept twice in a row has its value halved in the secant.  Returns
-    ``(x, f(x))`` for the first point, the ends included, where
+    ``(x, f(x))`` for the first point, 0 and the ends included, where
     ``|f(x)| < ftol`` or ``f(x) == 0``; otherwise, once the bracket is no
-    wider than ``xtol + rtol |x|``, for the end x with the smaller |f|.
-    Raises ``ConvergenceError`` when ``max_iter`` evaluations get to neither.
+    wider than ``_ROOT_RTOL |x|``, for the end x with the smaller |f|.
+    Raises ``ConvergenceError`` when ``_ROOT_MAX_ITER`` evaluations get to
+    neither.
     """
+    a, fa = b, fb = 0.0, f0
+    evaluations = 0
+    for end in (hi,) if probe is None or probe == hi else (probe, hi):
+        if fb <= 0 or fb < ftol:  # the root lies in [a, b]
+            break
+        a, fa, b, fb = b, fb, end, f(end)
+        evaluations += 1
+    if not (fb <= 0 or fb < ftol):
+        return None
     side, wa, wb = 0, fa, fb  # the end last replaced, and the secant's values
-    for evaluations in range(max_iter + 1):
+    for evaluations in range(evaluations, _ROOT_MAX_ITER + 1):
         x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-        if abs(fx) < ftol or fx == 0 or abs(b - a) <= xtol + rtol * abs(x):
+        if abs(fx) < ftol or fx == 0 or abs(b - a) <= _ROOT_RTOL * abs(x):
             return x, fx
-        if evaluations == max_iter:
+        if evaluations == _ROOT_MAX_ITER:
             break
         m = b - wb * (b - a) / (wb - wa)
         if not min(a, b) < m < max(a, b):
@@ -479,9 +494,9 @@ def _root(f, a, b, fa, fb, xtol, rtol, ftol, max_iter):
                 wb *= 0.5
             a, fa, wa, side = m, fm, fm, 1
     raise ConvergenceError(
-        f"root finder: no root after {max_iter} evaluations (residual {fx:.3e})",
+        f"root finder: no root after {_ROOT_MAX_ITER} evaluations (residual {fx:.3e})",
         residual=abs(fx),
-        iterations=max_iter,
+        iterations=_ROOT_MAX_ITER,
     )
 
 
@@ -499,10 +514,9 @@ def solve_zeta_regular(k, c, eta):
     if not 0 <= eta <= 1:
         raise DomainError("eta must lie in [0, 1]")
 
-    # _root checks the ends first: the gap is -0.0 at 1 when eta = 0, and
-    # 0.0 at 0 when eta = 1.  The bracket's tolerance is relative alone:
-    # zeta shrinks like c^-(k-1), below any absolute one at large c
-    zeta = _regular_root(_regular_gap(k, c, eta, 1.0), 1.0, -eta)
+    # the gap is 1 - eta at 0 and -eta at 1, so the root is 0 at eta = 1
+    # and 1 at eta = 0, exact zeros of the gap
+    zeta = _root(_regular_gap(k, c, eta, 1.0), 1.0 - eta, 1.0)[0]
     ok = contraction_margin(k, c, zeta) > 0
     return float(zeta), ok
 
@@ -518,32 +532,25 @@ def _regular_gap(k, c, eta, spread):
     return gap
 
 
-def _regular_root(gap, hi, gap_hi):
-    """The root of ``_regular_gap``'s decreasing ``gap`` in [0, hi], where
-    ``gap_hi = gap(hi) <= 0`` and gap(0) = 1 - eta, to ``_ROOT_RTOL``
-    relative to itself."""
-    return _root(gap, 0.0, hi, gap(0.0), gap_hi, 0.0, _ROOT_RTOL, 0.0, _ROOT_MAX_ITER)[0]
-
-
 def solve_zeta(graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_tol=_FP_TOL):
     """Penalty zeta for which the fixed point achieves the lower-tail target.
 
     Finds zeta in (0, 1-eta] with
     ``(1-zeta) sum_e prod_{u in e} x*_u(zeta) = eta c^k |E|`` up to
-    ``tol * c^k |E|``, by Illinois regula falsi (``_root``) on a bracket
-    set by one probe: the root zeta_s of the regular surrogate
+    ``tol * c^k |E|``, by Illinois regula falsi (``_root``) on [0, cap],
+    probed first at the root zeta_s of the regular surrogate
     ``(1-zeta) (x(min(1, zeta d2/Delta)) / c)^k = eta``, x the regular fixed
     point and d2 = sum_v d_v^2 / sum_v d_v the size-biased degree, found
-    with no application.  The bracket is [0, zeta_s] when the root lies
-    below zeta_s, and [zeta_s, cap] otherwise, or [0, cap] when zeta_s lies
-    past the cap.  On a regular graph zeta_s is the root itself.  Each
+    with no application, or at the cap when zeta_s lies past it; the cap
+    is solved at only when the root lies above zeta_s.  On a regular graph
+    zeta_s is the root itself.  Each
     fixed point starts from one interpolated through the last
     ``_PREDICT_ORDER`` solved (zeta = 0 among them, where x* = c), clipped
     to at most c.  Requires c below the general critical density, or the
     regular one when the caller asserts near-regularity; a root past
     ``_ZETA_CAP`` of the contraction boundary is refused.  eta = 0 returns
     zeta = 1 directly, and when zeta = 0 already meets the target it is
-    returned with x* = c, before any probe.
+    returned with x* = c, before any solve.
     ``delta`` defaults to the maximum degree, and below 1 is refused, as
     is a ``tol`` or ``fp_tol`` that is not positive.
     """
@@ -583,34 +590,24 @@ def solve_zeta(graph, k, c, eta, tol=1e-10, near_regular=False, delta=None, fp_t
         solved.append((z, u))
         return (1.0 - z) * _edge_sum(at[1], edges, work) - target
 
-    r_lo = _edge_sum(at[1], edges, work) - target  # (1 - eta) c^k |E| > 0
-    if abs(r_lo) < tol * scale:  # the end zeta = 0 meets the target
-        return 0.0, at[1]
     # the root lies in (0, 1 - eta]; the bracket ends at the cap, just inside
     # the contraction region, at whose edge the iteration stalls
-    lo, hi = 0.0, min(1.0 - eta, _ZETA_CAP * math.e / ((k - 1) * c ** (k - 1)))
-    # The first probe is the root of the regular surrogate at the
-    # size-biased degree d2 = sum d_v^2 / sum d_v, its penalty scaled by
-    # d2 / Delta, or the cap when that root lies past it: exact on a
-    # regular graph, and close on the others, so that one end of the
-    # bracket is near the root.  When the root lies below the probe, the
-    # cap is never solved at.
+    hi = min(1.0 - eta, _ZETA_CAP * math.e / ((k - 1) * c ** (k - 1)))
+    # The probe is the root of the regular surrogate at the size-biased
+    # degree d2 = sum d_v^2 / sum d_v, its penalty scaled by d2 / Delta, or
+    # the cap when that root lies past it: exact on a regular graph, and
+    # close on the others, so that one end of the bracket is near the root
     degrees = _degrees(edges, n)
     gap = _regular_gap(k, c, eta, float(degrees @ degrees) / (k * graph.num_edges * params.delta))
-    gap_hi = gap(hi)
-    probe = _regular_root(gap, hi, gap_hi) if gap_hi < 0 else hi
-    r_probe = residual(probe)
-    if r_probe < tol * scale:  # the root lies in (0, probe]
-        hi, r_hi = probe, r_probe
-    else:
-        r_hi = residual(hi) if probe < hi else r_probe
-        if r_hi >= tol * scale:
-            raise DomainError(
-                f"solve_zeta: no root below the zeta cap {hi:.12g} ({_ZETA_CAP} of the "
-                f"contraction boundary e/((k-1) c^(k-1))) at c={c}, eta={eta}"
-            )
-        lo, r_lo = probe, r_probe
-    zeta, r = _root(residual, lo, hi, r_lo, r_hi, 0.0, _ROOT_RTOL, tol * scale, _ROOT_MAX_ITER)
+    probe = (_root(gap, 1.0 - eta, hi) or (hi,))[0]
+    # the residual at zeta = 0, where x* = c, is (1 - eta) c^k |E|
+    found = _root(residual, _edge_sum(at[1], edges, work) - target, hi, tol * scale, probe)
+    if found is None:
+        raise DomainError(
+            f"solve_zeta: no root below the zeta cap {hi:.12g} ({_ZETA_CAP} of the "
+            f"contraction boundary e/((k-1) c^(k-1))) at c={c}, eta={eta}"
+        )
+    zeta, r = found
     if not abs(r) < tol * scale:
         raise ConvergenceError(
             f"zeta root finder did not reach tolerance (residual {r:.3e})",
@@ -726,18 +723,25 @@ def bp_log_partition(graph, params, method="bethe", quad_nodes=64):
     return scale * total
 
 
+def _legendre_tail(zeta, eta, mass):
+    """``-log(1 - zeta) * eta * mass``, the Legendre term of a lower-tail
+    rate at penalty zeta: by log1p, so it keeps its digits when zeta is
+    below the float spacing at 1, and with 1 - zeta floored at 2^-53, so it
+    stays finite when zeta rounds to 1 (at eta below about 1e-15).  It is
+    exactly 0 at eta = 0."""
+    return -math.log1p(-min(zeta, 1.0 - 2.0**-53)) * eta * mass
+
+
 def bp_lower_tail_rate(graph, k, c, eta, near_regular=False):
     """The BP rate of log P(X <= eta E[X]), normalised by Delta^(1/(k-1))/|V|.
 
     Evaluates ``B(x*)/N - log(1-zeta) * eta * c^k |E| / (N Delta) - c`` at
-    the achieving penalty, Delta the maximum degree (as the certificate
-    assumes); for eta = 0 the middle term is absent and zeta = 1.
+    the achieving penalty (``_legendre_tail`` gives the middle term, 0 at
+    eta = 0, where zeta = 1), Delta the maximum degree (as the certificate
+    assumes).
     """
     n = graph.num_vertices
     delta = _default_delta(graph, k)
     zeta, x = solve_zeta(graph, k, c, eta, near_regular=near_regular, delta=delta)
     b = bethe_free_energy(graph, BPParams(k, c, zeta, delta), x)
-    if eta == 0.0:
-        return b / n - c
-    tail_term = math.log(1.0 - zeta) * eta * c**k * graph.num_edges / (n * delta)
-    return b / n - tail_term - c
+    return b / n + _legendre_tail(zeta, eta, c**k * graph.num_edges / (n * delta)) - c

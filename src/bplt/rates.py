@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bp import _check_admissible, regular_fixed_point, solve_zeta_regular, thresholds
+from .bp import _check_admissible, _legendre_tail, regular_fixed_point, solve_zeta_regular
+from .bp import thresholds
 from .errors import DomainError, _check_k
 from .hypergraph import Multihypergraph
 
@@ -96,27 +97,20 @@ def named_graph(name):
 def rate_gnp(k, c, eta):
     """Lower-tail rate for the binomial model on regular hypergraphs.
 
-    Solves the scalar achieving equation for the penalty, then returns
-    ``x + x^k zeta (1 - 1/k) - log(1-zeta) eta c^k / k - c`` with x the
-    regular fixed point; at eta = 0 the penalty is 1 and the log term is
-    absent.  There, with u = x^(k-1) and c = x e^u, the value is taken as
-    ``-x (u/k + (expm1(u) - u))``, a sum of non-positive terms, since the
-    first form cancels down to a value of size c^k/k as c -> 0.
+    Solves the scalar achieving equation for the penalty zeta, then returns
+    ``x + x^k zeta (1 - 1/k) - c - log(1-zeta) eta c^k / k`` with x the
+    regular fixed point.  With u = zeta x^(k-1) and c = x e^u, the terms
+    before the log are taken as ``-x (u/k + (expm1(u) - u))``, a sum of
+    non-positive terms, since they cancel down to a value of size c^k/k as
+    c -> 0; the log term is ``bp._legendre_tail``, 0 at eta = 0, where
+    zeta = 1.
     """
     thr = thresholds(k, eta)
     _check_admissible(c, thr.c_max_regular, f" for k={k}, eta={eta}")
-    if eta == 0.0:
-        x = regular_fixed_point(k, c, 1.0)
-        u = x ** (k - 1)
-        return -x * (u / k + (math.expm1(u) - u))
     zeta, _ = solve_zeta_regular(k, c, eta)
     x = regular_fixed_point(k, c, zeta)
-    return (
-        x
-        + x**k * zeta * (1.0 - 1.0 / k)
-        - math.log(1.0 - zeta) * eta * c**k / k
-        - c
-    )
+    u = zeta * x ** (k - 1)
+    return -x * (u / k + (math.expm1(u) - u)) + _legendre_tail(zeta, eta, c**k / k)
 
 
 def rate_gnm(k, b, eta):

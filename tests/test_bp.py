@@ -768,13 +768,17 @@ class TestZetaSolvers:
             c, eta = float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.1, 0.6))
             want = solve_zeta(g, 3, c, eta)
             probes = []
+            real = bplt.bp._root
 
-            def far(gap, hi, gap_hi):
-                probes.append(share * hi)
-                return probes[-1]
+            def far(f, f0, hi, ftol=0.0, probe=None):
+                if probe is None:  # the surrogate's root, which places the probe
+                    probes.append(share * hi)
+                    return probes[-1], None
+                assert probe == probes[-1]
+                return real(f, f0, hi, ftol, probe)
 
             with monkeypatch.context() as m:
-                m.setattr(bplt.bp, "_regular_root", far)
+                m.setattr(bplt.bp, "_root", far)
                 got = solve_zeta(g, 3, c, eta)
             assert len(probes) == 1
             _assert_meets_target(g, 3, c, eta, *got)
@@ -799,8 +803,9 @@ class TestRoot:
         def f(x):
             raise AssertionError("f evaluated")
 
-        assert _root(f, 0.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 10) == (1.0, 0.0)
-        assert _root(f, 0.0, 1.0, 1e-9, -0.5, 0.0, 0.0, 1e-8, 10) == (0.0, 1e-9)
+        assert _root(f, 0.0, 1.0) == (0.0, 0.0)
+        assert _root(f, 1e-9, 1.0, 1e-8) == (0.0, 1e-9)
+        assert _root(f, 1e-9, 1.0, 1e-8, 0.5) == (0.0, 1e-9)
 
     def test_ftol_stop(self):
         seen = []
@@ -809,28 +814,92 @@ class TestRoot:
             seen.append(x)
             return math.cos(x)
 
-        x, fx = _root(f, 0.0, 3.0, 1.0, math.cos(3.0), 0.0, 0.0, 1e-6, 100)
+        x, fx = _root(f, 1.0, 3.0, 1e-6)
         assert abs(fx) < 1e-6 and fx == math.cos(x) and x == seen[-1]
         assert abs(x - math.pi / 2) < 1e-5
         # and it stops at the first point that passes: none before it did
         assert all(abs(math.cos(y)) >= 1e-6 for y in seen[:-1])
 
     def test_xtol_stop_returns_the_better_end(self):
-        x, fx = _root(lambda x: x**3 - 2.0, 0.0, 2.0, -2.0, 6.0, 1e-12, 0.0, 0.0, 200)
-        assert abs(x - 2.0 ** (1 / 3)) <= 1e-12 and fx == x**3 - 2.0
+        # cos has no zero among the floats, so only the width test stops it;
+        # on a monotone f the better end of the last bracket is the point
+        # nearest the root of all those evaluated
+        seen = []
 
-    def test_max_iter_reported(self):
-        # a root the bracket cannot reach in three steps is an error, not a point
+        def f(x):
+            seen.append(x)
+            return math.cos(x)
+
+        x, fx = _root(f, 1.0, 3.0)
+        assert abs(x - math.pi / 2) <= 1e-15 and fx == math.cos(x)
+        assert abs(fx) == min(abs(math.cos(y)) for y in seen)
+
+    def test_max_iter_reported(self, monkeypatch):
+        # a root the bracket cannot reach in three evaluations, hi's among
+        # them, is an error, not a point
         calls = []
 
         def f(x):
             calls.append(x)
-            return (x - 0.3) ** 3
+            return (0.3 - x) ** 3
 
+        monkeypatch.setattr(bplt.bp, "_ROOT_MAX_ITER", 3)
         with pytest.raises(ConvergenceError, match="no root after 3 evaluations") as err:
-            _root(f, 0.0, 1.0, -0.027, 0.343, 0.0, 0.0, 1e-30, 3)
+            _root(f, 0.027, 1.0, 1e-30)
         assert len(calls) == 3
         assert err.value.iterations == 3 and err.value.residual > 1e-30
+
+    def test_probe_below_the_root(self):
+        # the root lies above the probe, so hi is evaluated next and the
+        # bracket is [probe, hi]
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.cos(x)
+
+        x, fx = _root(f, 1.0, 3.0, 1e-12, 1.0)
+        assert seen[:2] == [1.0, 3.0] and all(1.0 < y < 3.0 for y in seen[2:])
+        assert abs(fx) < 1e-12 and abs(x - math.pi / 2) < 1e-11
+
+    def test_probe_above_the_root(self):
+        # the root lies below the probe, so hi is never evaluated
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.cos(x)
+
+        x, fx = _root(f, 1.0, 3.0, 1e-12, 2.0)
+        assert seen[0] == 2.0 and all(0.0 < y < 2.0 for y in seen[1:])
+        assert abs(fx) < 1e-12 and abs(x - math.pi / 2) < 1e-11
+
+    def test_no_root_below_hi(self):
+        # f(hi) = ftol is not below it: no root, whether probed or not
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 1.0 - 0.5 * x
+
+        assert _root(f, 1.0, 1.0, 0.5) is None
+        assert _root(f, 1.0, 1.0, 0.5, 0.25) is None
+        assert seen == [1.0, 0.25, 1.0]
+        assert _root(math.cos, 1.0, 1.0) is None
+
+    def test_exact_zero_at_hi(self):
+        # with ftol = 0, f(hi) == 0 is the root: the regular gap at eta = 0
+        # is 0 x^k - 0 = 0 at zeta = 1
+        seen = []
+        gap = bplt.bp._regular_gap(3, 0.8, 0.0, 1.0)
+
+        def f(z):
+            seen.append(z)
+            return gap(z)
+
+        assert _root(f, 1.0, 1.0) == (1.0, 0.0)
+        assert seen == [1.0]
+        assert solve_zeta_regular(3, 0.8, 0.0)[0] == 1.0
 
 
 class TestLogPartition:
@@ -884,10 +953,11 @@ class TestLowerTailRate:
         assert bp_lower_tail_rate(g, 3, 0.9, 0.0) == pytest.approx(want, abs=1e-8)
 
     def test_matches_closed_form_general_eta(self):
+        # at eta = 1e-17 the penalty rounds to 1 on both routes
         g = subgraph_hypergraph(named_graph("K3"), 7)
-        for c, eta in [(0.8, 0.3), (0.6, 0.1)]:
+        for c, eta in [(0.8, 0.3), (0.6, 0.1), (1.0, 0.5), (0.8, 1e-9), (0.8, 1e-17)]:
             assert bp_lower_tail_rate(g, 3, c, eta) == pytest.approx(
-                rate_gnp(3, c, eta), abs=1e-8
+                rate_gnp(3, c, eta), abs=1e-12
             )
 
     @pytest.mark.parametrize("eta", [0.1, 0.2, 0.3])

@@ -44,6 +44,13 @@ class TestRateCommands:
         assert rate < 0
         assert rate == pytest.approx(-(1e-5**4) / 4, rel=1e-9)
 
+    def test_rate_gnp_at_tiny_eta(self, capsys):
+        # the penalty rounds to 1, where log(1 - zeta) once raised (exit 2)
+        code, out, _ = run(capsys, "rate-gnp", "--k", "3", "--c", "0.8", "--eta", "1e-17")
+        assert code == 0
+        rate = float(dict(line.split(",") for line in out.strip().splitlines())["rate"])
+        assert math.isfinite(rate) and rate < 0
+
     def test_json_block(self, capsys):
         code, out, _ = run(capsys, "rate-gnp", "--k", "3", "--c", "0.5", "--json")
         assert code == 0

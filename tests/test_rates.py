@@ -33,7 +33,8 @@ def decimal_lambert_w(y):
     from ln y - ln ln y when y > 3 and from y/(1+y) below."""
     w = y.ln() - y.ln().ln() if y > 3 else y / (1 + y)
     for _ in range(200):
-        step = (w * w.exp() - y) / (w.exp() * (w + 1))
+        e = w.exp()
+        step = (w * e - y) / (e * (w + 1))
         w -= step
         if abs(step) <= abs(w) * Decimal(10) ** (2 - decimal.getcontext().prec):
             return w
@@ -54,26 +55,54 @@ def decimal_rate_gnp_eta0(k, c, digits=50):
         return float(x + (1 - Decimal(1) / k) * x**k - c)
 
 
+def decimal_zeta(k, c, eta):
+    """The zeta in (0, 1) with (1 - zeta) (x/c)^k = eta, and 1 - zeta, for
+    decimal c and eta in the current decimal context, where
+    x/c = (W(y) / y)^(1/(k-1)) = exp(-W(y)/(k-1)), y = (k-1) c^(k-1) zeta:
+    bisection on the logit t = log(zeta / (1 - zeta)) over [-140, 740] to a
+    width of 1e-30, so that zeta and 1 - zeta are both right to about 30
+    digits, from zeta = 1e-60 up to 1 - zeta = 1e-320."""
+
+    def point(t):  # zeta and 1 - zeta at logit t
+        e = t.exp()
+        return e / (1 + e), 1 / (1 + e)
+
+    def gap(t):
+        z, w = point(t)
+        return w * (-decimal_lambert_w((k - 1) * c ** (k - 1) * z) * k / (k - 1)).exp() - eta
+
+    lo, hi = Decimal(-140), Decimal(740)
+    assert gap(lo) > 0 > gap(hi)
+    while hi - lo > Decimal(10) ** -30:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+    return point(hi)
+
+
 def decimal_solve_zeta_regular(k, c, eta, digits=60):
     """``solve_zeta_regular(k, c, eta)`` in ``digits``-digit decimal
-    arithmetic: the zeta with (1 - zeta) (x/c)^k = eta, where
-    x/c = (W(y) / y)^(1/(k-1)), y = (k-1) c^(k-1) zeta, by bisection on
-    log zeta over [1e-60, 1] to 30 digits, and whether
-    (k-1) zeta c^(k-1) < e there."""
+    arithmetic (``decimal_zeta``), and whether (k-1) zeta c^(k-1) < e
+    there."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        c = Decimal(c)
+        zeta, _ = decimal_zeta(k, c, Decimal(eta))
+        return float(zeta), (k - 1) * zeta * c ** (k - 1) < Decimal(1).exp()
+
+
+def decimal_rate_gnp(k, c, eta, digits=60):
+    """``rate_gnp(k, c, eta) = x + x^k zeta (1 - 1/k) - log(1 - zeta) eta c^k/k
+    - c`` in ``digits``-digit decimal arithmetic, at the decimal zeta and
+    1 - zeta of ``decimal_zeta``, never their floats, x the regular fixed
+    point: the reference for rate_gnp's form, which does not cancel.  This
+    one does: at c = 1e-6, k = 6 it keeps about 30 of its 60 digits."""
     with decimal.localcontext() as ctx:
         ctx.prec = digits
         c, eta = Decimal(c), Decimal(eta)
-
-        def gap(z):
-            y = (k - 1) * c ** (k - 1) * z
-            return (1 - z) * (decimal_lambert_w(y) / y) ** (Decimal(k) / (k - 1)) - eta
-
-        lo, hi = Decimal(10) ** -60, Decimal(1)
-        assert gap(lo) > 0 > gap(hi)
-        while hi - lo > hi * Decimal(10) ** -30:
-            mid = (lo * hi).sqrt()
-            lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
-        return float(hi), (k - 1) * hi * c ** (k - 1) < Decimal(1).exp()
+        zeta, w = decimal_zeta(k, c, eta)
+        y = (k - 1) * c ** (k - 1) * zeta
+        x = c * (decimal_lambert_w(y) / y) ** (Decimal(1) / (k - 1))
+        return float(x + x**k * zeta * (1 - Decimal(1) / k) - w.ln() * eta * c**k / k - c)
 
 
 K3 = named_graph("K3")
@@ -252,6 +281,16 @@ class TestSolveZetaRegular:
             assert ok == want_ok == (c < thresholds(k, eta).c_max_regular), (k, c, eta)
             assert ok == (eta > 0.1)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_contraction_holds_in_the_admissible_range(self, k):
+        # below c_max_regular (and up to 1e6 where that is infinite) the
+        # flag always reads True: it adds nothing to the range check there
+        for eta in np.linspace(0.01, 0.99, 20):
+            c_max = thresholds(k, float(eta)).c_max_regular
+            top = 1e6 if math.isinf(c_max) else 0.999 * c_max
+            for c in np.geomspace(1e-6, top, 20):
+                assert solve_zeta_regular(k, float(c), float(eta))[1], (k, c, eta)
+
 
 class TestRateGnp:
     def test_eta_zero_closed_form(self):
@@ -277,6 +316,20 @@ class TestRateGnp:
             got, want = rate_gnp(k, float(c), 0.0), decimal_rate_gnp_eta0(k, float(c))
             assert got < 0
             assert abs(got - want) <= 1e-12 * abs(want), (k, c, got, want)
+
+    @pytest.mark.parametrize("eta", [0.1, 0.5, 0.9, 1e-17, 1e-300])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_matches_decimal_reference(self, k, eta):
+        # at four c from the Janson end 1e-6 to 0.999 c_max_regular (1e6
+        # where that is infinite): no cancellation at small c, no tail term
+        # lost where zeta is below the float spacing at 1 (large c), and a
+        # finite rate where zeta rounds to 1 (eta = 1e-17 and 1e-300)
+        c_max = thresholds(k, eta).c_max_regular
+        top = 1e6 if math.isinf(c_max) else 0.999 * c_max
+        for c in np.geomspace(1e-6, top, 4):
+            got, want = rate_gnp(k, float(c), eta), decimal_rate_gnp(k, float(c), eta)
+            assert got <= 0
+            assert abs(got - want) <= 1e-12 * abs(want), (k, c, eta, got, want)
 
     def test_small_c_poisson_regime(self):
         for k in (2, 3, 4):
